@@ -74,7 +74,7 @@ def main(argv=None) -> int:
     for name, start in starts:
         rng = RngStream(args.seed, f"bimodality:{name}:n={args.n}", 0).generator()
         vals = _majority_series(args.n, args.q, lam, start, args.burn,
-                                args.samples, rng, "skip")
+                                args.samples, rng)
         print_portrait(name, vals, args.q, valley)
     return 0
 

@@ -188,11 +188,6 @@ def a_fixed_point(lam: float, q: int) -> float:
     raise RegimeError(f"no ordered fixed point found for lam={lam!r}, q={q}")
 
 
-def b_fixed_point(lam: float, q: int) -> float:
-    """Minority-class fraction (1 - a_lambda)/(q - 1) at the ordered fixed point."""
-    return (1.0 - a_fixed_point(lam, q)) / (q - 1.0)
-
-
 def theta_star(lam: float, q: float) -> float:
     """Smaller root of g(theta) = cm_drift(theta) - theta on (Theta_min, Theta_r).
 
@@ -245,9 +240,6 @@ class DriftFixedPoints:
     theta_star: float | None
     a_lambda: float | None
     b_lambda: float | None
-
-    def theta_giant(self, mu: float) -> float:
-        return theta_giant(mu)
 
 
 def drift_fixed_points(lam: float, q: float) -> DriftFixedPoints:

@@ -12,8 +12,10 @@ Conventions shared by all subcommands: exactly one of --lambda/--beta fixes
 the edge intensity (beta is converted through lam = n(1 - exp(-beta/n)) and
 therefore needs a single n); grids are written start:stop:step, a comma
 list, or a single number; --config names a flat JSON object whose keys are
-the long flag names, with explicit flags taking precedence; the master
-seed defaults to the MCD_SEED environment variable. Exit codes: 0 success
+the long flag names, or the JSON sidecar of an experiment result, with
+explicit flags taking precedence; an option the subcommand or experiment
+does not take is an error, whether given as a flag or a config key; the
+master seed defaults to the MCD_SEED environment variable. Exit codes: 0 success
 or check passed, 1 usage error, 2 oracle check failed, 3 parameter regime
 unsupported. Wall-clock timings go to stderr, never into result files.
 """
@@ -27,6 +29,7 @@ import math
 import os
 import sys
 import time
+from typing import Callable
 
 from . import __version__
 from .analytic import (
@@ -64,7 +67,7 @@ from .oracle import (
     spectral_gap,
     stationarity_residual,
 )
-from .report import write_report
+from .report import atomic_write_text, write_report
 
 
 class CliError(Exception):
@@ -113,28 +116,49 @@ def _parse_grid(value, kind: str = "float") -> list:
     return out
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
+def _flag(dest: str) -> str:
+    return "--" + ("lambda" if dest == "lam" else dest.replace("_", "-"))
+
+
+def _load_config(ns: argparse.Namespace) -> dict:
+    """Options from --config: a flat flag-named object, or a result sidecar
+    (its "config" object), whose command and experiment must match."""
+    if not ns.config:
         return {}
-    with open(path) as fh:
+    with open(ns.config) as fh:
         loaded = json.load(fh)
+    if isinstance(loaded, dict) and isinstance(loaded.get("config"), dict):
+        loaded = loaded["config"]
     if not isinstance(loaded, dict):
         raise CliError(1, "--config must contain a flat JSON object")
     cfg = {}
     for key, val in loaded.items():
         dest = "lam" if key == "lambda" else str(key).replace("-", "_")
         cfg[dest] = val
+    for key, want in (("command", ns.command),
+                      ("experiment", getattr(ns, "name", None))):
+        got = cfg.pop(key, want)
+        if got != want:
+            raise CliError(1, f"--config holds {key} {got!r}, not {want!r}")
     return cfg
 
 
-def _merged_options(ns: argparse.Namespace) -> dict:
-    """Config-file values overridden by anything given on the command line."""
-    opts = _load_config(getattr(ns, "config", None))
-    for key, val in vars(ns).items():
-        if key in ("func", "config"):
-            continue
-        if val is not None:
-            opts[key] = val
+_POSITIONALS = ("func", "config", "command", "name", "check")
+
+
+def _merged_options(ns: argparse.Namespace, allowed=None) -> dict:
+    """Config-file values overridden by anything given on the command line.
+
+    An option outside `allowed` (by default, the subcommand's own flags)
+    is an error, so a typo or an option the run would ignore never passes
+    silently."""
+    given = {k: v for k, v in vars(ns).items() if k not in _POSITIONALS}
+    opts = _load_config(ns)
+    opts.update((k, v) for k, v in given.items() if v is not None)
+    unused = sorted(set(opts) - set(given if allowed is None else allowed))
+    if unused:
+        raise CliError(1, f"{getattr(ns, 'name', ns.command)} does not take "
+                          + ", ".join(_flag(k) for k in unused))
     return opts
 
 
@@ -174,56 +198,6 @@ def _require_integer_q(q: float, what: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# run configuration echoed into the report sidecar
-
-@dataclasses.dataclass
-class RunConfig:
-    """Effective parameters of one CLI invocation, as written to the
-    sidecar. to_dict/from_dict round-trip exactly through JSON."""
-
-    command: str
-    experiment: str | None = None
-    kind: str | None = None
-    n: list | None = None
-    q: float | None = None
-    lam: float | None = None
-    rho: float | None = None
-    start: str | None = None
-    replicas: int | None = None
-    seed: int | None = None
-    threads: int | None = None
-    grid: list | None = None
-    m_threshold: int | None = None
-    epsilon: float | None = None
-    burn: int | None = None
-    samples: int | None = None
-    cap: int | None = None
-    steps: int | None = None
-    observe_every: int | None = None
-    init: str | None = None
-    alpha: float | None = None
-    out: str | None = None
-
-    def to_dict(self) -> dict:
-        raw = dataclasses.asdict(self)
-        return {("lambda" if k == "lam" else k): v for k, v in raw.items()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        kwargs = {("lam" if k == "lambda" else k): v for k, v in data.items()}
-        return cls(**kwargs)
-
-
-def _emit(report, rc: RunConfig, default_name: str) -> int:
-    out = rc.out or default_name
-    rc.out = out
-    write_report(report, out, rc.to_dict(), __version__)
-    print(out)
-    print(f"wall clock: {report.wall_clock_s:.2f}s", file=sys.stderr)
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # subcommand handlers
 
 def _cmd_critical_points(ns) -> int:
@@ -253,15 +227,17 @@ def _cmd_drift(ns) -> int:
         fz = sw_drift(z, lam, q) if z >= 1.0 / q else float("nan")
         cz = cm_drift(z, lam, q)
         lines.append(f"{z!r},{fz!r},{cz!r},{cz - z!r}")
+    _write_table(lines, opts.get("out"))
+    return 0
+
+
+def _write_table(lines: list[str], out: str | None) -> None:
     text = "\n".join(lines) + "\n"
-    out = opts.get("out")
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        atomic_write_text(out, text)
         print(out)
     else:
         sys.stdout.write(text)
-    return 0
 
 
 def _cmd_simulate(ns) -> int:
@@ -311,105 +287,83 @@ def _cmd_simulate(ns) -> int:
             if rec.counts_sorted is not None else ""
         lines.append(f"{rec.step},{rec.l1_frac!r},{rec.sm_frac!r},"
                      f"{rec.edge_count},{counts}")
-    text = "\n".join(lines) + "\n"
-    out = opts.get("out")
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-        print(out)
-    else:
-        sys.stdout.write(text)
+    _write_table(lines, opts.get("out"))
     print(f"wall clock: {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     return 0
 
 
-_EXPERIMENTS = ("one_step_exit", "escape_time", "sw_drift_map", "cm_drift_map",
-                "sm_tail", "cluster_tail_bound", "giant_concentration",
-                "bimodality_scan")
+@dataclasses.dataclass(frozen=True)
+class Experiment:
+    """How `mcd experiment NAME` runs one function of mcd.experiments.
+
+    options names the function's parameters after (n, lam), in its order,
+    by option dest, each with its CLI default (None: required; the seed
+    always resolves through MCD_SEED). single_n and integer_q are the
+    shape rules on --n and --q.
+    """
+
+    run: Callable
+    options: dict
+    single_n: bool = False
+    integer_q: bool = False
+
+
+EXPERIMENTS = {
+    "one_step_exit": Experiment(one_step_exit, dict(
+        q=None, rho=0.08, start="balanced", replicas=500, seed=None,
+        threads=1), integer_q=True),
+    "escape_time": Experiment(escape_time, dict(
+        q=None, rho=0.08, start="balanced", replicas=200, seed=None,
+        cap=10 ** 6, threads=1), integer_q=True),
+    "sw_drift_map": Experiment(sw_drift_map, dict(
+        q=None, grid=None, replicas=200, seed=None, threads=1),
+        single_n=True, integer_q=True),
+    "cm_drift_map": Experiment(cm_drift_map, dict(
+        q=1.0, grid=None, replicas=200, seed=None, threads=1), single_n=True),
+    "sm_tail": Experiment(sm_tail, dict(
+        m_threshold=20, rho=0.2, replicas=50000, seed=None, threads=1)),
+    "cluster_tail_bound": Experiment(cluster_tail_bound, dict(
+        grid="20:60:20", replicas=100000, seed=None, threads=1),
+        single_n=True),
+    "giant_concentration": Experiment(giant_concentration, dict(
+        epsilon=0.01, replicas=100, seed=None, threads=1), single_n=True),
+    "bimodality_scan": Experiment(bimodality_scan, dict(
+        q=None, burn=200, samples=1000, seed=None),
+        single_n=True, integer_q=True),
+}
 
 
 def _cmd_experiment(ns) -> int:
-    opts = _merged_options(ns)
-    name = ns.name.replace("-", "_")
-    if name not in _EXPERIMENTS:
-        raise CliError(1, f"unknown experiment {ns.name!r}; choose from "
-                          + ", ".join(_EXPERIMENTS))
+    name = ns.name
+    spec = EXPERIMENTS.get(name)
+    if spec is None:
+        raise CliError(1, f"unknown experiment {name!r}; choose from "
+                          + ", ".join(EXPERIMENTS))
+    opts = _merged_options(ns, {"n", "lam", "beta", "out", *spec.options})
     if opts.get("n") is None:
         raise CliError(1, "--n is required")
     n_vals = _parse_grid(opts["n"], "int")
-    q = _opt(opts, "q", default=1.0, conv=float)
+    if spec.single_n and len(n_vals) != 1:
+        raise CliError(1, f"{name} takes a single --n")
     lam = _resolve_lambda(opts, n_vals)
-    seed = _master_seed(opts)
-    threads = _opt(opts, "threads", default=1, conv=int)
-    rc = RunConfig(command="experiment", experiment=name, n=n_vals, q=q,
-                   lam=lam, seed=seed, threads=threads)
-
-    if name in ("one_step_exit", "escape_time"):
-        qi = _require_integer_q(q, "this experiment (it runs sw)")
-        rho = _opt(opts, "rho", default=0.08, conv=float)
-        start = _opt(opts, "start", default="balanced")
-        rc.rho, rc.start = rho, start
-        if name == "one_step_exit":
-            rc.replicas = _opt(opts, "replicas", default=500, conv=int)
-            rep = one_step_exit(n_vals, lam, qi, rho, start, rc.replicas,
-                                seed, threads)
-        else:
-            rc.replicas = _opt(opts, "replicas", default=200, conv=int)
-            rc.cap = _opt(opts, "cap", default=10 ** 6, conv=int)
-            rep = escape_time(n_vals, lam, qi, rho, start, rc.replicas, seed,
-                              rc.cap, threads)
-    elif name == "sw_drift_map":
-        qi = _require_integer_q(q, "sw_drift_map")
-        if len(n_vals) != 1:
-            raise CliError(1, "sw_drift_map takes a single --n")
-        if opts.get("grid") is None:
-            raise CliError(1, "sw_drift_map needs --grid of majority fractions")
-        rc.grid = _parse_grid(opts["grid"])
-        rc.replicas = _opt(opts, "replicas", default=200, conv=int)
-        rep = sw_drift_map(n_vals[0], lam, qi, rc.grid, rc.replicas, seed,
-                           threads)
-    elif name == "cm_drift_map":
-        if len(n_vals) != 1:
-            raise CliError(1, "cm_drift_map takes a single --n")
-        if opts.get("grid") is None:
-            raise CliError(1, "cm_drift_map needs --grid of cluster fractions")
-        rc.grid = _parse_grid(opts["grid"])
-        rc.replicas = _opt(opts, "replicas", default=200, conv=int)
-        rep = cm_drift_map(n_vals[0], lam, q, rc.grid, rc.replicas, seed,
-                           threads)
-    elif name == "sm_tail":
-        rc.m_threshold = _opt(opts, "m_threshold", default=20, conv=int)
-        rc.rho = _opt(opts, "rho", default=0.2, conv=float)
-        rc.replicas = _opt(opts, "replicas", default=50000, conv=int)
-        rep = sm_tail(n_vals, lam, rc.m_threshold, rc.rho, rc.replicas, seed,
-                      threads)
-        rc.q = rep.q
-    elif name == "cluster_tail_bound":
-        if len(n_vals) != 1:
-            raise CliError(1, "cluster_tail_bound takes a single --n")
-        rc.grid = _parse_grid(_opt(opts, "grid", default="20:60:20"))
-        rc.replicas = _opt(opts, "replicas", default=100000, conv=int)
-        rep = cluster_tail_bound(n_vals[0], lam, [int(k) for k in rc.grid],
-                                 rc.replicas, seed, threads)
-        rc.q = rep.q
-    elif name == "giant_concentration":
-        if len(n_vals) != 1:
-            raise CliError(1, "giant_concentration takes a single --n")
-        rc.epsilon = _opt(opts, "epsilon", default=0.01, conv=float)
-        rc.replicas = _opt(opts, "replicas", default=100, conv=int)
-        rep = giant_concentration(n_vals[0], lam, rc.epsilon, rc.replicas,
-                                  seed, threads)
-        rc.q = rep.q
-    else:  # bimodality_scan
-        qi = _require_integer_q(q, "bimodality_scan")
-        if len(n_vals) != 1:
-            raise CliError(1, "bimodality_scan takes a single --n")
-        rc.burn = _opt(opts, "burn", default=200, conv=int)
-        rc.samples = _opt(opts, "samples", default=1000, conv=int)
-        rep = bimodality_scan(n_vals[0], lam, qi, rc.burn, rc.samples, seed)
-
-    rc.out = opts.get("out")
-    return _emit(rep, rc, f"mcd_{name}.csv")
+    opts["seed"] = _master_seed(opts)
+    config = {"command": "experiment", "experiment": name, "n": n_vals,
+              "lambda": lam}
+    args = []
+    for key, default in spec.options.items():
+        value = opts.get(key, default)
+        if value is None:
+            raise CliError(1, f"{name} needs {_flag(key)}")
+        conv = _parse_grid if key == "grid" else _OPTIONS[key].get("type", str)
+        config[key] = value = conv(value)
+        args.append(_require_integer_q(value, name)
+                    if key == "q" and spec.integer_q else value)
+    config["out"] = opts.get("out") or f"mcd_{name}.csv"
+    report = spec.run(n_vals[0] if spec.single_n else n_vals, lam, *args)
+    write_report(report, config["out"], config, __version__)
+    print(config["out"])
+    print(f"wall clock: {report.wall_clock_s:.2f}s", file=sys.stderr)
+    return 0
 
 
 _ORACLE_CHECKS = ("stationarity", "detailed-balance", "gap", "cheeger",
@@ -501,44 +455,59 @@ def _verdict(label: str, value: float, tol: float) -> int:
 # ---------------------------------------------------------------------------
 # parser assembly
 
+_OPTIONS = {
+    "n": dict(flags=["--n"], help="number of vertices, or a grid"),
+    "q": dict(flags=["--q"], type=float, help="number of colors"),
+    "lam": dict(flags=["--lambda"], dest="lam", type=float,
+                help="edge intensity lambda"),
+    "beta": dict(flags=["--beta"], type=float,
+                 help="inverse temperature (converted to lambda)"),
+    "seed": dict(flags=["--seed"], type=int,
+                 help="master seed (default: MCD_SEED or 0)"),
+    "threads": dict(flags=["--threads"], type=int,
+                    help="worker processes (default 1)"),
+    "replicas": dict(flags=["--replicas"], type=int),
+    "rho": dict(flags=["--rho"], type=float,
+                help="stability-set margin"),
+    "start": dict(flags=["--start"], choices=["balanced", "ordered"]),
+    "grid": dict(flags=["--grid"], help="start:stop:step or comma list"),
+    "m_threshold": dict(flags=["--m-threshold"], dest="m_threshold",
+                        type=int, help="large-cluster size cutoff"),
+    "epsilon": dict(flags=["--epsilon"], type=float),
+    "burn": dict(flags=["--burn"], type=int),
+    "samples": dict(flags=["--samples"], type=int),
+    "cap": dict(flags=["--cap"], type=int, help="escape-time cap"),
+    "steps": dict(flags=["--steps"], type=int),
+    "observe_every": dict(flags=["--observe-every"], dest="observe_every",
+                          type=int),
+    "init": dict(flags=["--init"]),
+    "kind": dict(flags=["--kind"], choices=["sw", "cm", "glauber"]),
+    "alpha": dict(flags=["--alpha"], type=float,
+                  help="restriction density for the bgj check"),
+    "tol": dict(flags=["--tol"], type=float),
+    "out": dict(flags=["--out"], help="output path"),
+    "config": dict(flags=["--config"],
+                   help="flat JSON option file, or a result sidecar"),
+}
+
+
 def _add_common(p: _Parser, *names: str) -> None:
-    spec = {
-        "n": dict(flags=["--n"], help="number of vertices, or a grid"),
-        "q": dict(flags=["--q"], type=float, help="number of colors"),
-        "lam": dict(flags=["--lambda"], dest="lam", type=float,
-                    help="edge intensity lambda"),
-        "beta": dict(flags=["--beta"], type=float,
-                     help="inverse temperature (converted to lambda)"),
-        "seed": dict(flags=["--seed"], type=int,
-                     help="master seed (default: MCD_SEED or 0)"),
-        "threads": dict(flags=["--threads"], type=int,
-                        help="worker processes (default 1)"),
-        "replicas": dict(flags=["--replicas"], type=int),
-        "rho": dict(flags=["--rho"], type=float,
-                    help="stability-set margin"),
-        "start": dict(flags=["--start"], choices=["balanced", "ordered"]),
-        "grid": dict(flags=["--grid"], help="start:stop:step or comma list"),
-        "m_threshold": dict(flags=["--m-threshold"], dest="m_threshold",
-                            type=int, help="large-cluster size cutoff"),
-        "epsilon": dict(flags=["--epsilon"], type=float),
-        "burn": dict(flags=["--burn"], type=int),
-        "samples": dict(flags=["--samples"], type=int),
-        "cap": dict(flags=["--cap"], type=int, help="escape-time cap"),
-        "steps": dict(flags=["--steps"], type=int),
-        "observe_every": dict(flags=["--observe-every"], dest="observe_every",
-                              type=int),
-        "init": dict(flags=["--init"]),
-        "kind": dict(flags=["--kind"], choices=["sw", "cm", "glauber"]),
-        "alpha": dict(flags=["--alpha"], type=float,
-                      help="restriction density for the bgj check"),
-        "tol": dict(flags=["--tol"], type=float),
-        "out": dict(flags=["--out"], help="output path"),
-        "config": dict(flags=["--config"], help="flat JSON option file"),
-    }
     for name in names:
-        entry = dict(spec[name])
+        entry = dict(_OPTIONS[name])
         flags = entry.pop("flags")
         p.add_argument(*flags, default=None, **entry)
+
+
+def _experiment_options_help() -> str:
+    def shown(key, default):
+        if key == "seed":
+            return _flag(key)
+        return f"{_flag(key)} {'*' if default is None else default}"
+    return ("options per experiment, with defaults (* required), besides "
+            "--n, --lambda/--beta, --out and --config:\n"
+            + "\n".join(f"  {name}: " + " ".join(
+                shown(k, d) for k, d in e.options.items())
+                for name, e in EXPERIMENTS.items()))
 
 
 def build_parser() -> _Parser:
@@ -564,11 +533,15 @@ def build_parser() -> _Parser:
                 "init", "m_threshold", "seed", "out", "config")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("experiment", help="run a replicated experiment")
-    p.add_argument("name", help="one of " + ", ".join(_EXPERIMENTS))
-    _add_common(p, "n", "q", "lam", "beta", "rho", "start", "replicas",
-                "grid", "m_threshold", "epsilon", "burn", "samples", "cap",
-                "seed", "threads", "out", "config")
+    p = sub.add_parser(
+        "experiment", help="run a replicated experiment",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog=_experiment_options_help())
+    p.add_argument("name", type=lambda s: s.replace("-", "_"),
+                   help="one of " + ", ".join(EXPERIMENTS))
+    _add_common(p, "n", "lam", "beta",
+                *dict.fromkeys(k for e in EXPERIMENTS.values()
+                               for k in e.options), "out", "config")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("oracle", help="exact small-system checks")

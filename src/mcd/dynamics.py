@@ -82,8 +82,7 @@ def sample_gnp(n: int, p: float, rng: np.random.Generator,
 
 
 def percolate_within_classes(spins: SpinConfig, p: float,
-                             rng: np.random.Generator,
-                             method: str = "skip") -> EdgeConfig:
+                             rng: np.random.Generator) -> EdgeConfig:
     """Open each monochromatic pair independently with probability p.
 
     Classes are processed in ascending color order; within a class the pair
@@ -96,7 +95,7 @@ def percolate_within_classes(spins: SpinConfig, p: float,
         m = verts.size
         if m < 2:
             continue
-        ks = _gnp_indices(num_pairs(m), p, rng, method)
+        ks = _gnp_indices(num_pairs(m), p, rng)
         li, lj = pairs_from_indices(ks, m)
         us.append(verts[li])
         vs.append(verts[lj])
@@ -122,8 +121,7 @@ def recolor_clusters(clusters: ClusterPartition, q: int,
 
 
 def sw_step(spins: SpinConfig, params: ModelParams,
-            rng: np.random.Generator,
-            method: str = "skip") -> tuple[SpinConfig, EdgeConfig]:
+            rng: np.random.Generator) -> tuple[SpinConfig, EdgeConfig]:
     """One Swendsen-Wang update. Returns (new spins, the intermediate
     percolation configuration that produced them)."""
     q = params.q_int
@@ -131,13 +129,13 @@ def sw_step(spins: SpinConfig, params: ModelParams,
         raise ValueError(f"Swendsen-Wang needs integer q >= 2, got q={params.q!r}")
     if spins.n != params.n or spins.q != q:
         raise ValueError("spin configuration does not match params")
-    omega = percolate_within_classes(spins, params.p, rng, method)
+    omega = percolate_within_classes(spins, params.p, rng)
     clusters = cluster_decompose(omega)
     return recolor_clusters(clusters, q, rng), omega
 
 
 def cm_step(edges: EdgeConfig, params: ModelParams,
-            rng: np.random.Generator, method: str = "skip") -> EdgeConfig:
+            rng: np.random.Generator) -> EdgeConfig:
     """One Chayes-Machta update of the edge configuration.
 
     Clusters activate independently with probability 1/q (ascending
@@ -166,7 +164,7 @@ def cm_step(edges: EdgeConfig, params: ModelParams,
         keep_u = keep_v = np.empty(0, dtype=np.int64)
 
     verts = np.flatnonzero(active)
-    ks = _gnp_indices(num_pairs(verts.size), p, rng, method)
+    ks = _gnp_indices(num_pairs(verts.size), p, rng)
     li, lj = pairs_from_indices(ks, verts.size)
     u = np.concatenate([keep_u, verts[li]])
     v = np.concatenate([keep_v, verts[lj]])
@@ -289,8 +287,7 @@ def _observe(step: int, edges: EdgeConfig, m_threshold: int,
 
 def run_chain(kind: str, init, params: ModelParams, steps: int,
               rng: np.random.Generator, observe_every: int = 1,
-              m_threshold: int | None = None,
-              gnp_method: str = "skip") -> Trajectory:
+              m_threshold: int | None = None) -> Trajectory:
     """Run `steps` updates of one of the three chains, recording cluster
     statistics at steps 0, observe_every, 2*observe_every, ...
 
@@ -319,7 +316,7 @@ def run_chain(kind: str, init, params: ModelParams, steps: int,
         counts = tuple(int(c) for c in spins.sorted_counts())
         traj.records.append(_observe(0, omega, m_threshold, counts))
         for t in range(1, steps + 1):
-            spins, omega = sw_step(spins, params, rng, gnp_method)
+            spins, omega = sw_step(spins, params, rng)
             if t % observe_every == 0:
                 counts = tuple(int(c) for c in spins.sorted_counts())
                 traj.records.append(_observe(t, omega, m_threshold, counts))
@@ -333,7 +330,7 @@ def run_chain(kind: str, init, params: ModelParams, steps: int,
     traj.records.append(_observe(0, edges, m_threshold, None))
     for t in range(1, steps + 1):
         if kind == "cm":
-            edges = cm_step(edges, params, rng, gnp_method)
+            edges = cm_step(edges, params, rng)
         else:
             edges = glauber_step(edges, params, rng)
         if t % observe_every == 0:

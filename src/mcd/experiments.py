@@ -16,6 +16,7 @@ stability statements, but the estimator itself is well defined everywhere
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -82,12 +83,32 @@ def _ordered_a(lam: float, q: int) -> float:
 # ---------------------------------------------------------------------------
 # parallel plumbing
 
-def _parallel_map(fn, args_list: list, threads: int) -> list:
-    if threads <= 1 or len(args_list) <= 1:
-        return [fn(a) for a in args_list]
-    chunk = max(1, len(args_list) // (threads * 8))
+def _replica(args):
+    worker, master, name, r, params = args
+    return worker(RngStream(master, name, r).generator(), *params)
+
+
+def _run_replicas(worker, master_seed: int, name: str, replicas: int,
+                  threads: int, *params) -> list:
+    """worker(rng, *params) for replicas 0..replicas-1 of the named cell,
+    each on its own stream, returned in replica order."""
+    args = [(worker, master_seed, name, r, params) for r in range(replicas)]
+    if threads <= 1 or replicas <= 1:
+        return [_replica(a) for a in args]
+    chunk = max(1, replicas // (threads * 8))
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, args_list, chunksize=chunk))
+        return list(pool.map(_replica, args, chunksize=chunk))
+
+
+def _timed(experiment):
+    """Record the run's wall-clock time on the report it returns."""
+    @functools.wraps(experiment)
+    def run(*args, **kwargs):
+        t0 = time.perf_counter()
+        report = experiment(*args, **kwargs)
+        report.wall_clock_s = time.perf_counter() - t0
+        return report
+    return run
 
 
 def _boot_seed(master_seed: int, tag: str) -> int:
@@ -107,32 +128,29 @@ def _exited(spins: SpinConfig, rho: float, start: str, a_lam: float) -> bool:
     return not in_ordered_set(spins, rho, a_lam)
 
 
-def _exit_worker(args) -> int:
-    master, name, r, n, q, lam, rho, start, a_lam, method = args
-    rng = RngStream(master, name, r).generator()
+def _exit_worker(rng, n, q, lam, rho, start, a_lam) -> int:
     spins = balanced_spins(n, q) if start == "balanced" \
         else ordered_spins(n, q, a_lam)
     params = ModelParams(n=n, q=float(q), lam=lam)
-    new, _ = sw_step(spins, params, rng, method)
+    new, _ = sw_step(spins, params, rng)
     return int(_exited(new, rho, start, a_lam))
 
 
+@_timed
 def one_step_exit(n_grid, lam: float, q: int, rho: float, start: str,
-                  replicas: int, master_seed: int, threads: int = 1,
-                  gnp_method: str = "skip") -> ExperimentReport:
+                  replicas: int, master_seed: int,
+                  threads: int = 1) -> ExperimentReport:
     """P(X_1 leaves the start's stability set) for one SW step, per n."""
     if start not in ("balanced", "ordered"):
         raise ValueError(f"start must be balanced or ordered, got {start!r}")
     if rho <= 0:
         raise ValueError("rho must be positive")
     a_lam = a_fixed_point(lam, q) if start == "ordered" else 0.0
-    t0 = time.perf_counter()
     report = ExperimentReport("one_step_exit", float(q), lam, master_seed)
     for n in n_grid:
-        name = f"one_step_exit:{start}:n={n}"
-        args = [(master_seed, name, r, n, q, lam, rho, start, a_lam, gnp_method)
-                for r in range(replicas)]
-        hits = sum(_parallel_map(_exit_worker, args, threads))
+        hits = sum(_run_replicas(_exit_worker, master_seed,
+                                 f"one_step_exit:{start}:n={n}", replicas,
+                                 threads, n, q, lam, rho, start, a_lam))
         lo, hi = wilson_ci(hits, replicas)
         report.cells.append(ReportCell(
             n=n, param=rho, estimate=hits / replicas, ci_lo=lo, ci_hi=hi,
@@ -140,26 +158,24 @@ def one_step_exit(n_grid, lam: float, q: int, rho: float, start: str,
     report.summary["log_slope"] = _ls_slope(
         list(n_grid), [math.log(max(c.estimate, 0.5 / replicas))
                        for c in report.cells]) if len(report.cells) >= 2 else None
-    report.wall_clock_s = time.perf_counter() - t0
     return report
 
 
-def _escape_worker(args) -> int:
-    master, name, r, n, q, lam, rho, start, a_lam, cap, method = args
-    rng = RngStream(master, name, r).generator()
+def _escape_worker(rng, n, q, lam, rho, start, a_lam, cap) -> int:
     spins = balanced_spins(n, q) if start == "balanced" \
         else ordered_spins(n, q, a_lam)
     params = ModelParams(n=n, q=float(q), lam=lam)
     for t in range(1, cap + 1):
-        spins, _ = sw_step(spins, params, rng, method)
+        spins, _ = sw_step(spins, params, rng)
         if _exited(spins, rho, start, a_lam):
             return t
     return -1  # censored at the cap
 
 
+@_timed
 def escape_time(n_grid, lam: float, q: int, rho: float, start: str,
                 replicas: int, master_seed: int, cap: int = 10 ** 6,
-                threads: int = 1, gnp_method: str = "skip") -> ExperimentReport:
+                threads: int = 1) -> ExperimentReport:
     """Median number of SW steps until first exit, censored at the cap.
 
     A cell whose censoring fraction reaches 1/2 reports NaN (the median is
@@ -172,13 +188,12 @@ def escape_time(n_grid, lam: float, q: int, rho: float, start: str,
     if start not in ("balanced", "ordered"):
         raise ValueError(f"start must be balanced or ordered, got {start!r}")
     a_lam = a_fixed_point(lam, q) if start == "ordered" else 0.0
-    t0 = time.perf_counter()
     report = ExperimentReport("escape_time", float(q), lam, master_seed)
     for n in n_grid:
         name = f"escape_time:{start}:n={n}"
-        args = [(master_seed, name, r, n, q, lam, rho, start, a_lam, cap,
-                 gnp_method) for r in range(replicas)]
-        raw = np.array(_parallel_map(_escape_worker, args, threads), dtype=float)
+        raw = np.array(_run_replicas(_escape_worker, master_seed, name,
+                                     replicas, threads, n, q, lam, rho, start,
+                                     a_lam, cap), dtype=float)
         censored = float(np.mean(raw < 0))
         vals = np.where(raw < 0, np.inf, raw)
         if censored >= 0.5:
@@ -191,19 +206,16 @@ def escape_time(n_grid, lam: float, q: int, rho: float, start: str,
             n=n, param=rho, estimate=est, ci_lo=lo, ci_hi=hi,
             replicas=replicas,
             extra={"start": start, "censored_frac": censored, "cap": cap}))
-    report.wall_clock_s = time.perf_counter() - t0
     return report
 
 
 # ---------------------------------------------------------------------------
 # drift maps
 
-def _sw_drift_worker(args) -> float:
-    master, name, r, n, q, lam, z, method = args
-    rng = RngStream(master, name, r).generator()
+def _sw_drift_worker(rng, n, q, lam, z) -> float:
     spins = spins_with_majority(n, q, round(z * n))
     params = ModelParams(n=n, q=float(q), lam=lam)
-    omega = percolate_within_classes(spins, params.p, rng, method)
+    omega = percolate_within_classes(spins, params.p, rng)
     part = cluster_decompose(omega)
     tracked = int(part.ids_by_size[0])  # largest cluster, smallest-member ties
     new = recolor_clusters(part, q, rng)
@@ -211,9 +223,9 @@ def _sw_drift_worker(args) -> float:
     return int(new.counts[color - 1]) / n
 
 
+@_timed
 def sw_drift_map(n: int, lam: float, q: int, z_grid, replicas: int,
-                 master_seed: int, threads: int = 1,
-                 gnp_method: str = "skip") -> ExperimentReport:
+                 master_seed: int, threads: int = 1) -> ExperimentReport:
     """Mean next-step fraction of the color class that receives the largest
     percolation cluster, started from majority fraction z, against the
     analytic drift.
@@ -225,15 +237,13 @@ def sw_drift_map(n: int, lam: float, q: int, z_grid, replicas: int,
     z = 1/3 and lambda_c(3), E[L1] = 156.60 puts the mean 0.0104 above
     F = 1/3.
     """
-    t0 = time.perf_counter()
     report = ExperimentReport("sw_drift_map", float(q), lam, master_seed)
     for z in z_grid:
         if not (1.0 / q <= z <= 1.0):
             raise ValueError(f"z grid must lie in [1/q, 1], got {z!r}")
         name = f"sw_drift_map:z={z!r}:n={n}"
-        args = [(master_seed, name, r, n, q, lam, z, gnp_method)
-                for r in range(replicas)]
-        vals = np.array(_parallel_map(_sw_drift_worker, args, threads))
+        vals = np.array(_run_replicas(_sw_drift_worker, master_seed, name,
+                                      replicas, threads, n, q, lam, z))
         mean = float(vals.mean())
         lo, hi = bootstrap_ci(vals, "mean", seed=_boot_seed(master_seed, name))
         predicted = sw_drift(z, lam, q)
@@ -243,13 +253,10 @@ def sw_drift_map(n: int, lam: float, q: int, z_grid, replicas: int,
             extra={"predicted": predicted,
                    "abs_error": abs(mean - predicted),
                    "stderr": float(vals.std(ddof=1) / math.sqrt(replicas))}))
-    report.wall_clock_s = time.perf_counter() - t0
     return report
 
 
-def _cm_drift_worker(args) -> float:
-    master, name, r, n, q, lam, theta, method = args
-    rng = RngStream(master, name, r).generator()
+def _cm_drift_worker(rng, n, q, lam, theta) -> float:
     g = round(theta * n)
     params = ModelParams(n=n, q=q, lam=lam)
     # spanning path as the planted cluster: the drift depends only on sizes
@@ -268,7 +275,7 @@ def _cm_drift_worker(args) -> float:
     keep = edges.pairs[~active[edges.pairs[:, 0]]] if edges.pairs.shape[0] \
         else edges.pairs
     verts = np.flatnonzero(active)
-    ks = _gnp_indices(num_pairs(verts.size), params.p, rng, method)
+    ks = _gnp_indices(num_pairs(verts.size), params.p, rng)
     li, lj = pairs_from_indices(ks, verts.size)
     u = np.concatenate([keep[:, 0], verts[li]])
     v = np.concatenate([keep[:, 1], verts[lj]])
@@ -277,21 +284,19 @@ def _cm_drift_worker(args) -> float:
     return cluster_decompose(result).largest_size / n
 
 
+@_timed
 def cm_drift_map(n: int, lam: float, q: float, theta_grid, replicas: int,
-                 master_seed: int, threads: int = 1,
-                 gnp_method: str = "skip") -> ExperimentReport:
+                 master_seed: int, threads: int = 1) -> ExperimentReport:
     """Mean largest-cluster fraction after one activation-resample step
     from a planted cluster of fraction theta (forced active, per the
     drift's conditioning), against the analytic drift."""
-    t0 = time.perf_counter()
     report = ExperimentReport("cm_drift_map", q, lam, master_seed)
     for theta in theta_grid:
         if not (0.0 < theta <= 1.0):
             raise ValueError(f"theta grid must lie in (0, 1], got {theta!r}")
         name = f"cm_drift_map:theta={theta!r}:n={n}"
-        args = [(master_seed, name, r, n, q, lam, theta, gnp_method)
-                for r in range(replicas)]
-        vals = np.array(_parallel_map(_cm_drift_worker, args, threads))
+        vals = np.array(_run_replicas(_cm_drift_worker, master_seed, name,
+                                      replicas, threads, n, q, lam, theta))
         mean = float(vals.mean())
         lo, hi = bootstrap_ci(vals, "mean", seed=_boot_seed(master_seed, name))
         predicted = cm_drift(theta, lam, q)
@@ -303,23 +308,20 @@ def cm_drift_map(n: int, lam: float, q: float, theta_grid, replicas: int,
                    "abs_error": abs(mean - predicted),
                    "empirical_drift": mean - theta,
                    "stderr": stderr}))
-    report.wall_clock_s = time.perf_counter() - t0
     return report
 
 
 # ---------------------------------------------------------------------------
 # equilibrium cluster statistics of G(n, lam/n)
 
-def _sm_tail_worker(args) -> int:
-    master, name, r, n, lam, m_thr, rho, method = args
-    rng = RngStream(master, name, r).generator()
-    part = cluster_decompose(sample_gnp(n, lam / n, rng, method))
+def _sm_tail_worker(rng, n, lam, m_thr, rho) -> int:
+    part = cluster_decompose(sample_gnp(n, lam / n, rng))
     return int(s_m_vertices(part, m_thr) >= rho * n)
 
 
+@_timed
 def sm_tail(n_grid, lam: float, m_threshold: int, rho: float, replicas: int,
-            master_seed: int, threads: int = 1,
-            gnp_method: str = "skip") -> ExperimentReport:
+            master_seed: int, threads: int = 1) -> ExperimentReport:
     """P(|S_M| >= rho n) under subcritical G(n, lam/n), per n.
 
     Cells report (hits + 1/2) / (replicas + 1): the event probability
@@ -329,13 +331,10 @@ def sm_tail(n_grid, lam: float, m_threshold: int, rho: float, replicas: int,
     """
     if lam >= 1.0:
         raise RegimeError(f"S_M tail probes subcritical graphs; lam={lam!r} >= 1")
-    t0 = time.perf_counter()
     report = ExperimentReport("sm_tail", 1.0, lam, master_seed)
     for n in n_grid:
-        name = f"sm_tail:n={n}"
-        args = [(master_seed, name, r, n, lam, m_threshold, rho, gnp_method)
-                for r in range(replicas)]
-        hits = sum(_parallel_map(_sm_tail_worker, args, threads))
+        hits = sum(_run_replicas(_sm_tail_worker, master_seed, f"sm_tail:n={n}",
+                                 replicas, threads, n, lam, m_threshold, rho))
         est = (hits + 0.5) / (replicas + 1)
         lo, hi = wilson_ci(hits, replicas)
         report.cells.append(ReportCell(
@@ -346,13 +345,10 @@ def sm_tail(n_grid, lam: float, m_threshold: int, rho: float, replicas: int,
     if len(report.cells) >= 2:
         report.summary["log_slope"] = _ls_slope(
             list(n_grid), [c.extra["log_estimate"] for c in report.cells])
-    report.wall_clock_s = time.perf_counter() - t0
     return report
 
 
-def _cluster_tail_worker(args) -> int:
-    master, name, r, n, lam, kmax = args
-    rng = RngStream(master, name, r).generator()
+def _cluster_tail_worker(rng, n, lam, kmax) -> int:
     p = lam / n
     # explore the cluster of vertex 0 one vertex at a time; each vertex's
     # new neighbors among the unexplored are Binomial(unexplored, p)
@@ -367,17 +363,17 @@ def _cluster_tail_worker(args) -> int:
     return min(size, kmax + 1)
 
 
+@_timed
 def cluster_tail_bound(n: int, lam: float, k_grid, replicas: int,
                        master_seed: int, threads: int = 1) -> ExperimentReport:
     """Empirical P(|C_0| >= k) against the subcritical tail bound
     exp(-(1-lam)^2 k / 2), for each k in the grid."""
     if lam >= 1.0:
         raise RegimeError(f"cluster tail bound needs lam < 1, got {lam!r}")
-    kmax = max(k_grid)
-    t0 = time.perf_counter()
-    name = f"cluster_tail:n={n}"
-    args = [(master_seed, name, r, n, lam, kmax) for r in range(replicas)]
-    sizes = np.array(_parallel_map(_cluster_tail_worker, args, threads))
+    kmax = int(max(k_grid))
+    sizes = np.array(_run_replicas(_cluster_tail_worker, master_seed,
+                                   f"cluster_tail:n={n}", replicas, threads,
+                                   n, lam, kmax))
     report = ExperimentReport("cluster_tail_bound", 1.0, lam, master_seed)
     for k in k_grid:
         hits = int((sizes >= k).sum())
@@ -387,27 +383,23 @@ def cluster_tail_bound(n: int, lam: float, k_grid, replicas: int,
             n=n, param=float(k), estimate=hits / replicas, ci_lo=lo, ci_hi=hi,
             replicas=replicas,
             extra={"bound": bound, "upper_ci_below_bound": hi <= bound}))
-    report.wall_clock_s = time.perf_counter() - t0
     return report
 
 
-def _giant_worker(args) -> float:
-    master, name, r, n, lam, method = args
-    rng = RngStream(master, name, r).generator()
-    part = cluster_decompose(sample_gnp(n, lam / n, rng, method))
+def _giant_worker(rng, n, lam) -> float:
+    part = cluster_decompose(sample_gnp(n, lam / n, rng))
     return part.largest_size / n
 
 
+@_timed
 def giant_concentration(n: int, lam: float, epsilon: float, replicas: int,
-                        master_seed: int, threads: int = 1,
-                        gnp_method: str = "skip") -> ExperimentReport:
+                        master_seed: int, threads: int = 1) -> ExperimentReport:
     """P(|L_1/n - theta_lam| >= epsilon) in supercritical G(n, lam/n)."""
     if lam <= 1.0:
         raise RegimeError(f"giant concentration needs lam > 1, got {lam!r}")
-    t0 = time.perf_counter()
-    name = f"giant_concentration:n={n}"
-    args = [(master_seed, name, r, n, lam, gnp_method) for r in range(replicas)]
-    fracs = np.array(_parallel_map(_giant_worker, args, threads))
+    fracs = np.array(_run_replicas(_giant_worker, master_seed,
+                                   f"giant_concentration:n={n}", replicas,
+                                   threads, n, lam))
     theta = theta_giant(lam)
     outside = int((np.abs(fracs - theta) >= epsilon).sum())
     lo, hi = wilson_ci(outside, replicas)
@@ -417,7 +409,6 @@ def giant_concentration(n: int, lam: float, epsilon: float, replicas: int,
         replicas=replicas,
         extra={"theta": theta, "mean_l1": float(fracs.mean()),
                "outside": outside}))
-    report.wall_clock_s = time.perf_counter() - t0
     return report
 
 
@@ -425,19 +416,20 @@ def giant_concentration(n: int, lam: float, epsilon: float, replicas: int,
 # critical bimodality scan
 
 def _majority_series(n: int, q: int, lam: float, start: SpinConfig, burn: int,
-                     samples: int, rng, method: str) -> np.ndarray:
+                     samples: int, rng) -> np.ndarray:
     params = ModelParams(n=n, q=float(q), lam=lam)
     spins = start
     out = np.empty(samples)
     for t in range(burn + samples):
-        spins, _ = sw_step(spins, params, rng, method)
+        spins, _ = sw_step(spins, params, rng)
         if t >= burn:
             out[t - burn] = int(spins.counts.max()) / n
     return out
 
 
+@_timed
 def bimodality_scan(n: int, lam: float, q: int, burn: int, samples: int,
-                    master_seed: int, gnp_method: str = "skip") -> ExperimentReport:
+                    master_seed: int) -> ExperimentReport:
     """Largest-color-fraction statistics of two SW chains, one from the
     balanced start and one from the ordered start.
 
@@ -457,7 +449,6 @@ def bimodality_scan(n: int, lam: float, q: int, burn: int, samples: int,
     if int(q) != q or q < 3:
         raise ValueError(f"bimodality scan needs integer q >= 3, got {q!r}")
     q = int(q)
-    t0 = time.perf_counter()
     a_ord = _ordered_a(lam, q)
     valley = (1.0 / q + 0.05, a_ord - 0.05)
     series = {}
@@ -465,7 +456,7 @@ def bimodality_scan(n: int, lam: float, q: int, burn: int, samples: int,
                               ("ordered", ordered_spins(n, q, a_ord))):
         rng = RngStream(master_seed, f"bimodality:{start_name}:n={n}", 0).generator()
         series[start_name] = _majority_series(n, q, lam, start, burn, samples,
-                                              rng, gnp_method)
+                                              rng)
 
     report = ExperimentReport("bimodality_scan", float(q), lam, master_seed)
     report.summary["valley"] = list(valley)
@@ -491,5 +482,4 @@ def bimodality_scan(n: int, lam: float, q: int, burn: int, samples: int,
             extra={"start": start_name, "kind": "valley_mass",
                    "min_bin_mass": float(hist.min()) / samples if hist.size
                    else 0.0}))
-    report.wall_clock_s = time.perf_counter() - t0
     return report

@@ -134,9 +134,6 @@ class EdgeConfig:
     def edge_count(self) -> int:
         return self.pairs.shape[0]
 
-    def edge_set(self) -> set[tuple[int, int]]:
-        return {(int(i), int(j)) for i, j in self.pairs}
-
     @classmethod
     def empty(cls, n: int) -> "EdgeConfig":
         return cls(n=n, pairs=np.empty((0, 2), dtype=np.int64))

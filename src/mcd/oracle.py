@@ -16,10 +16,7 @@ against the max log, with compensated summation for the normalizer.
 
 from __future__ import annotations
 
-import csv
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +26,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .indexing import all_pairs, num_pairs, pair_index, pair_indices_of
 from .model import EdgeConfig, _edge_config_presorted
+from .report import atomic_write_text
 
 _FK_N_MAX = 7
 _POTTS_STATES_MAX = 10 ** 6
@@ -794,22 +792,12 @@ def es_coupling_check(n: int, lam: float, q: int) -> tuple[float, float]:
 def dump_kernel_csv(kernel: KernelTable, path: str) -> None:
     """CSV fixture: one row per state — index, stationary probability, and
     the kernel row's nonzeros as "j:p;j:p;..." in column order."""
-    rows = []
+    lines = ["state,probability,row"]
     indptr, indices, data = kernel.P.indptr, kernel.P.indices, kernel.P.data
     for s in range(kernel.size):
         lo, hi = indptr[s], indptr[s + 1]
         nz = ";".join(f"{int(j)}:{repr(float(x))}"
                       for j, x in zip(indices[lo:hi], data[lo:hi]))
-        rows.append((s, repr(float(kernel.measure.probs[s])), nz))
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".",
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["state", "probability", "row"])
-            writer.writerows(rows)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        lines.append(f"{s},{repr(float(kernel.measure.probs[s]))},{nz}")
+    # CRLF row ends, as the csv module's default dialect writes them
+    atomic_write_text(path, "\r\n".join(lines) + "\r\n")

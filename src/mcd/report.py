@@ -8,7 +8,7 @@ Floats are written with repr() so a rerun with the same master seed is
 byte-identical. Wall-clock time lives only on the in-memory report (and
 on stderr at the CLI); it never enters the CSV or the sidecar, which must
 be deterministic. The JSON sidecar holds the configuration echo and the
-tool version, and round-trips to an equal run configuration.
+tool version; `mcd experiment NAME --config SIDECAR` reruns it.
 """
 
 from __future__ import annotations

@@ -349,7 +349,7 @@ def test_criterion_7_bimodality():
                         ("ordered", ordered_spins(n, 3, a_ord))):
         rng = RngStream(SEED, f"bimodality:{name}:n={n}", 0).generator()
         series.append(_majority_series(n, 3, LAMBDA_C3, start, burn, samples,
-                                       rng, "skip"))
+                                       rng))
     valley = [((s > lo) & (s < hi)).astype(float) for s in series]
     redrawn = [float(s.mean()) for s in series + valley]
 

@@ -1,9 +1,10 @@
+import inspect
 import json
 import math
 
 import pytest
 
-from mcd.cli import CliError, RunConfig, _parse_grid, main
+from mcd.cli import EXPERIMENTS, CliError, _parse_grid, main
 
 
 def run(capsys, *argv):
@@ -28,14 +29,6 @@ def test_grid_parser_forms():
         _parse_grid("5:1:1")
     with pytest.raises(CliError):
         _parse_grid("0.5:1:0.25", "int")
-
-
-def test_runconfig_roundtrips_through_flag_named_json():
-    rc = RunConfig(command="experiment", experiment="sm_tail", n=[100, 200],
-                   q=1.0, lam=0.5, rho=0.2, replicas=10, seed=3, threads=1)
-    data = json.loads(json.dumps(rc.to_dict()))
-    assert "lambda" in data and "lam" not in data
-    assert RunConfig.from_dict(data) == rc
 
 
 # ---------------------------------------------------------------------------
@@ -150,18 +143,90 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert ",20," in out2.read_text()
 
 
-def test_sidecar_roundtrips_to_runconfig(tmp_path, capsys):
+L = "2.772588722239781"
+
+# a tiny run of every registered experiment, and the n it echoes
+TINY = {
+    "one_step_exit": ([30, 60], ["--n", "30,60", "--q", "3", "--lambda", L,
+                                 "--replicas", "40"]),
+    "escape_time": ([30], ["--n", "30", "--q", "3", "--lambda", L,
+                           "--replicas", "20", "--cap", "50"]),
+    "sw_drift_map": ([300], ["--n", "300", "--q", "3", "--lambda", L,
+                             "--grid", "0.4,0.6", "--replicas", "20"]),
+    "cm_drift_map": ([300], ["--n", "300", "--q", "3", "--lambda", L,
+                             "--grid", "0.3,0.5", "--replicas", "20"]),
+    "sm_tail": ([40, 80], ["--n", "40,80", "--lambda", "0.5", "--rho", "0.3",
+                           "--m-threshold", "5", "--replicas", "200"]),
+    "cluster_tail_bound": ([500], ["--n", "500", "--lambda", "0.5",
+                                   "--grid", "2:6:2", "--replicas", "500"]),
+    "giant_concentration": ([2000], ["--n", "2000", "--lambda", "2",
+                                     "--epsilon", "0.05", "--replicas", "20"]),
+    "bimodality_scan": ([120], ["--n", "120", "--q", "3", "--lambda", L,
+                                "--burn", "5", "--samples", "30"]),
+}
+
+
+def test_registry_options_follow_function_parameters():
+    # options are passed positionally after (n, lam)
+    for entry in EXPERIMENTS.values():
+        params = list(inspect.signature(entry.run).parameters)[2:]
+        dests = ["seed" if p == "master_seed" else
+                 "grid" if p.endswith("_grid") else p for p in params]
+        assert list(entry.options) == dests
+
+
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_experiment_bytes_hold_across_threads_and_sidecar_rerun(
+        name, tmp_path, capsys):
+    n_vals, opts = TINY[name]
+    argv = ["experiment", name, *opts, "--seed", "5"]
+    first = tmp_path / "t1.csv"
+    if "threads" in EXPERIMENTS[name].options:
+        assert run(capsys, *argv, "--threads", "1", "--out", str(first))[0] == 0
+        other = tmp_path / "t2.csv"
+        assert run(capsys, *argv, "--threads", "2", "--out", str(other))[0] == 0
+        assert first.read_bytes() == other.read_bytes()
+    else:
+        code, _, err = run(capsys, *argv, "--threads", "2")
+        assert code == 1 and "--threads" in err
+        assert run(capsys, *argv, "--out", str(first))[0] == 0
+
+    side = json.loads((tmp_path / "t1.json").read_text())["config"]
+    assert set(side) == {"command", "experiment", "n", "lambda", "out",
+                         *EXPERIMENTS[name].options}
+    assert side["command"] == "experiment" and side["experiment"] == name
+    assert side["n"] == n_vals
+    if name == "sm_tail":
+        assert side["m_threshold"] == 5
+
+    rerun = tmp_path / "rerun.csv"
+    assert run(capsys, "experiment", name, "--config", str(tmp_path / "t1.json"),
+               "--out", str(rerun))[0] == 0
+    assert rerun.read_bytes() == first.read_bytes()
+
+
+def test_experiment_rejects_options_it_does_not_take(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code, _, err = run(capsys, "experiment", "sm_tail", "--n", "40",
+                       "--lambda", "0.5", "--q", "3", "--cap", "7",
+                       "--start", "ordered", "--out", str(out))
+    assert code == 1
+    assert "--q" in err and "--cap" in err and "--start" in err
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps({"n": 40, "lambda": 0.5, "replica": 20}))
+    code, _, err = run(capsys, "experiment", "sm_tail", "--config", str(cfg),
+                       "--out", str(out))
+    assert code == 1 and "--replica" in err
+    assert not out.exists()
+
+
+def test_sidecar_config_must_match_the_invocation(tmp_path, capsys):
     out = tmp_path / "tail.csv"
-    code, _, _ = run(capsys, "experiment", "sm_tail", "--n", "40,80",
-                     "--lambda", "0.5", "--rho", "0.5", "--replicas", "30",
-                     "--m-threshold", "5", "--seed", "11", "--out", str(out))
-    assert code == 0
-    side = json.loads((tmp_path / "tail.json").read_text())
-    rc = RunConfig.from_dict(side["config"])
-    assert rc.experiment == "sm_tail"
-    assert rc.n == [40, 80]
-    assert rc.m_threshold == 5
-    assert RunConfig.from_dict(rc.to_dict()) == rc
+    assert run(capsys, "experiment", "sm_tail", "--n", "40", "--lambda", "0.5",
+               "--replicas", "5", "--out", str(out))[0] == 0
+    code, _, err = run(capsys, "experiment", "giant_concentration",
+                       "--config", str(tmp_path / "tail.json"))
+    assert code == 1 and "sm_tail" in err
 
 
 def test_cli_rerun_is_byte_identical(tmp_path, capsys):

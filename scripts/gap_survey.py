@@ -21,13 +21,7 @@ import argparse
 import sys
 
 from mcd.cli import _parse_grid
-from mcd.oracle import (
-    build_kernel,
-    exhaustive_min_ratio,
-    min_bottleneck_ratio,
-    mixing_time_exact,
-    spectral_gap,
-)
+from mcd.oracle import build_kernel, min_conductance, mixing_time_exact, spectral_gap
 
 KINDS = ("sw", "cm", "glauber")
 
@@ -35,15 +29,7 @@ KINDS = ("sw", "cm", "glauber")
 def survey_row(kind: str, n: int, q: float, lam: float) -> tuple:
     kernel = build_kernel(kind, n, q, lam)
     gap = spectral_gap(kernel)
-    # The truly exhaustive cut minimum is only affordable for tiny state
-    # spaces; beyond that the certified family minimum is an upper bound
-    # on the true bottleneck ratio, which keeps the printed sandwich valid.
-    if kernel.P.shape[0] <= 16:
-        phi, _ = exhaustive_min_ratio(kernel)
-        tag = "exact"
-    else:
-        phi, _ = min_bottleneck_ratio(kernel)
-        tag = "family"
+    phi, tag = min_conductance(kernel)
     tmix = mixing_time_exact(kernel)
     return gap, phi, tag, tmix
 

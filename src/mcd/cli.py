@@ -13,11 +13,12 @@ the edge intensity (beta is converted through lam = n(1 - exp(-beta/n)) and
 therefore needs a single n); grids are written start:stop:step, a comma
 list, or a single number; --config names a flat JSON object whose keys are
 the long flag names, or the JSON sidecar of an experiment result, with
-explicit flags taking precedence; an option the subcommand or experiment
-does not take is an error, whether given as a flag or a config key; the
-master seed defaults to the MCD_SEED environment variable. Exit codes: 0 success
-or check passed, 1 usage error, 2 oracle check failed, 3 parameter regime
-unsupported. Wall-clock timings go to stderr, never into result files.
+explicit flags taking precedence; an option the subcommand, experiment or
+oracle check does not take is an error, whether given as a flag or a
+config key; the master seed defaults to the MCD_SEED environment variable.
+Exit codes: 0 success or check passed, 1 usage error, 2 oracle check
+failed, 3 parameter regime unsupported. Wall-clock timings go to stderr,
+never into result files.
 """
 
 from __future__ import annotations
@@ -60,9 +61,8 @@ from .oracle import (
     detailed_balance_violation,
     dump_kernel_csv,
     es_coupling_check,
-    exhaustive_min_ratio,
     iterated_coloring_check,
-    min_bottleneck_ratio,
+    min_conductance,
     mixing_time_exact,
     spectral_gap,
     stationarity_residual,
@@ -157,7 +157,8 @@ def _merged_options(ns: argparse.Namespace, allowed=None) -> dict:
     opts.update((k, v) for k, v in given.items() if v is not None)
     unused = sorted(set(opts) - set(given if allowed is None else allowed))
     if unused:
-        raise CliError(1, f"{getattr(ns, 'name', ns.command)} does not take "
+        who = getattr(ns, "name", getattr(ns, "check", ns.command))
+        raise CliError(1, f"{who} does not take "
                           + ", ".join(_flag(k) for k in unused))
     return opts
 
@@ -366,75 +367,38 @@ def _cmd_experiment(ns) -> int:
     return 0
 
 
-_ORACLE_CHECKS = ("stationarity", "detailed-balance", "gap", "cheeger",
-                  "mixing", "bgj", "iterated-coloring", "es-coupling", "dump")
+def _check_stationarity(n, q, lam, kind, tol) -> int:
+    return _verdict("stationarity residual",
+                    stationarity_residual(build_kernel(kind, n, q, lam)), tol)
 
 
-def _cmd_oracle(ns) -> int:
-    opts = _merged_options(ns)
-    check = ns.check
-    if check not in _ORACLE_CHECKS:
-        raise CliError(1, f"unknown oracle check {check!r}; choose from "
-                          + ", ".join(_ORACLE_CHECKS))
-    n = _opt(opts, "n", conv=int)
-    q = _opt(opts, "q", conv=float)
-    if n is None or q is None:
-        raise CliError(1, "--n and --q are required")
-    lam = _resolve_lambda(opts, [n])
-    kind = _opt(opts, "kind", default="glauber")
+def _check_detailed_balance(n, q, lam, kind, tol) -> int:
+    return _verdict("detailed balance violation",
+                    detailed_balance_violation(build_kernel(kind, n, q, lam)), tol)
 
-    if check == "bgj":
-        tol = _opt(opts, "tol", default=1e-10, conv=float)
-        alpha = _opt(opts, "alpha", default=1.0 / 3.0, conv=float)
-        dev = bgj_coloring_check(n, lam, q, alpha)
-        return _verdict("bgj restriction total variation", dev, tol)
-    if check == "iterated-coloring":
-        tol = _opt(opts, "tol", default=1e-10, conv=float)
-        dev = iterated_coloring_check(n, lam, q)
-        return _verdict("iterated coloring deviation", dev, tol)
-    if check == "es-coupling":
-        tol = _opt(opts, "tol", default=1e-10, conv=float)
-        dev = max(es_coupling_check(n, lam, _require_integer_q(q, "es-coupling")))
-        return _verdict("edge/spin coupling deviation", dev, tol)
 
-    if kind == "sw":
-        _require_integer_q(q, "sw")
+def _check_gap(n, q, lam, kind) -> int:
+    print(f"spectral gap = {spectral_gap(build_kernel(kind, n, q, lam))!r}")
+    return 0
+
+
+def _check_mixing(n, q, lam, kind) -> int:
     kernel = build_kernel(kind, n, q, lam)
-    if check == "dump":
-        out = opts.get("out") or f"mcd_kernel_{kind}_n{n}.csv"
-        dump_kernel_csv(kernel, out)
-        print(out)
-        return 0
-    if check == "stationarity":
-        tol = _opt(opts, "tol", default=1e-10, conv=float)
-        return _verdict("stationarity residual",
-                        stationarity_residual(kernel), tol)
-    if check == "detailed-balance":
-        tol = _opt(opts, "tol", default=1e-12, conv=float)
-        return _verdict("detailed balance violation",
-                        detailed_balance_violation(kernel), tol)
     gap = spectral_gap(kernel)
-    if check == "gap":
-        print(f"spectral gap = {gap!r}")
-        return 0
-    if check == "mixing":
-        tmix = mixing_time_exact(kernel)
-        pi_min = float(kernel.measure.probs.min())
-        lo = 1.0 / gap - 1.0
-        hi = math.log(2.0 * math.e / pi_min) / gap
-        ok = lo <= tmix <= hi
-        print(f"t_mix = {tmix}, bounds [{lo!r}, {hi!r}]: "
-              + ("PASS" if ok else "FAIL"))
-        return 0 if ok else 2
-    # cheeger
-    if kernel.size <= 16:
-        phi, _ = exhaustive_min_ratio(kernel)
-        label = "exhaustive"
-    else:
-        phi, _ = min_bottleneck_ratio(kernel)
-        label = "family"
-    # gap <= Phi(S) holds for every cut, so the family minimum certifies
-    # the exact conductance sandwich whenever phi^2/2 <= gap
+    tmix = mixing_time_exact(kernel)
+    pi_min = float(kernel.measure.probs.min())
+    lo = 1.0 / gap - 1.0
+    hi = math.log(2.0 * math.e / pi_min) / gap
+    ok = lo <= tmix <= hi
+    print(f"t_mix = {tmix}, bounds [{lo!r}, {hi!r}]: "
+          + ("PASS" if ok else "FAIL"))
+    return 0 if ok else 2
+
+
+def _check_cheeger(n, q, lam, kind) -> int:
+    kernel = build_kernel(kind, n, q, lam)
+    gap = spectral_gap(kernel)
+    phi, label = min_conductance(kernel)
     lower_ok = phi * phi / 2.0 <= gap + 1e-12
     upper_ok = gap <= phi + 1e-12
     ok = lower_ok and upper_ok
@@ -442,6 +406,72 @@ def _cmd_oracle(ns) -> int:
           f"phi^2/2 <= gap: {lower_ok}, gap <= phi: {upper_ok}: "
           + ("PASS" if ok else "FAIL"))
     return 0 if ok else 2
+
+
+def _check_dump(n, q, lam, kind, out) -> int:
+    out = out or f"mcd_kernel_{kind}_n{n}.csv"
+    dump_kernel_csv(build_kernel(kind, n, q, lam), out)
+    print(out)
+    return 0
+
+
+def _check_bgj(n, q, lam, alpha, tol) -> int:
+    return _verdict("bgj restriction total variation",
+                    bgj_coloring_check(n, lam, q, alpha), tol)
+
+
+def _check_iterated_coloring(n, q, lam, tol) -> int:
+    return _verdict("iterated coloring deviation",
+                    iterated_coloring_check(n, lam, q), tol)
+
+
+def _check_es_coupling(n, q, lam, tol) -> int:
+    dev = max(es_coupling_check(n, lam, _require_integer_q(q, "es-coupling")))
+    return _verdict("edge/spin coupling deviation", dev, tol)
+
+
+@dataclasses.dataclass(frozen=True)
+class OracleCheck:
+    """How `mcd oracle CHECK` runs: run(n, q, lam, **options) returns the
+    exit code. options are the check's own, by option dest, with their CLI
+    defaults; every check also takes --n, --q, --lambda/--beta, --config."""
+
+    run: Callable
+    options: dict
+
+
+ORACLE_CHECKS = {
+    "stationarity": OracleCheck(_check_stationarity,
+                                dict(kind="glauber", tol=1e-10)),
+    "detailed-balance": OracleCheck(_check_detailed_balance,
+                                    dict(kind="glauber", tol=1e-12)),
+    "gap": OracleCheck(_check_gap, dict(kind="glauber")),
+    "mixing": OracleCheck(_check_mixing, dict(kind="glauber")),
+    "cheeger": OracleCheck(_check_cheeger, dict(kind="glauber")),
+    "dump": OracleCheck(_check_dump, dict(kind="glauber", out=None)),
+    "bgj": OracleCheck(_check_bgj, dict(alpha=1.0 / 3.0, tol=1e-10)),
+    "iterated-coloring": OracleCheck(_check_iterated_coloring,
+                                     dict(tol=1e-10)),
+    "es-coupling": OracleCheck(_check_es_coupling, dict(tol=1e-10)),
+}
+
+
+def _cmd_oracle(ns) -> int:
+    spec = ORACLE_CHECKS.get(ns.check)
+    if spec is None:
+        raise CliError(1, f"unknown oracle check {ns.check!r}; choose from "
+                          + ", ".join(ORACLE_CHECKS))
+    opts = _merged_options(ns, {"n", "q", "lam", "beta", *spec.options})
+    n = _opt(opts, "n", conv=int)
+    q = _opt(opts, "q", conv=float)
+    if n is None or q is None:
+        raise CliError(1, "--n and --q are required")
+    lam = _resolve_lambda(opts, [n])
+    args = {}
+    for key, default in spec.options.items():
+        value = opts.get(key, default)
+        args[key] = None if value is None else _OPTIONS[key].get("type", str)(value)
+    return spec.run(n, q, lam, **args)
 
 
 def _verdict(label: str, value: float, tol: float) -> int:
@@ -498,16 +528,16 @@ def _add_common(p: _Parser, *names: str) -> None:
         p.add_argument(*flags, default=None, **entry)
 
 
-def _experiment_options_help() -> str:
+def _options_help(table: dict, what: str, common: str) -> str:
     def shown(key, default):
-        if key == "seed":
+        if key in ("seed", "out"):
             return _flag(key)
         return f"{_flag(key)} {'*' if default is None else default}"
-    return ("options per experiment, with defaults (* required), besides "
-            "--n, --lambda/--beta, --out and --config:\n"
+    return (f"options per {what}, with defaults (* required), besides "
+            f"{common}:\n"
             + "\n".join(f"  {name}: " + " ".join(
                 shown(k, d) for k, d in e.options.items())
-                for name, e in EXPERIMENTS.items()))
+                for name, e in table.items()))
 
 
 def build_parser() -> _Parser:
@@ -536,7 +566,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser(
         "experiment", help="run a replicated experiment",
         formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog=_experiment_options_help())
+        epilog=_options_help(EXPERIMENTS, "experiment",
+                             "--n, --lambda/--beta, --out and --config"))
     p.add_argument("name", type=lambda s: s.replace("-", "_"),
                    help="one of " + ", ".join(EXPERIMENTS))
     _add_common(p, "n", "lam", "beta",
@@ -544,10 +575,15 @@ def build_parser() -> _Parser:
                                for k in e.options), "out", "config")
     p.set_defaults(func=_cmd_experiment)
 
-    p = sub.add_parser("oracle", help="exact small-system checks")
-    p.add_argument("check", help="one of " + ", ".join(_ORACLE_CHECKS))
-    _add_common(p, "kind", "n", "q", "lam", "beta", "alpha", "tol", "out",
-                "config")
+    p = sub.add_parser(
+        "oracle", help="exact small-system checks",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog=_options_help(ORACLE_CHECKS, "check",
+                             "--n, --q, --lambda/--beta and --config"))
+    p.add_argument("check", help="one of " + ", ".join(ORACLE_CHECKS))
+    _add_common(p, "n", "q", "lam", "beta",
+                *dict.fromkeys(k for c in ORACLE_CHECKS.values()
+                               for k in c.options), "config")
     p.set_defaults(func=_cmd_oracle)
     return parser
 

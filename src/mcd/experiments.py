@@ -24,19 +24,10 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .analytic import RegimeError, a_fixed_point, cm_drift, sw_drift, theta_giant
-from .dynamics import (
-    _gnp_indices,
-    percolate_within_classes,
-    recolor_clusters,
-    sample_gnp,
-    sw_step,
-)
-from .indexing import num_pairs, pairs_from_indices
+from .dynamics import percolate_within_classes, recolor_clusters, sample_gnp, sw_step
 from .model import (
-    EdgeConfig,
     ModelParams,
     SpinConfig,
-    _edge_config_presorted,
     cluster_decompose,
     in_balanced_set,
     in_ordered_set,
@@ -257,31 +248,13 @@ def sw_drift_map(n: int, lam: float, q: int, z_grid, replicas: int,
 
 
 def _cm_drift_worker(rng, n, q, lam, theta) -> float:
-    g = round(theta * n)
-    params = ModelParams(n=n, q=q, lam=lam)
-    # spanning path as the planted cluster: the drift depends only on sizes
-    if g >= 2:
-        u = np.arange(g - 1, dtype=np.int64)
-        edges = _edge_config_presorted(n, u, u + 1)
-    else:
-        edges = EdgeConfig.empty(n)
-    part = cluster_decompose(edges)
-    ids, rank = part.canonical_order()
-    k = ids.size
-    act = np.empty(k, dtype=bool)
-    act[0] = True  # the planted cluster contains vertex 0, hence id 0
-    act[1:] = rng.random(k - 1) < 1.0 / q
-    active = act[rank]
-    keep = edges.pairs[~active[edges.pairs[:, 0]]] if edges.pairs.shape[0] \
-        else edges.pairs
-    verts = np.flatnonzero(active)
-    ks = _gnp_indices(num_pairs(verts.size), params.p, rng)
-    li, lj = pairs_from_indices(ks, verts.size)
-    u = np.concatenate([keep[:, 0], verts[li]])
-    v = np.concatenate([keep[:, 1], verts[lj]])
-    order = np.lexsort((v, u))
-    result = _edge_config_presorted(n, u[order], v[order])
-    return cluster_decompose(result).largest_size / n
+    # the planted cluster (at least one vertex) is forced active and every
+    # other cluster is a singleton, active with probability 1/q; the step
+    # resamples G(m, lam/n) on the m active vertices and the rest stay
+    # isolated, so the drift depends only on sizes
+    g = max(round(theta * n), 1)
+    m = g + int((rng.random(n - g) < 1.0 / q).sum())
+    return cluster_decompose(sample_gnp(m, lam / n, rng)).largest_size / n
 
 
 @_timed

@@ -16,6 +16,7 @@ against the max log, with compensated summation for the normalizer.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -217,25 +218,64 @@ class KernelTable:
         return self.P.shape[0]
 
 
-def _bernoulli_submasks(positions: list[int], p: float) -> tuple[np.ndarray, np.ndarray]:
-    """All submasks over the given bit positions with their Bernoulli(p)
-    product weights. positions must be distinct."""
-    t = len(positions)
-    if t == 0:
-        return np.zeros(1, dtype=np.int64), np.ones(1)
+def _bernoulli_submasks(positions: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """All submasks over the bit positions in the last axis of `positions`
+    (distinct within a row), with their Bernoulli(p) product weights: masks
+    of shape positions.shape[:-1] + (2^t,), and the 2^t weights."""
+    t = positions.shape[-1]
     bits = ((np.arange(1 << t, dtype=np.int64)[:, None]
              >> np.arange(t, dtype=np.int64)) & 1)
-    masks = bits @ (np.int64(1) << np.array(positions, dtype=np.int64))
+    masks = (np.int64(1) << positions) @ bits.T
     e = bits.sum(axis=1)
     return masks, p ** e * (1.0 - p) ** (t - e)
 
 
-def _canonical_partition_key(digits_row: np.ndarray) -> tuple[int, ...]:
-    relabel: dict[int, int] = {}
-    out = []
-    for d in digits_row:
-        out.append(relabel.setdefault(int(d), len(relabel)))
-    return tuple(out)
+def _mono_masks(n: int, q: int) -> np.ndarray:
+    """Per coloring, in codec order, the mask of its monochromatic pairs."""
+    digits = _digit_matrix(q ** n, q, n)
+    pu, pv = all_pairs(n)
+    return (digits[:, pu] == digits[:, pv]) @ (
+        np.int64(1) << np.arange(num_pairs(n), dtype=np.int64))
+
+
+def _percolation_factor(mono: np.ndarray, n: int, p: float) -> sp.csr_matrix:
+    """Edwards-Sokal percolation push: row i is the law of the open pair
+    set when each pair of the mask mono[i] is kept independently with
+    probability p (over _mono_masks: row sigma is P(omega | sigma))."""
+    bits = (mono[:, None] >> np.arange(num_pairs(n), dtype=np.int64)) & 1
+    t = bits.sum(axis=1)
+    rows, cols, vals = [], [], []
+    for k in np.unique(t).tolist():
+        sel = np.flatnonzero(t == k)
+        pos = np.nonzero(bits[sel])[1].reshape(sel.size, k)
+        masks, w = _bernoulli_submasks(pos, p)
+        rows.append(np.repeat(sel, w.size))
+        cols.append(masks.ravel())
+        vals.append(np.tile(w, sel.size))
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(mono.size, 1 << num_pairs(n)))
+
+
+def _recolor_factor(n: int, q: int) -> sp.csr_matrix:
+    """Edwards-Sokal recolor push: row omega is uniform over the q^k(omega)
+    colorings that are constant on each cluster of omega."""
+    labels, kcnt, _ = mask_partition_table(n)
+    # cluster index 0..k-1 of each vertex, clusters in order of least member
+    roots = labels == np.arange(n)
+    cluster = np.take_along_axis(np.cumsum(roots, axis=1) - 1,
+                                 labels.astype(np.intp), axis=1)
+    qpow = q ** np.arange(n, dtype=np.int64)
+    rows, cols, vals = [], [], []
+    for k in range(1, n + 1):
+        sel = np.flatnonzero(kcnt == k)
+        targets = _digit_matrix(q ** k, q, k)[:, cluster[sel]] @ qpow
+        rows.append(np.repeat(sel, q ** k))
+        cols.append(targets.T.ravel())
+        vals.append(np.full(targets.size, 1.0 / q ** k))
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(1 << num_pairs(n), q ** n))
 
 
 def _sw_kernel(n: int, q: int, lam: float) -> KernelTable:
@@ -246,40 +286,17 @@ def _sw_kernel(n: int, q: int, lam: float) -> KernelTable:
         raise ValueError(f"sw kernel limited to q^n <= 10^4, got {q ** n}")
     if num_pairs(n) > 15:
         raise ValueError(f"sw kernel limited to C(n,2) <= 15, got {num_pairs(n)}")
-    p = lam / n
-    size = q ** n
-    c = num_pairs(n)
-    pu, pv = all_pairs(n)
-    labels_tbl, kcnt, _ = mask_partition_table(n)
-    digits = _digit_matrix(size, q, n)
-    mono = np.zeros(size, dtype=np.int64)
-    for b in range(c):
-        mono |= (digits[:, pu[b]] == digits[:, pv[b]]).astype(np.int64) << b
-    qpow = q ** np.arange(n, dtype=np.int64)
-
-    # rows depend on the coloring only through its partition into classes
-    # (percolation sees the monochromatic pair set, recoloring is
-    # color-symmetric), so distinct rows number at most Bell(n)
-    row_cache: dict[tuple[int, ...], np.ndarray] = {}
-    P = np.zeros((size, size))
-    for s in range(size):
-        key = _canonical_partition_key(digits[s])
-        row = row_cache.get(key)
-        if row is None:
-            positions = [b for b in range(c) if (mono[s] >> b) & 1]
-            masks, wsub = _bernoulli_submasks(positions, p)
-            parts, inv = np.unique(labels_tbl[masks], axis=0, return_inverse=True)
-            wpart = np.bincount(inv, weights=wsub)
-            row = np.zeros(size)
-            for part, w in zip(parts, wpart):
-                ulab, lab_idx = np.unique(part, return_inverse=True)
-                k = ulab.size
-                colmat = _digit_matrix(q ** k, q, k)
-                targets = colmat[:, lab_idx] @ qpow
-                row[targets] += w / q ** k
-            row_cache[key] = row
-        P[s] = row
-    return KernelTable("sw", n, float(q), lam, sp.csr_matrix(P),
+    # a row depends on the coloring only through its monochromatic pairs,
+    # so the factor product is taken once per distinct pair mask. An entry
+    # sums up to 2^C terms; extended precision keeps it within rounding of
+    # the exact value (float64 accumulation drifts by ~5e-14 at n = 6)
+    masks, inv = np.unique(_mono_masks(n, q), return_inverse=True)
+    rows = (_percolation_factor(masks, n, lam / n).astype(np.longdouble)
+            @ _recolor_factor(n, q).astype(np.longdouble)).astype(np.float64)
+    rows.sort_indices()
+    P = rows[inv]
+    P.sort_indices()
+    return KernelTable("sw", n, float(q), lam, P,
                        enumerate_potts_measure(n, q, lam))
 
 
@@ -319,7 +336,7 @@ def _cm_kernel(n: int, q: float, lam: float) -> KernelTable:
                     avs |= vmask[i]
             inside = int(pairs_inside[avs])
             retained = s & ~inside
-            positions = [b for b in range(c) if (inside >> b) & 1]
+            positions = np.flatnonzero((inside >> np.arange(c)) & 1)
             masks, wsub = _bernoulli_submasks(positions, p)
             P[s][retained | masks] += pr_act * wsub
     return KernelTable("cm", n, q, lam, sp.csr_matrix(P),
@@ -429,9 +446,11 @@ def spectral_gap(kernel: KernelTable, method: str = "lanczos") -> float:
     return float(1.0 - lam2)
 
 
-def mixing_time_exact(kernel: KernelTable,
-                      threshold: float = 1.0 / (2.0 * math.e)) -> int:
-    """Smallest t with max_x TV(P^t(x,.), pi) < threshold, by repeated
+_MIXING_THRESHOLD = 1.0 / (2.0 * math.e)
+
+
+def mixing_time_exact(kernel: KernelTable) -> int:
+    """Smallest t with max_x TV(P^t(x,.), pi) < 1/(2e), by repeated
     multiplication. Guarded to modest state spaces."""
     size = kernel.size
     if size > 4096:
@@ -440,7 +459,7 @@ def mixing_time_exact(kernel: KernelTable,
     pi = kernel.measure.probs
     m = p0.copy()
     for t in range(1, 10 ** 6 + 1):
-        if 0.5 * np.abs(m - pi).sum(axis=1).max() < threshold:
+        if 0.5 * np.abs(m - pi).sum(axis=1).max() < _MIXING_THRESHOLD:
             return t
         m = m @ p0
     raise RuntimeError("mixing time exceeded 10^6 steps")
@@ -449,14 +468,9 @@ def mixing_time_exact(kernel: KernelTable,
 # ---------------------------------------------------------------------------
 # bottleneck ratios and cut families
 
-def bottleneck_ratio(kernel: KernelTable, subset) -> float:
-    """Q(S, S^c) / (pi(S) pi(S^c)) with Q(A,B) = sum_{x in A} pi(x) P(x, B)."""
-    subset = np.asarray(subset)
-    if subset.dtype == bool:
-        mask = subset.copy()
-    else:
-        mask = np.zeros(kernel.size, dtype=bool)
-        mask[subset] = True
+def bottleneck_ratio(kernel: KernelTable, mask: np.ndarray) -> float:
+    """Q(S, S^c) / (pi(S) pi(S^c)) with Q(A,B) = sum_{x in A} pi(x) P(x, B),
+    for the cut S given as a boolean mask over the states."""
     if not mask.any() or mask.all():
         raise ValueError("cut must be a nonempty proper subset")
     pi = kernel.measure.probs
@@ -527,11 +541,10 @@ def _refine_cut(kernel: KernelTable, mask: np.ndarray) -> tuple[float, np.ndarra
     return best, mask
 
 
-def min_bottleneck_ratio(kernel: KernelTable, refine: bool = True,
-                         extra_cuts: list[np.ndarray] | None = None) -> tuple[float, np.ndarray]:
+def min_bottleneck_ratio(kernel: KernelTable) -> tuple[float, np.ndarray]:
     """Minimum ratio over the structured cut families (edge-count and S_M
-    sublevel sets where defined, eigenvector sweep cuts, singletons), with
-    optional greedy descent from the best cut found.
+    sublevel sets where defined, eigenvector sweep cuts, singletons), then
+    greedy descent from the best cut found.
 
     This is an upper bound on the true Cheeger constant: exhausting all
     bipartitions is possible only for tiny spaces (see exhaustive_min_ratio).
@@ -546,18 +559,14 @@ def min_bottleneck_ratio(kernel: KernelTable, refine: bool = True,
         mask = np.zeros(kernel.size, dtype=bool)
         mask[i] = True
         cuts.append(mask)
-    if extra_cuts:
-        cuts.extend(extra_cuts)
     best, best_mask = None, None
     for mask in cuts:
         if not mask.any() or mask.all():
             continue
         r = bottleneck_ratio(kernel, mask)
         if best is None or r < best:
-            best, best_mask = r, mask.copy()
-    if refine:
-        best, best_mask = _refine_cut(kernel, best_mask)
-    return best, best_mask
+            best, best_mask = r, mask
+    return _refine_cut(kernel, best_mask)
 
 
 def exhaustive_min_ratio(kernel: KernelTable) -> tuple[float, np.ndarray]:
@@ -579,6 +588,16 @@ def exhaustive_min_ratio(kernel: KernelTable) -> tuple[float, np.ndarray]:
     return best, best_mask
 
 
+def min_conductance(kernel: KernelTable) -> tuple[float, str]:
+    """The bottleneck-ratio minimum: exhaustive ("exact") up to 16 states,
+    the cut-family minimum ("family") beyond. The family minimum is an
+    upper bound on the true one, and gap <= Phi(S) holds for every cut, so
+    phi^2/2 <= gap <= phi certifies the conductance sandwich either way."""
+    if kernel.size <= 16:
+        return exhaustive_min_ratio(kernel)[0], "exact"
+    return min_bottleneck_ratio(kernel)[0], "family"
+
+
 # ---------------------------------------------------------------------------
 # coupling checks
 
@@ -586,8 +605,9 @@ def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
 
 
-def _restriction_codec(subset: tuple[int, ...], n: int) -> list[tuple[int, int]]:
-    """Mapping [(global bit, local bit)] for pairs inside the subset."""
+@functools.lru_cache(maxsize=None)
+def _restriction_codec(subset: tuple[int, ...], n: int) -> tuple[tuple[int, int], ...]:
+    """Pairs ((global bit, local bit), ...) inside the subset."""
     pos = {v: i for i, v in enumerate(subset)}
     m = len(subset)
     pu, pv = all_pairs(n)
@@ -596,10 +616,10 @@ def _restriction_codec(subset: tuple[int, ...], n: int) -> list[tuple[int, int]]
         u, v = int(pu[b]), int(pv[b])
         if u in pos and v in pos:
             out.append((b, pair_index(pos[u], pos[v], m)))
-    return out
+    return tuple(out)
 
 
-def _restrict_mask(mask: int, codec: list[tuple[int, int]]) -> int:
+def _restrict_mask(mask: int, codec: tuple[tuple[int, int], ...]) -> int:
     local = 0
     for gb, lb in codec:
         if (mask >> gb) & 1:
@@ -607,181 +627,93 @@ def _restrict_mask(mask: int, codec: list[tuple[int, int]]) -> int:
     return local
 
 
+def _cluster_coloring_check(n: int, lam: float, q: float,
+                            w: list[float]) -> float:
+    """Exact verification of the cluster-coloring theorem: draw omega from
+    the random-cluster measure (weight q) and give each cluster class i
+    independently with probability w[i]. Conditionally on the class vertex
+    sets, the restriction of omega to class i (m_i vertices) follows the
+    random-cluster measure on m_i vertices with weight q*w[i] and the same
+    edge density, independently across classes. Returns the maximum
+    total-variation deviation over every class marginal and the product
+    test, over all class partitions."""
+    measure = enumerate_fk_measure(n, lam, q)
+    labels_tbl, _, _ = mask_partition_table(n)
+    joint: dict[tuple[tuple[int, ...], ...], dict[tuple[int, ...], float]] = {}
+    for s in range(measure.size):
+        labels = labels_tbl[s]
+        members = [np.flatnonzero(labels == u).tolist() for u in np.unique(labels)]
+        for assign in np.ndindex(*([len(w)] * len(members))):
+            pr = float(measure.probs[s]) * math.prod(w[i] for i in assign)
+            if pr == 0.0:
+                continue
+            classes = tuple(tuple(sorted(v for j, c in enumerate(assign) if c == i
+                                         for v in members[j]))
+                            for i in range(len(w)))
+            loc = tuple(_restrict_mask(s, _restriction_codec(cl, n))
+                        for cl in classes)
+            cell = joint.setdefault(classes, {})
+            cell[loc] = cell.get(loc, 0.0) + pr
+
+    worst = 0.0
+    for classes, cell in joint.items():
+        total = math.fsum(cell.values())
+        margs = [np.zeros(1 << num_pairs(len(cl))) for cl in classes]
+        for loc, x in cell.items():
+            for marg, li in zip(margs, loc):
+                marg[li] += x / total
+        for cl, marg, wi in zip(classes, margs, w):
+            m = len(cl)
+            ref = enumerate_fk_measure(m, lam * m / n, q * wi if m else 1.0)
+            worst = max(worst, tv_distance(marg, ref.probs))
+        # conditional independence: the joint equals the product of the
+        # marginals; states absent from the cell contribute their product mass
+        prods = {loc: math.prod(marg[li] for marg, li in zip(margs, loc))
+                 for loc in cell}
+        dev = math.fsum(abs(x / total - prods[loc]) for loc, x in cell.items())
+        worst = max(worst, 0.5 * (dev + 1.0 - math.fsum(prods.values())))
+    return worst
+
+
 def bgj_coloring_check(n: int, lam: float, q: float, alpha: float) -> float:
-    """Exact verification of the cluster-coloring decomposition: color each
-    cluster red independently with probability alpha; conditionally on the
-    red vertex set R, the restriction of omega to R follows the
-    random-cluster measure on |R| vertices with weight alpha*q (same edge
-    density p), and the complement restriction with weight (1-alpha)*q.
-    Returns the maximum total-variation deviation over all R and both sides.
-    """
+    """The cluster-coloring check with a red class of probability alpha:
+    given the red vertex set R, omega restricted to R is the random-cluster
+    measure of weight alpha*q, the complement has weight (1-alpha)*q, and
+    the two restrictions are independent."""
     if n > 5:
         raise ValueError(f"coloring check limited to n <= 5, got {n}")
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"alpha must lie in [0,1], got {alpha!r}")
-    measure = enumerate_fk_measure(n, lam, q)
-    labels_tbl, _, _ = mask_partition_table(n)
-    verts = list(range(n))
-
-    joint: dict[tuple[int, ...], dict[tuple[int, int], float]] = {}
-    for s in range(measure.size):
-        w_state = float(measure.probs[s])
-        if w_state == 0.0:
-            continue
-        labels = labels_tbl[s]
-        ulab = np.unique(labels)
-        k = ulab.size
-        members = [tuple(int(v) for v in np.flatnonzero(labels == u)) for u in ulab]
-        for reds in range(1 << k):
-            a = bin(reds).count("1")
-            w = alpha ** a * (1.0 - alpha) ** (k - a)
-            if w == 0.0:
-                continue
-            red_set = tuple(sorted(v for i in range(k) if (reds >> i) & 1
-                                   for v in members[i]))
-            codec_r = _restriction_codec(red_set, n)
-            comp = tuple(v for v in verts if v not in red_set)
-            codec_c = _restriction_codec(comp, n)
-            key = red_set
-            cell = joint.setdefault(key, {})
-            loc = (_restrict_mask(s, codec_r), _restrict_mask(s, codec_c))
-            cell[loc] = cell.get(loc, 0.0) + w_state * w
-
-    worst = 0.0
-    for red_set, cell in joint.items():
-        total = math.fsum(cell.values())
-        m_r = len(red_set)
-        m_c = n - m_r
-        marg_r = np.zeros(1 << num_pairs(m_r))
-        marg_c = np.zeros(1 << num_pairs(m_c))
-        for (lr, lc), w in cell.items():
-            marg_r[lr] += w / total
-            marg_c[lc] += w / total
-        ref_r = enumerate_fk_measure(m_r, lam * m_r / n, alpha * q
-                                     if m_r else 1.0)
-        ref_c = enumerate_fk_measure(m_c, lam * m_c / n, (1.0 - alpha) * q
-                                     if m_c else 1.0)
-        worst = max(worst, tv_distance(marg_r, ref_r.probs),
-                    tv_distance(marg_c, ref_c.probs))
-    return worst
+    return _cluster_coloring_check(n, lam, q, [alpha, 1.0 - alpha])
 
 
 def iterated_coloring_check(n: int, lam: float, q: float) -> float:
-    """Exact verification of the iterated coloring: clusters draw a label
-    from floor(q) unit-weight classes (probability 1/q each) plus a
-    remainder class of probability (q - floor(q))/q; conditionally on the
-    partition, each unit class restricts to the q=1 measure (Erdos-Renyi),
-    the remainder to weight q - floor(q), and the restrictions are
-    independent. Returns the max deviation over marginal and product tests.
-    """
+    """The cluster-coloring check with floor(q) unit classes (probability
+    1/q each, so each restricts to the q=1 Erdos-Renyi measure) plus a
+    remainder class of probability (q - floor(q))/q (weight q - floor(q))."""
     if n > 4:
         raise ValueError(f"iterated coloring check limited to n <= 4, got {n}")
     if q <= 2:
         raise ValueError(f"iterated coloring check needs q > 2, got {q!r}")
     f = int(math.floor(q))
-    p_label = [(q - f) / q] + [1.0 / q] * f
-    measure = enumerate_fk_measure(n, lam, q)
-    labels_tbl, _, _ = mask_partition_table(n)
-
-    joint: dict[tuple[tuple[int, ...], ...], dict[tuple[int, ...], float]] = {}
-    for s in range(measure.size):
-        w_state = float(measure.probs[s])
-        labels = labels_tbl[s]
-        ulab = np.unique(labels)
-        k = ulab.size
-        members = [tuple(int(v) for v in np.flatnonzero(labels == u)) for u in ulab]
-        for assign in np.ndindex(*([f + 1] * k)):
-            w = 1.0
-            for lab in assign:
-                w *= p_label[lab]
-            if w == 0.0:
-                continue
-            classes = []
-            for i in range(f + 1):
-                classes.append(tuple(sorted(v for j in range(k)
-                                            if assign[j] == i
-                                            for v in members[j])))
-            key = tuple(classes)
-            codecs = [_restriction_codec(cl, n) for cl in classes]
-            loc = tuple(_restrict_mask(s, cd) for cd in codecs)
-            cell = joint.setdefault(key, {})
-            cell[loc] = cell.get(loc, 0.0) + w_state * w
-
-    worst = 0.0
-    for key, cell in joint.items():
-        total = math.fsum(cell.values())
-        sizes = [len(cl) for cl in key]
-        margs = [np.zeros(1 << num_pairs(m)) for m in sizes]
-        for loc, w in cell.items():
-            for i, li in enumerate(loc):
-                margs[i][li] += w / total
-        for i, m in enumerate(sizes):
-            weight = (q - f) if i == 0 else 1.0
-            ref = enumerate_fk_measure(m, lam * m / n, weight if m else 1.0)
-            worst = max(worst, tv_distance(margs[i], ref.probs))
-        # conditional independence: joint equals the product of marginals
-        prod_dev = 0.0
-        for loc, w in cell.items():
-            prod = 1.0
-            for i, li in enumerate(loc):
-                prod *= margs[i][li]
-            prod_dev += abs(w / total - prod)
-        # states absent from the cell contribute their product mass
-        covered = math.fsum(
-            math.prod(margs[i][li] for i, li in enumerate(loc)) for loc in cell)
-        prod_dev += 1.0 - covered
-        worst = max(worst, 0.5 * prod_dev)
-    return worst
-
-
-def remainder_class_mass(n: int, lam: float, q: float) -> float:
-    """Probability that the remainder class R_0 of the iterated coloring is
-    nonempty; exactly 0 for integer q."""
-    f = int(math.floor(q))
-    if q == f:
-        return 0.0
-    measure = enumerate_fk_measure(n, lam, q)
-    _, kcnt, _ = mask_partition_table(n)
-    # each cluster independently lands in R_0 with prob (q-f)/q
-    p0 = (q - f) / q
-    return float(np.sum(measure.probs * (1.0 - (1.0 - p0) ** kcnt.astype(float))))
+    return _cluster_coloring_check(n, lam, q, [(q - f) / q] + [1.0 / q] * f)
 
 
 def es_coupling_check(n: int, lam: float, q: int) -> tuple[float, float]:
-    """Both directions of the Edwards-Sokal coupling, exactly:
-    (a) Potts measure pushed through monochromatic percolation equals the
-    random-cluster measure; (b) the random-cluster measure pushed through
-    uniform cluster recoloring equals the Potts measure. Returns the two
-    L1 deviations."""
+    """Both directions of the Edwards-Sokal coupling, exactly, on the two
+    factors the sw kernel is built from: (a) the Potts measure pushed
+    through monochromatic percolation equals the random-cluster measure;
+    (b) the random-cluster measure pushed through uniform cluster
+    recoloring equals the Potts measure. Returns the two L1 deviations."""
     if n > 5:
         raise ValueError(f"coupling check limited to n <= 5, got {n}")
     if int(q) != q or q < 1:
         raise ValueError(f"needs integer q >= 1, got {q!r}")
     q = int(q)
-    p = lam / n
     potts = enumerate_potts_measure(n, q, lam)
     fk = enumerate_fk_measure(n, lam, q)
-    c = num_pairs(n)
-    pu, pv = all_pairs(n)
-    labels_tbl, _, _ = mask_partition_table(n)
-    digits = _digit_matrix(q ** n, q, n)
-    qpow = q ** np.arange(n, dtype=np.int64)
-
-    push_fk = np.zeros(fk.size)
-    for s in range(potts.size):
-        positions = [b for b in range(c)
-                     if digits[s, pu[b]] == digits[s, pv[b]]]
-        masks, wsub = _bernoulli_submasks(positions, p)
-        push_fk[masks] += potts.probs[s] * wsub
-
-    push_potts = np.zeros(potts.size)
-    for s in range(fk.size):
-        ulab, lab_idx = np.unique(labels_tbl[s], return_inverse=True)
-        k = ulab.size
-        colmat = _digit_matrix(q ** k, q, k)
-        targets = colmat[:, lab_idx] @ qpow
-        push_potts[targets] += fk.probs[s] / q ** k
-
+    push_fk = potts.probs @ _percolation_factor(_mono_masks(n, q), n, lam / n)
+    push_potts = fk.probs @ _recolor_factor(n, q)
     return (float(np.abs(push_fk - fk.probs).sum()),
             float(np.abs(push_potts - potts.probs).sum()))
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from mcd.cli import EXPERIMENTS, CliError, _parse_grid, main
+from mcd.cli import EXPERIMENTS, ORACLE_CHECKS, CliError, _parse_grid, main
 
 
 def run(capsys, *argv):
@@ -105,7 +105,7 @@ def test_unknown_experiment_and_oracle(capsys):
     assert code == 1 and "unknown experiment" in err
     code, _, err = run(capsys, "oracle", "nope", "--n", "3", "--q", "2",
                        "--lambda", "1")
-    assert code == 1
+    assert code == 1 and "unknown oracle check" in err
 
 
 def test_oracle_pass_fail_exit_codes(capsys):
@@ -116,6 +116,47 @@ def test_oracle_pass_fail_exit_codes(capsys):
                        "--n", "3", "--q", "2", "--lambda", "1",
                        "--tol", "1e-30")
     assert code == 2 and "FAIL" in out
+
+
+# a tiny run of every oracle check, and options it does not take
+ORACLE_TINY = {
+    "stationarity": (["--kind", "cm", "--n", "3", "--q", "2.5"],
+                     {"alpha": 0.5}),
+    "detailed-balance": (["--kind", "sw", "--n", "3", "--q", "3"],
+                         {"out": "x.csv"}),
+    "gap": (["--kind", "glauber", "--n", "3", "--q", "2"],
+            {"tol": 5, "alpha": 0.9}),
+    "mixing": (["--kind", "cm", "--n", "3", "--q", "2"], {"tol": 1e-3}),
+    "cheeger": (["--kind", "sw", "--n", "3", "--q", "3"], {"alpha": 0.5}),
+    "dump": (["--kind", "glauber", "--n", "3", "--q", "2"], {"tol": 1e-3}),
+    "bgj": (["--n", "3", "--q", "3"], {"kind": "sw"}),
+    "iterated-coloring": (["--n", "3", "--q", "2.5"], {"alpha": 0.5}),
+    "es-coupling": (["--n", "3", "--q", "3"], {"kind": "glauber"}),
+}
+
+
+@pytest.mark.parametrize("check", list(ORACLE_CHECKS))
+def test_oracle_check_runs_and_rejects_options_it_does_not_take(
+        check, tmp_path, capsys):
+    argv, foreign = ORACLE_TINY[check]
+    argv = ["oracle", check, *argv, "--lambda", "1"]
+    if check == "dump":
+        argv += ["--out", str(tmp_path / "kernel.csv")]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert check == "dump" or "FAIL" not in out
+
+    flags = [str(x) for key, val in foreign.items()
+             for x in ("--" + key, val)]
+    code, _, err = run(capsys, *argv, *flags)
+    assert code == 1 and check in err
+    assert all("--" + key in err for key in foreign)
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(foreign))
+    code, _, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 1 and check in err
+    assert all("--" + key in err for key in foreign)
 
 
 def test_regime_error_exit_code(capsys):

@@ -1,10 +1,16 @@
+import importlib.util
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcd.indexing import all_pairs
 from mcd.model import EdgeConfig
 from mcd.oracle import (
+    bgj_coloring_check,
     bottleneck_ratio,
     build_kernel,
     detailed_balance_violation,
@@ -15,10 +21,10 @@ from mcd.oracle import (
     enumerate_potts_measure,
     es_coupling_check,
     exhaustive_min_ratio,
+    iterated_coloring_check,
     mask_partition_table,
     min_bottleneck_ratio,
     mixing_time_exact,
-    remainder_class_mass,
     spectral_gap,
     spin_code,
     spin_from_code,
@@ -100,9 +106,13 @@ def test_es_coupling_small():
     assert dev < 1e-12
 
 
-def test_remainder_class_mass_is_a_probability():
-    val = remainder_class_mass(4, 1.0, 3.0)
-    assert 0.0 <= val <= 1.0
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_bgj_check_with_one_class_always_empty(alpha):
+    assert bgj_coloring_check(4, 1.0, 3.0, alpha) < 1e-12
+
+
+def test_iterated_check_at_integer_q_has_an_empty_remainder_class():
+    assert iterated_coloring_check(4, 1.0, 3.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +125,32 @@ def test_kernel_rows_are_stochastic(kind, n, q):
     rows = np.asarray(kernel.P.sum(axis=1)).ravel()
     assert np.allclose(rows, 1.0, atol=1e-12)
     assert stationarity_residual(kernel) < 1e-12
+
+
+def test_sw_kernel_matches_the_two_step_definition():
+    # one SW step by its definition, one coloring and one open set at a
+    # time: keep each monochromatic pair with probability p, then give each
+    # cluster a uniform color
+    n, q, lam = 4, 3, 1.7
+    p = lam / n
+    pu, pv = all_pairs(n)
+    labels, _, _ = mask_partition_table(n)
+    ref = np.zeros((q ** n, q ** n))
+    for s in range(q ** n):
+        colors = spin_from_code(s, n, q)
+        mono = sum(1 << b for b in range(len(pu)) if colors[pu[b]] == colors[pv[b]])
+        for omega in range(1 << len(pu)):
+            if omega & ~mono:
+                continue
+            e, t = bin(omega).count("1"), bin(mono).count("1")
+            roots = np.unique(labels[omega])
+            for cluster_colors in itertools.product(range(1, q + 1),
+                                                    repeat=roots.size):
+                new = np.array(cluster_colors)[np.searchsorted(roots, labels[omega])]
+                ref[s, spin_code(new, q)] += p ** e * (1 - p) ** (t - e) / q ** roots.size
+    P = build_kernel("sw", n, q, lam).P
+    assert P.has_canonical_format
+    assert np.abs(P.toarray() - ref).max() < 1e-14
 
 
 def test_kernel_guards():
@@ -194,3 +230,20 @@ def test_dump_kernel_csv(tmp_path):
     assert len(lines) == kernel.size + 1
     total = sum(float(line.split(",")[1]) for line in lines[1:])
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def test_gap_survey_script_runs(capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "gap_survey.py"
+    spec = importlib.util.spec_from_file_location("gap_survey", path)
+    survey = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(survey)
+    assert survey.main(["--n", "3", "--q", "2", "--lambdas", "1.0"]) == 0
+    out = capsys.readouterr().out
+    for kind in ("sw", "cm", "glauber"):
+        assert f"# {kind}  n=3" in out
+    rows = [line.split() for line in out.splitlines()
+            if line.strip() and not line.startswith("#")
+            and line.split()[0] != "lambda"]
+    # every state space has 8 states, so every cut minimum is exhaustive
+    assert len(rows) == 3
+    assert all(row[3] == "exact" for row in rows)

@@ -12,6 +12,17 @@ guards are hard limits, not suggestions: random-cluster enumeration stops
 at n = 7, the Potts side at q^n = 10^6, and the kernels at the bounds
 documented on build_kernel. Unnormalized weights are handled in log space
 against the max log, with compensated summation for the normalizer.
+
+Class-map contract: a KernelTable holds its kernel as a class map
+`classes` (state -> class) and a class kernel K, with
+P(x, y) = K[classes[x], classes[y]], and the stationary measure is constant
+on each class (checked on construction). An SW entry depends on the two
+colorings only through their monochromatic pair masks, so the sw classes
+are those masks (187 of them for the 4096 states at n = 6, q = 4); cm and
+glauber use one class per state, with K = P. Stationarity, detailed
+balance, the spectral gap and the mixing time are computed on K and the
+class sizes; `KernelTable.P` expands the per-state view for cuts, dumps
+and sampling checks.
 """
 
 from __future__ import annotations
@@ -203,19 +214,47 @@ def enumerate_potts_measure(n: int, q: int, lam: float) -> MeasureTable:
 
 @dataclass(frozen=True)
 class KernelTable:
-    """Exact transition matrix (CSR, rows sum to 1) with its stationary
+    """Exact transition kernel in class form (see the module docstring):
+    P(x, y) = K[classes[x], classes[y]] with K in CSR, plus the stationary
     reference measure, indexed per the module codec."""
 
     kind: str
     n: int
     q: float
     lam: float
-    P: sp.csr_matrix
+    classes: np.ndarray
+    K: sp.csr_matrix
     measure: MeasureTable
+
+    def __post_init__(self):
+        sizes = self.class_sizes
+        if (self.classes.shape != self.measure.probs.shape
+                or self.K.shape != (sizes.size, sizes.size) or not sizes.all()):
+            raise ValueError("classes must map the states onto every row of K")
+        if not np.array_equal(self.class_probs[self.classes], self.measure.probs):
+            raise ValueError("the stationary measure is not constant on each class")
 
     @property
     def size(self) -> int:
-        return self.P.shape[0]
+        return self.classes.size
+
+    @functools.cached_property
+    def class_sizes(self) -> np.ndarray:
+        return np.bincount(self.classes)
+
+    @functools.cached_property
+    def class_probs(self) -> np.ndarray:
+        """The stationary probability of one state of each class."""
+        pi = np.zeros(self.class_sizes.size)
+        pi[self.classes] = self.measure.probs
+        return pi
+
+    @functools.cached_property
+    def P(self) -> sp.csr_matrix:
+        """The per-state kernel in canonical CSR (rows sum to 1)."""
+        P = self.K.tocsc()[:, self.classes].tocsr()[self.classes]
+        P.sort_indices()
+        return P
 
 
 def _bernoulli_submasks(positions: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
@@ -286,17 +325,17 @@ def _sw_kernel(n: int, q: int, lam: float) -> KernelTable:
         raise ValueError(f"sw kernel limited to q^n <= 10^4, got {q ** n}")
     if num_pairs(n) > 15:
         raise ValueError(f"sw kernel limited to C(n,2) <= 15, got {num_pairs(n)}")
-    # a row depends on the coloring only through its monochromatic pairs,
-    # so the factor product is taken once per distinct pair mask. An entry
-    # sums up to 2^C terms; extended precision keeps it within rounding of
-    # the exact value (float64 accumulation drifts by ~5e-14 at n = 6)
-    masks, inv = np.unique(_mono_masks(n, q), return_inverse=True)
-    rows = (_percolation_factor(masks, n, lam / n).astype(np.longdouble)
-            @ _recolor_factor(n, q).astype(np.longdouble)).astype(np.float64)
-    rows.sort_indices()
-    P = rows[inv]
-    P.sort_indices()
-    return KernelTable("sw", n, float(q), lam, P,
+    # an entry depends on the two colorings only through their
+    # monochromatic pair masks, so the factor product is taken once per pair
+    # of distinct masks, with one representative coloring per target mask.
+    # An entry sums up to 2^C terms; extended precision keeps it within
+    # rounding of the exact value (float64 accumulation drifts by ~5e-14 at
+    # n = 6)
+    masks, reps, classes = np.unique(_mono_masks(n, q), return_index=True,
+                                     return_inverse=True)
+    K = (_percolation_factor(masks, n, lam / n).astype(np.longdouble)
+         @ _recolor_factor(n, q)[:, reps].astype(np.longdouble)).astype(np.float64)
+    return KernelTable("sw", n, float(q), lam, classes, K,
                        enumerate_potts_measure(n, q, lam))
 
 
@@ -339,7 +378,7 @@ def _cm_kernel(n: int, q: float, lam: float) -> KernelTable:
             positions = np.flatnonzero((inside >> np.arange(c)) & 1)
             masks, wsub = _bernoulli_submasks(positions, p)
             P[s][retained | masks] += pr_act * wsub
-    return KernelTable("cm", n, q, lam, sp.csr_matrix(P),
+    return KernelTable("cm", n, q, lam, np.arange(size), sp.csr_matrix(P),
                        enumerate_fk_measure(n, lam, q))
 
 
@@ -366,7 +405,7 @@ def _glauber_kernel(n: int, q: float, lam: float) -> KernelTable:
     P = sp.coo_matrix((np.concatenate(vals),
                        (np.concatenate(rows), np.concatenate(cols))),
                       shape=(size, size)).tocsr()
-    return KernelTable("glauber", n, q, lam, P,
+    return KernelTable("glauber", n, q, lam, states, P,
                        enumerate_fk_measure(n, lam, q))
 
 
@@ -393,56 +432,70 @@ def build_kernel(kind: str, n: int, q: float, lam: float) -> KernelTable:
 # stationarity, reversibility, spectra
 
 def stationarity_residual(kernel: KernelTable) -> float:
-    """L1 norm of pi P - pi against the enumerated measure."""
-    pi = kernel.measure.probs
-    return float(np.abs(pi @ kernel.P - pi).sum())
+    """L1 norm of pi P - pi against the enumerated measure. Class b of
+    (pi P) is sum_a c_a pi_a K[a, b] over the class sizes c."""
+    flow = (kernel.class_probs * kernel.class_sizes) @ kernel.K
+    return float(np.abs(flow[kernel.classes] - kernel.measure.probs).sum())
 
 
 def detailed_balance_violation(kernel: KernelTable) -> float:
-    """max_{x,y} |pi(x) P(x,y) - pi(y) P(y,x)|."""
-    pi = kernel.measure.probs
-    f = kernel.P.multiply(pi[:, None]).tocsr()
+    """max_{x,y} |pi(x) P(x,y) - pi(y) P(y,x)|, which is the max over
+    classes of |pi_a K_ab - pi_b K_ba|."""
+    f = kernel.K.multiply(kernel.class_probs[:, None]).tocsr()
     d = (f - f.T).tocoo()
     return float(np.abs(d.data).max()) if d.nnz else 0.0
 
 
-def _symmetrized(kernel: KernelTable) -> sp.csr_matrix:
-    pi = kernel.measure.probs
+def _symmetrized(K: sp.csr_matrix, sizes: np.ndarray,
+                 pi: np.ndarray) -> sp.csr_matrix:
+    """The symmetric C^{1/2} D^{1/2} K D^{-1/2} C^{1/2} for C = diag(sizes)
+    and D = diag(pi): similar to K C, so it has the nonzero spectrum of the
+    per-state kernel. With unit sizes it is D^{1/2} P D^{-1/2}."""
     s = np.sqrt(pi)
-    m = kernel.P.multiply(s[:, None]).multiply(1.0 / s[None, :]).tocsr()
+    r = np.sqrt(sizes)
+    m = K.multiply((r * s)[:, None]).multiply((r / s)[None, :]).tocsr()
     return ((m + m.T) * 0.5).tocsr()
 
 
 def spectral_gap(kernel: KernelTable, method: str = "lanczos") -> float:
-    """1 - lambda_2 of the reversible kernel, via the symmetrization
-    D^{1/2} P D^{-1/2}.
+    """1 - lambda_2 of the reversible kernel, on its class form.
 
-    "lanczos" deflates the known top eigenvector sqrt(pi) (shifting its
+    The symmetrization of K C (C the class sizes, see _symmetrized) carries
+    the nonzero spectrum of P; P has one zero eigenvalue more per state than
+    per class, so lambda_2 is at least 0 when there are fewer classes than
+    states.
+
+    "lanczos" deflates the known top eigenvector sqrt(c pi) (shifting its
     eigenvalue 1 to -1) and asks the iterative solver for the largest
-    remaining eigenvalue at tolerance 1e-10; it falls back to "dense"
-    below 16 states where the iteration has no room to work.
+    remaining eigenvalue at tolerance 1e-10, from a fixed start vector so
+    that the result repeats exactly; it falls back to "dense" below 16
+    classes where the iteration has no room to work.
     """
     if detailed_balance_violation(kernel) >= 1e-8:
         raise ValueError("spectral_gap requires a reversible kernel "
                          "(detailed balance violated)")
-    size = kernel.size
-    if size == 1:
+    sizes, pi = kernel.class_sizes, kernel.class_probs
+    count = sizes.size
+    if count == 1:
         return 1.0
-    m = _symmetrized(kernel)
-    if method == "dense" or (method == "lanczos" and size < 16):
-        w = scipy.linalg.eigvalsh(m.toarray())
-        return float(1.0 - w[-2])
-    if method != "lanczos":
+    m = _symmetrized(kernel.K, sizes, pi)
+    if method == "dense" or (method == "lanczos" and count < 16):
+        lam2 = scipy.linalg.eigvalsh(m.toarray())[-2]
+    elif method == "lanczos":
+        v1 = np.sqrt(sizes * pi)
+        v1 = v1 / np.linalg.norm(v1)
+
+        def matvec(x):
+            return m @ x - 2.0 * v1 * (v1 @ x)
+
+        op = LinearOperator((count, count), matvec=matvec, dtype=np.float64)
+        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, count)
+        lam2 = eigsh(op, k=1, which="LA", tol=1e-10, v0=v0,
+                     return_eigenvectors=False)[0]
+    else:
         raise ValueError(f"unknown method {method!r}")
-    v1 = np.sqrt(kernel.measure.probs)
-    v1 = v1 / np.linalg.norm(v1)
-
-    def matvec(x):
-        return m @ x - 2.0 * v1 * (v1 @ x)
-
-    op = LinearOperator((size, size), matvec=matvec, dtype=np.float64)
-    lam2 = eigsh(op, k=1, which="LA", tol=1e-10,
-                 return_eigenvectors=False)[0]
+    if count < kernel.size:
+        lam2 = max(lam2, 0.0)
     return float(1.0 - lam2)
 
 
@@ -451,17 +504,20 @@ _MIXING_THRESHOLD = 1.0 / (2.0 * math.e)
 
 def mixing_time_exact(kernel: KernelTable) -> int:
     """Smallest t with max_x TV(P^t(x,.), pi) < 1/(2e), by repeated
-    multiplication. Guarded to modest state spaces."""
+    multiplication on the class form: P^t(x, y) = M_t[classes[x],
+    classes[y]] with M_1 = K and M_{t+1} = M_t C K, so the distance from
+    class a is (1/2) sum_b c_b |M_t[a, b] - pi_b|. Guarded to modest state
+    spaces."""
     size = kernel.size
     if size > 4096:
         raise ValueError(f"exact mixing time limited to 4096 states, got {size}")
-    p0 = kernel.P.toarray()
-    pi = kernel.measure.probs
-    m = p0.copy()
+    k = kernel.K.toarray()
+    sizes, pi = kernel.class_sizes, kernel.class_probs
+    m = k.copy()
     for t in range(1, 10 ** 6 + 1):
-        if 0.5 * np.abs(m - pi).sum(axis=1).max() < _MIXING_THRESHOLD:
+        if 0.5 * (np.abs(m - pi) @ sizes).max() < _MIXING_THRESHOLD:
             return t
-        m = m @ p0
+        m = (m * sizes) @ k
     raise RuntimeError("mixing time exceeded 10^6 steps")
 
 
@@ -510,8 +566,8 @@ def sweep_cuts(kernel: KernelTable) -> list[np.ndarray]:
     the D^{-1/2} coordinates — the Cheeger-certificate family."""
     if kernel.size > 4096:
         raise ValueError("sweep cuts limited to 4096 states")
-    m = _symmetrized(kernel).toarray()
-    w, v = scipy.linalg.eigh(m)
+    m = _symmetrized(kernel.P, np.ones(kernel.size), kernel.measure.probs)
+    w, v = scipy.linalg.eigh(m.toarray())
     f = v[:, -2] / np.sqrt(kernel.measure.probs)
     order = np.argsort(f)
     cuts = []

@@ -1,15 +1,23 @@
+import dataclasses
 import importlib.util
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcd.indexing import all_pairs
 from mcd.model import EdgeConfig
 from mcd.oracle import (
+    KernelTable,
+    MeasureTable,
+    _mono_masks,
+    _percolation_factor,
+    _recolor_factor,
     bgj_coloring_check,
     bottleneck_ratio,
     build_kernel,
@@ -153,6 +161,69 @@ def test_sw_kernel_matches_the_two_step_definition():
     assert np.abs(P.toarray() - ref).max() < 1e-14
 
 
+@pytest.mark.parametrize("n,q,lam", [(3, 2, 1.0), (3, 3, 1.0), (3, 3, 2.0),
+                                     (3, 3, 1.5), (4, 3, 1.7), (5, 3, 2.0),
+                                     (6, 3, 1.0)])
+def test_sw_kernel_expands_to_the_full_factor_product(n, q, lam):
+    # the product of the two factors over every target coloring, one row
+    # per monochromatic pair mask, gathered per coloring
+    masks, inv = np.unique(_mono_masks(n, q), return_inverse=True)
+    rows = (_percolation_factor(masks, n, lam / n).astype(np.longdouble)
+            @ _recolor_factor(n, q).astype(np.longdouble)).astype(np.float64)
+    ref = rows[inv]
+    ref.sort_indices()
+    P = build_kernel("sw", n, q, lam).P
+    assert P.has_canonical_format
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(P, attr), getattr(ref, attr))
+
+
+def _dense_symmetrized(kernel):
+    s = np.sqrt(kernel.measure.probs)
+    m = s[:, None] * kernel.P.toarray() / s[None, :]
+    return 0.5 * (m + m.T)
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.0])
+@pytest.mark.parametrize("n,q", [(3, 2), (4, 3), (5, 3)])
+def test_sw_class_form_matches_the_per_state_kernel(n, q, lam):
+    kernel = build_kernel("sw", n, q, lam)
+    assert kernel.K.shape[0] < kernel.size
+    P, pi = kernel.P.toarray(), kernel.measure.probs
+    assert np.abs(pi @ P - pi).sum() < 1e-12
+    assert stationarity_residual(kernel) < 1e-12
+    f = pi[:, None] * P
+    assert detailed_balance_violation(kernel) == np.abs(f - f.T).max()
+    gap = 1.0 - np.linalg.eigvalsh(_dense_symmetrized(kernel))[-2]
+    assert spectral_gap(kernel) == pytest.approx(gap, abs=1e-12)
+    assert spectral_gap(kernel, "dense") == pytest.approx(gap, abs=1e-12)
+
+
+def test_sw_gap_at_n6_q4():
+    kernel = build_kernel("sw", 6, 4, 1.0)
+    assert kernel.K.shape == (187, 187)
+    assert spectral_gap(kernel) == pytest.approx(0.7912704160365236, abs=1e-12)
+
+
+def test_gap_counts_the_zero_eigenvalues_of_the_expansion():
+    # P = [[0, 1/2, 1/2], [1, 0, 0], [1, 0, 0]] has spectrum {1, 0, -1};
+    # its class kernel K C = [[0, 1], [1, 0]] alone has {1, -1}
+    measure = MeasureTable("toy", 0, 1.0, 0.0, np.array([0.5, 0.25, 0.25]), 0.0)
+    K = sp.csr_matrix(np.array([[0.0, 0.5], [1.0, 0.0]]))
+    kernel = KernelTable("toy", 0, 1.0, 0.0, np.array([0, 1, 1]), K, measure)
+    assert spectral_gap(kernel) == 1.0
+    assert 1.0 - np.linalg.eigvalsh(_dense_symmetrized(kernel))[-2] == pytest.approx(1.0)
+
+
+def test_class_map_needs_a_constant_measure_on_each_class():
+    kernel = build_kernel("sw", 3, 2, 1.0)
+    with pytest.raises(ValueError, match="not constant"):
+        dataclasses.replace(kernel, classes=np.zeros(kernel.size, dtype=np.intp),
+                            K=sp.csr_matrix(np.ones((1, 1))))
+    with pytest.raises(ValueError, match="every row"):
+        dataclasses.replace(kernel, classes=kernel.classes[:-1])
+
+
 def test_kernel_guards():
     with pytest.raises(ValueError):
         build_kernel("sw", 3, 2.5, 1.0)  # non-integer q
@@ -183,6 +254,23 @@ def test_mixing_time_is_minimal_threshold_time():
     kernel = build_kernel("glauber", 3, 2.0, 1.0)
     t = mixing_time_exact(kernel)
     assert isinstance(t, int) and t >= 1
+
+
+@pytest.mark.parametrize("kind,n,q", [("sw", 3, 3.0), ("sw", 4, 3.0),
+                                      ("glauber", 3, 2.0), ("glauber", 4, 2.0)])
+def test_mixing_time_matches_the_per_state_powers(kind, n, q):
+    kernel = build_kernel(kind, n, q, 1.5)
+    p0, pi = kernel.P.toarray(), kernel.measure.probs
+    m, t = p0, 1
+    while 0.5 * np.abs(m - pi).sum(axis=1).max() >= 1.0 / (2.0 * math.e):
+        m, t = m @ p0, t + 1
+    assert mixing_time_exact(kernel) == t
+
+
+@pytest.mark.parametrize("kind,n,q", [("glauber", 4, 2.0), ("sw", 5, 3.0)])
+def test_lanczos_gap_repeats_exactly(kind, n, q):
+    gaps = {spectral_gap(build_kernel(kind, n, q, 1.0)) for _ in range(3)}
+    assert len(gaps) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .model import (
     SpinConfig,
     _edge_config_presorted,
     cluster_decompose,
+    disjoint_union,
     s_m_vertices,
 )
 
@@ -120,18 +121,52 @@ def recolor_clusters(clusters: ClusterPartition, q: int,
     return SpinConfig(colors=draws[rank], q=q)
 
 
-def sw_step(spins: SpinConfig, params: ModelParams,
-            rng: np.random.Generator) -> tuple[SpinConfig, EdgeConfig]:
-    """One Swendsen-Wang update. Returns (new spins, the intermediate
-    percolation configuration that produced them)."""
+def recolor_blocks(clusters: ClusterPartition, offsets: np.ndarray, q: int,
+                   rngs) -> np.ndarray:
+    """recolor_clusters on every block of a disjoint union at once
+    (model.disjoint_union): block b's clusters draw from rngs[b], one batch
+    in ascending cluster-id order, exactly as recolor_clusters would on the
+    block alone. Returns the new colors of all the union's vertices.
+    """
+    if q < 1:
+        raise ValueError(f"q must be a positive integer, got {q!r}")
+    ids, rank = clusters.canonical_order()
+    cuts = np.searchsorted(ids, offsets)  # block b owns ids[cuts[b]:cuts[b+1]]
+    draws = np.concatenate([
+        rng.integers(1, q + 1, size=c1 - c0, dtype=np.int64)
+        for rng, c0, c1 in zip(rngs, cuts[:-1], cuts[1:])])
+    return draws[rank]
+
+
+def _sw_q(spins: SpinConfig, params: ModelParams) -> int:
     q = params.q_int
     if q < 2:
         raise ValueError(f"Swendsen-Wang needs integer q >= 2, got q={params.q!r}")
     if spins.n != params.n or spins.q != q:
         raise ValueError("spin configuration does not match params")
+    return q
+
+
+def sw_step(spins: SpinConfig, params: ModelParams,
+            rng: np.random.Generator) -> tuple[SpinConfig, EdgeConfig]:
+    """One Swendsen-Wang update. Returns (new spins, the intermediate
+    percolation configuration that produced them)."""
+    q = _sw_q(spins, params)
     omega = percolate_within_classes(spins, params.p, rng)
     clusters = cluster_decompose(omega)
     return recolor_clusters(clusters, q, rng), omega
+
+
+def sw_steps(spins: SpinConfig, params: ModelParams, rngs) -> list[SpinConfig]:
+    """sw_step(spins, params, rng)[0] for each generator in rngs: the same
+    draws in the same order on every generator, with one components call
+    for the whole batch."""
+    q = _sw_q(spins, params)
+    omegas = [percolate_within_classes(spins, params.p, rng) for rng in rngs]
+    union, offsets = disjoint_union(omegas)
+    colors = recolor_blocks(cluster_decompose(union), offsets, q, rngs)
+    return [SpinConfig(colors=colors[lo:hi], q=q)
+            for lo, hi in zip(offsets[:-1], offsets[1:])]
 
 
 def cm_step(edges: EdgeConfig, params: ModelParams,

@@ -1,11 +1,20 @@
 """Desk-scale experiments: metastable exit statistics, drift maps, cluster
 tails, and critical bimodality.
 
-Replicas are independent work items. Replica r of experiment `name` draws
-from the stream seeded by replica_seed(master_seed, name + cell tag, r),
-so results are reproducible bit-for-bit for a fixed master seed and do
-not depend on the thread count: workers return per-replica values which
-are reduced in replica order after the pool completes.
+Replica r of a cell (experiment name plus cell tag) draws from its own
+stream, seeded by replica_seed(master_seed, cell name, r), in a fixed
+order. A task is a range of consecutive replicas of one cell: its worker
+gets one generator per replica and returns one value per replica. The
+batched workers draw each replica's graph from that replica's generator,
+decompose the whole range with one components call on the disjoint union
+(model.decompose_each, dynamics.sw_steps), then draw each replica's
+recoloring from its own generator in replica order; the per-replica loops
+(escape_time, cluster_tail_bound) run each replica's whole draw sequence
+in turn. Either way every stream sees the draws it would see alone, so
+results are reproducible bit-for-bit for a fixed master seed whatever the
+range sizes. All cells' tasks run on one pool per experiment call, and
+values are reduced in replica order after it completes, so they do not
+depend on the thread count either.
 
 Regime notes. The ordered start needs the ordered drift fixed point, so
 it raises RegimeError below lambda_s. The balanced start is built for any
@@ -24,17 +33,26 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .analytic import RegimeError, a_fixed_point, cm_drift, sw_drift, theta_giant
-from .dynamics import percolate_within_classes, recolor_clusters, sample_gnp, sw_step
+from .dynamics import (
+    percolate_within_classes,
+    recolor_blocks,
+    sample_gnp,
+    sw_step,
+    sw_steps,
+)
 from .model import (
     ModelParams,
     SpinConfig,
     cluster_decompose,
+    decompose_each,
+    disjoint_union,
     in_balanced_set,
     in_ordered_set,
     s_m_vertices,
+    split_partition,
 )
 from .report import ExperimentReport, ReportCell, bootstrap_ci, wilson_ci
-from .rng import RngStream, replica_seed
+from .rng import RngStream, replica_seed, replica_seeds
 
 
 # ---------------------------------------------------------------------------
@@ -74,21 +92,44 @@ def _ordered_a(lam: float, q: int) -> float:
 # ---------------------------------------------------------------------------
 # parallel plumbing
 
-def _replica(args):
-    worker, master, name, r, params = args
-    return worker(RngStream(master, name, r).generator(), *params)
+# A task holds at most this many vertices, summed over its replicas (and
+# never fewer than one replica): enough to amortize the components call,
+# small enough that a worker's peak memory stays below the parent's.
+_BATCH_VERTICES = 200_000
 
 
-def _run_replicas(worker, master_seed: int, name: str, replicas: int,
-                  threads: int, *params) -> list:
-    """worker(rng, *params) for replicas 0..replicas-1 of the named cell,
-    each on its own stream, returned in replica order."""
-    args = [(worker, master_seed, name, r, params) for r in range(replicas)]
-    if threads <= 1 or replicas <= 1:
-        return [_replica(a) for a in args]
-    chunk = max(1, replicas // (threads * 8))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(_replica, args, chunksize=chunk))
+def _task(args) -> list:
+    worker, master, name, r0, r1, params = args
+    rngs = [np.random.Generator(np.random.PCG64(seed))
+            for seed in replica_seeds(master, name, r0, r1)]
+    return worker(rngs, *params)
+
+
+def _run_replicas(worker, master_seed: int, cells, replicas: int,
+                  threads: int) -> list[list]:
+    """worker(rngs, *params) over replicas 0..replicas-1 of every cell
+    (name, vertices per replica, params), in replica ranges on one pool.
+    Returns each cell's values in replica order."""
+    if replicas < 1:
+        raise ValueError(f"replicas must be at least 1, got {replicas!r}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads!r}")
+    tasks, bounds = [], []
+    for name, vertices, params in cells:
+        size = max(1, _BATCH_VERTICES // vertices)
+        if threads > 1:  # several ranges per worker, for load balance
+            size = min(size, -(-replicas // (4 * threads)))
+        bounds.append(len(tasks))
+        tasks += [(worker, master_seed, name, r0, min(r0 + size, replicas),
+                   params) for r0 in range(0, replicas, size)]
+    bounds.append(len(tasks))
+    if threads == 1 or len(tasks) == 1:
+        done = [_task(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
+            done = list(pool.map(_task, tasks))
+    return [[v for values in done[a:b] for v in values]
+            for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def _timed(experiment):
@@ -119,12 +160,15 @@ def _exited(spins: SpinConfig, rho: float, start: str, a_lam: float) -> bool:
     return not in_ordered_set(spins, rho, a_lam)
 
 
-def _exit_worker(rng, n, q, lam, rho, start, a_lam) -> int:
-    spins = balanced_spins(n, q) if start == "balanced" \
+def _start_spins(n, q, start, a_lam) -> SpinConfig:
+    return balanced_spins(n, q) if start == "balanced" \
         else ordered_spins(n, q, a_lam)
+
+
+def _exit_worker(rngs, n, q, lam, rho, start, a_lam) -> list:
     params = ModelParams(n=n, q=float(q), lam=lam)
-    new, _ = sw_step(spins, params, rng)
-    return int(_exited(new, rho, start, a_lam))
+    return [int(_exited(new, rho, start, a_lam))
+            for new in sw_steps(_start_spins(n, q, start, a_lam), params, rngs)]
 
 
 @_timed
@@ -138,10 +182,11 @@ def one_step_exit(n_grid, lam: float, q: int, rho: float, start: str,
         raise ValueError("rho must be positive")
     a_lam = a_fixed_point(lam, q) if start == "ordered" else 0.0
     report = ExperimentReport("one_step_exit", float(q), lam, master_seed)
-    for n in n_grid:
-        hits = sum(_run_replicas(_exit_worker, master_seed,
-                                 f"one_step_exit:{start}:n={n}", replicas,
-                                 threads, n, q, lam, rho, start, a_lam))
+    cells = [(f"one_step_exit:{start}:n={n}", n,
+              (n, q, lam, rho, start, a_lam)) for n in n_grid]
+    exits = _run_replicas(_exit_worker, master_seed, cells, replicas, threads)
+    for n, cell_exits in zip(n_grid, exits):
+        hits = sum(cell_exits)
         lo, hi = wilson_ci(hits, replicas)
         report.cells.append(ReportCell(
             n=n, param=rho, estimate=hits / replicas, ci_lo=lo, ci_hi=hi,
@@ -152,15 +197,19 @@ def one_step_exit(n_grid, lam: float, q: int, rho: float, start: str,
     return report
 
 
-def _escape_worker(rng, n, q, lam, rho, start, a_lam, cap) -> int:
-    spins = balanced_spins(n, q) if start == "balanced" \
-        else ordered_spins(n, q, a_lam)
+def _escape_worker(rngs, n, q, lam, rho, start, a_lam, cap) -> list:
     params = ModelParams(n=n, q=float(q), lam=lam)
-    for t in range(1, cap + 1):
-        spins, _ = sw_step(spins, params, rng)
-        if _exited(spins, rho, start, a_lam):
-            return t
-    return -1  # censored at the cap
+    times = []
+    for rng in rngs:
+        spins = _start_spins(n, q, start, a_lam)
+        for t in range(1, cap + 1):
+            spins, _ = sw_step(spins, params, rng)
+            if _exited(spins, rho, start, a_lam):
+                break
+        else:
+            t = -1  # censored at the cap
+        times.append(t)
+    return times
 
 
 @_timed
@@ -178,13 +227,16 @@ def escape_time(n_grid, lam: float, q: int, rho: float, start: str,
     """
     if start not in ("balanced", "ordered"):
         raise ValueError(f"start must be balanced or ordered, got {start!r}")
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap!r}")
     a_lam = a_fixed_point(lam, q) if start == "ordered" else 0.0
     report = ExperimentReport("escape_time", float(q), lam, master_seed)
-    for n in n_grid:
-        name = f"escape_time:{start}:n={n}"
-        raw = np.array(_run_replicas(_escape_worker, master_seed, name,
-                                     replicas, threads, n, q, lam, rho, start,
-                                     a_lam, cap), dtype=float)
+    names = [f"escape_time:{start}:n={n}" for n in n_grid]
+    cells = [(name, n, (n, q, lam, rho, start, a_lam, cap))
+             for name, n in zip(names, n_grid)]
+    times = _run_replicas(_escape_worker, master_seed, cells, replicas, threads)
+    for n, name, cell_times in zip(n_grid, names, times):
+        raw = np.array(cell_times, dtype=float)
         censored = float(np.mean(raw < 0))
         vals = np.where(raw < 0, np.inf, raw)
         if censored >= 0.5:
@@ -203,15 +255,19 @@ def escape_time(n_grid, lam: float, q: int, rho: float, start: str,
 # ---------------------------------------------------------------------------
 # drift maps
 
-def _sw_drift_worker(rng, n, q, lam, z) -> float:
+def _sw_drift_worker(rngs, n, q, lam, z) -> list:
     spins = spins_with_majority(n, q, round(z * n))
-    params = ModelParams(n=n, q=float(q), lam=lam)
-    omega = percolate_within_classes(spins, params.p, rng)
-    part = cluster_decompose(omega)
-    tracked = int(part.ids_by_size[0])  # largest cluster, smallest-member ties
-    new = recolor_clusters(part, q, rng)
-    color = int(new.colors[tracked])   # cluster ids are their smallest member
-    return int(new.counts[color - 1]) / n
+    omegas = [percolate_within_classes(spins, lam / n, rng) for rng in rngs]
+    union, offsets = disjoint_union(omegas)
+    part = cluster_decompose(union)
+    colors = recolor_blocks(part, offsets, q, rngs)
+    out = []
+    for lo, block in zip(offsets[:-1], split_partition(part, offsets)):
+        # the largest cluster (smallest-member ties), found by its id,
+        # which is its smallest member
+        color = colors[lo + block.ids_by_size[0]]
+        out.append(int(np.count_nonzero(colors[lo:lo + n] == color)) / n)
+    return out
 
 
 @_timed
@@ -232,9 +288,12 @@ def sw_drift_map(n: int, lam: float, q: int, z_grid, replicas: int,
     for z in z_grid:
         if not (1.0 / q <= z <= 1.0):
             raise ValueError(f"z grid must lie in [1/q, 1], got {z!r}")
-        name = f"sw_drift_map:z={z!r}:n={n}"
-        vals = np.array(_run_replicas(_sw_drift_worker, master_seed, name,
-                                      replicas, threads, n, q, lam, z))
+    names = [f"sw_drift_map:z={z!r}:n={n}" for z in z_grid]
+    cells = [(name, n, (n, q, lam, z)) for name, z in zip(names, z_grid)]
+    results = _run_replicas(_sw_drift_worker, master_seed, cells, replicas,
+                            threads)
+    for z, name, cell_vals in zip(z_grid, names, results):
+        vals = np.array(cell_vals)
         mean = float(vals.mean())
         lo, hi = bootstrap_ci(vals, "mean", seed=_boot_seed(master_seed, name))
         predicted = sw_drift(z, lam, q)
@@ -247,14 +306,15 @@ def sw_drift_map(n: int, lam: float, q: int, z_grid, replicas: int,
     return report
 
 
-def _cm_drift_worker(rng, n, q, lam, theta) -> float:
+def _cm_drift_worker(rngs, n, q, lam, theta) -> list:
     # the planted cluster (at least one vertex) is forced active and every
     # other cluster is a singleton, active with probability 1/q; the step
     # resamples G(m, lam/n) on the m active vertices and the rest stay
     # isolated, so the drift depends only on sizes
     g = max(round(theta * n), 1)
-    m = g + int((rng.random(n - g) < 1.0 / q).sum())
-    return cluster_decompose(sample_gnp(m, lam / n, rng)).largest_size / n
+    graphs = [sample_gnp(g + int((rng.random(n - g) < 1.0 / q).sum()),
+                         lam / n, rng) for rng in rngs]
+    return [part.largest_size / n for part in decompose_each(graphs)]
 
 
 @_timed
@@ -267,9 +327,13 @@ def cm_drift_map(n: int, lam: float, q: float, theta_grid, replicas: int,
     for theta in theta_grid:
         if not (0.0 < theta <= 1.0):
             raise ValueError(f"theta grid must lie in (0, 1], got {theta!r}")
-        name = f"cm_drift_map:theta={theta!r}:n={n}"
-        vals = np.array(_run_replicas(_cm_drift_worker, master_seed, name,
-                                      replicas, threads, n, q, lam, theta))
+    names = [f"cm_drift_map:theta={theta!r}:n={n}" for theta in theta_grid]
+    cells = [(name, n, (n, q, lam, theta))
+             for name, theta in zip(names, theta_grid)]
+    results = _run_replicas(_cm_drift_worker, master_seed, cells, replicas,
+                            threads)
+    for theta, name, cell_vals in zip(theta_grid, names, results):
+        vals = np.array(cell_vals)
         mean = float(vals.mean())
         lo, hi = bootstrap_ci(vals, "mean", seed=_boot_seed(master_seed, name))
         predicted = cm_drift(theta, lam, q)
@@ -287,9 +351,13 @@ def cm_drift_map(n: int, lam: float, q: float, theta_grid, replicas: int,
 # ---------------------------------------------------------------------------
 # equilibrium cluster statistics of G(n, lam/n)
 
-def _sm_tail_worker(rng, n, lam, m_thr, rho) -> int:
-    part = cluster_decompose(sample_gnp(n, lam / n, rng))
-    return int(s_m_vertices(part, m_thr) >= rho * n)
+def _gnp_each(rngs, n, lam) -> list:
+    return decompose_each([sample_gnp(n, lam / n, rng) for rng in rngs])
+
+
+def _sm_tail_worker(rngs, n, lam, m_thr, rho) -> list:
+    return [int(s_m_vertices(part, m_thr) >= rho * n)
+            for part in _gnp_each(rngs, n, lam)]
 
 
 @_timed
@@ -305,9 +373,11 @@ def sm_tail(n_grid, lam: float, m_threshold: int, rho: float, replicas: int,
     if lam >= 1.0:
         raise RegimeError(f"S_M tail probes subcritical graphs; lam={lam!r} >= 1")
     report = ExperimentReport("sm_tail", 1.0, lam, master_seed)
-    for n in n_grid:
-        hits = sum(_run_replicas(_sm_tail_worker, master_seed, f"sm_tail:n={n}",
-                                 replicas, threads, n, lam, m_threshold, rho))
+    cells = [(f"sm_tail:n={n}", n, (n, lam, m_threshold, rho)) for n in n_grid]
+    hit_lists = _run_replicas(_sm_tail_worker, master_seed, cells, replicas,
+                              threads)
+    for n, cell_hits in zip(n_grid, hit_lists):
+        hits = sum(cell_hits)
         est = (hits + 0.5) / (replicas + 1)
         lo, hi = wilson_ci(hits, replicas)
         report.cells.append(ReportCell(
@@ -321,19 +391,22 @@ def sm_tail(n_grid, lam: float, m_threshold: int, rho: float, replicas: int,
     return report
 
 
-def _cluster_tail_worker(rng, n, lam, kmax) -> int:
+def _cluster_tail_worker(rngs, n, lam, kmax) -> list:
     p = lam / n
-    # explore the cluster of vertex 0 one vertex at a time; each vertex's
-    # new neighbors among the unexplored are Binomial(unexplored, p)
-    unexplored = n - 1
-    frontier = 1
-    size = 1
-    while frontier > 0 and size <= kmax:
-        kids = int(rng.binomial(unexplored, p))
-        unexplored -= kids
-        size += kids
-        frontier += kids - 1
-    return min(size, kmax + 1)
+    sizes = []
+    for rng in rngs:
+        # explore the cluster of vertex 0 one vertex at a time; each
+        # vertex's new neighbors among the unexplored are Binomial(unexplored, p)
+        unexplored = n - 1
+        frontier = 1
+        size = 1
+        while frontier > 0 and size <= kmax:
+            kids = int(rng.binomial(unexplored, p))
+            unexplored -= kids
+            size += kids
+            frontier += kids - 1
+        sizes.append(min(size, kmax + 1))
+    return sizes
 
 
 @_timed
@@ -344,9 +417,9 @@ def cluster_tail_bound(n: int, lam: float, k_grid, replicas: int,
     if lam >= 1.0:
         raise RegimeError(f"cluster tail bound needs lam < 1, got {lam!r}")
     kmax = int(max(k_grid))
-    sizes = np.array(_run_replicas(_cluster_tail_worker, master_seed,
-                                   f"cluster_tail:n={n}", replicas, threads,
-                                   n, lam, kmax))
+    cells = [(f"cluster_tail:n={n}", n, (n, lam, kmax))]
+    sizes = np.array(_run_replicas(_cluster_tail_worker, master_seed, cells,
+                                   replicas, threads)[0])
     report = ExperimentReport("cluster_tail_bound", 1.0, lam, master_seed)
     for k in k_grid:
         hits = int((sizes >= k).sum())
@@ -359,9 +432,8 @@ def cluster_tail_bound(n: int, lam: float, k_grid, replicas: int,
     return report
 
 
-def _giant_worker(rng, n, lam) -> float:
-    part = cluster_decompose(sample_gnp(n, lam / n, rng))
-    return part.largest_size / n
+def _giant_worker(rngs, n, lam) -> list:
+    return [part.largest_size / n for part in _gnp_each(rngs, n, lam)]
 
 
 @_timed
@@ -370,9 +442,9 @@ def giant_concentration(n: int, lam: float, epsilon: float, replicas: int,
     """P(|L_1/n - theta_lam| >= epsilon) in supercritical G(n, lam/n)."""
     if lam <= 1.0:
         raise RegimeError(f"giant concentration needs lam > 1, got {lam!r}")
-    fracs = np.array(_run_replicas(_giant_worker, master_seed,
-                                   f"giant_concentration:n={n}", replicas,
-                                   threads, n, lam))
+    cells = [(f"giant_concentration:n={n}", n, (n, lam))]
+    fracs = np.array(_run_replicas(_giant_worker, master_seed, cells,
+                                   replicas, threads)[0])
     theta = theta_giant(lam)
     outside = int((np.abs(fracs - theta) >= epsilon).sum())
     lo, hi = wilson_ci(outside, replicas)

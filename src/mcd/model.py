@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 
@@ -186,24 +186,72 @@ class ClusterPartition:
 def cluster_decompose(edges: EdgeConfig) -> ClusterPartition:
     """Connected components with canonical (smallest-member) cluster ids."""
     n = edges.n
-    if edges.edge_count:
-        u = edges.pairs[:, 0]
-        v = edges.pairs[:, 1]
-        g = coo_matrix((np.ones(len(u), dtype=np.int8), (u, v)), shape=(n, n))
-        _, raw = connected_components(g, directed=False)
+    pairs = edges.pairs
+    if pairs.shape[0]:
+        # the pairs are sorted, so row i of the CSR holds i's larger partners
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(pairs[:, 0], minlength=n), out=indptr[1:])
+        g = csr_matrix((np.ones(pairs.shape[0]), pairs[:, 1].astype(np.int32),
+                        indptr), shape=(n, n))
+        count, raw = connected_components(g, directed=False)
     else:
-        raw = np.arange(n)
-    # first occurrence of each component label is its smallest vertex
-    _, first, inv = np.unique(raw, return_index=True, return_inverse=True)
-    counts = np.bincount(inv)
-    order = np.lexsort((first, -counts))
+        count, raw = n, np.arange(n)
+    first = np.full(count, n, dtype=np.int64)
+    np.minimum.at(first, raw, np.arange(n))  # smallest member per component
+    sizes = np.bincount(raw, minlength=count)
+    order = np.lexsort((first, -sizes))
     return ClusterPartition(
         n=n,
-        assignment=first[inv],
-        sizes=counts[order],
+        assignment=first[raw],
+        sizes=sizes[order],
         ids_by_size=first[order],
-        cluster_count=len(counts),
+        cluster_count=count,
     )
+
+
+def disjoint_union(configs) -> tuple[EdgeConfig, np.ndarray]:
+    """The configurations side by side: block b's vertices are shifted by
+    offsets[b], and offsets[-1] is the total vertex count.
+
+    The union is canonical because every block is and the blocks follow
+    each other, so cluster_decompose of the union decomposes every block
+    at once; split_partition recovers the per-block partitions.
+    """
+    offsets = np.zeros(len(configs) + 1, dtype=np.int64)
+    np.cumsum([c.n for c in configs], out=offsets[1:])
+    shift = np.repeat(offsets[:-1], [c.edge_count for c in configs])
+    pairs = np.concatenate([c.pairs for c in configs]) + shift[:, None]
+    union = _edge_config_presorted(int(offsets[-1]), pairs[:, 0], pairs[:, 1])
+    return union, offsets
+
+
+def split_partition(partition: ClusterPartition,
+                    offsets: np.ndarray) -> list[ClusterPartition]:
+    """The per-block partitions of a disjoint union's partition, each
+    equal to cluster_decompose of its own block.
+
+    A block's vertices and cluster ids form one contiguous range of the
+    union's, so relabelling is a shift; the stable sort by block keeps the
+    size order (and its smallest-member tie-break) inside each block.
+    """
+    block = np.searchsorted(offsets, partition.ids_by_size, side="right") - 1
+    order = np.argsort(block, kind="stable")
+    ids = partition.ids_by_size[order]
+    sizes = partition.sizes[order]
+    cuts = np.searchsorted(block[order], np.arange(offsets.size))
+    return [ClusterPartition(n=int(hi - lo),
+                             assignment=partition.assignment[lo:hi] - lo,
+                             sizes=sizes[c0:c1], ids_by_size=ids[c0:c1] - lo,
+                             cluster_count=int(c1 - c0))
+            for lo, hi, c0, c1 in zip(offsets[:-1], offsets[1:],
+                                      cuts[:-1], cuts[1:])]
+
+
+def decompose_each(configs) -> list[ClusterPartition]:
+    """cluster_decompose of each configuration, through one components
+    call on their disjoint union."""
+    union, offsets = disjoint_union(configs)
+    return split_partition(cluster_decompose(union), offsets)
 
 
 def s_m_vertices(partition: ClusterPartition, m_threshold: int) -> int:

@@ -44,6 +44,13 @@ def replica_seed(master_seed: int, name: str, replica: int) -> int:
     return splitmix64(s0 ^ (replica & _MASK64))
 
 
+def replica_seeds(master_seed: int, name: str, r0: int, r1: int) -> list[int]:
+    """replica_seed(master_seed, name, r) for r in range(r0, r1), hashing
+    the name once."""
+    s0 = splitmix64((master_seed & _MASK64) ^ fnv1a64(name))
+    return [splitmix64(s0 ^ (r & _MASK64)) for r in range(r0, r1)]
+
+
 @dataclass(frozen=True)
 class RngStream:
     """A deterministic pseudo-random stream for one replica.

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import math
@@ -207,6 +208,20 @@ TINY = {
 }
 
 
+# sha256 prefixes of the TINY CSVs at --seed 5; a change to any stream's
+# draw order changes them, whatever the thread count
+TINY_SHA256 = {
+    "one_step_exit": "da6fd66f847e3324",
+    "escape_time": "858947e0fae09d47",
+    "sw_drift_map": "29db2cb0e5da69e3",
+    "cm_drift_map": "9455e8a03fca87e6",
+    "sm_tail": "7f097072e068155a",
+    "cluster_tail_bound": "9c84a6b7af07a441",
+    "giant_concentration": "be7c6f5167746300",
+    "bimodality_scan": "80fe5ef5c1055d94",
+}
+
+
 def test_registry_options_follow_function_parameters():
     # options are passed positionally after (n, lam)
     for entry in EXPERIMENTS.values():
@@ -231,6 +246,8 @@ def test_experiment_bytes_hold_across_threads_and_sidecar_rerun(
         code, _, err = run(capsys, *argv, "--threads", "2")
         assert code == 1 and "--threads" in err
         assert run(capsys, *argv, "--out", str(first))[0] == 0
+    assert hashlib.sha256(first.read_bytes()).hexdigest()[:16] \
+        == TINY_SHA256[name]
 
     side = json.loads((tmp_path / "t1.json").read_text())["config"]
     assert set(side) == {"command", "experiment", "n", "lambda", "out",
@@ -244,6 +261,55 @@ def test_experiment_bytes_hold_across_threads_and_sidecar_rerun(
     assert run(capsys, "experiment", name, "--config", str(tmp_path / "t1.json"),
                "--out", str(rerun))[0] == 0
     assert rerun.read_bytes() == first.read_bytes()
+
+
+# replica ranges at their edges: one replica, fewer replicas than workers,
+# and replica counts that end on a partial range
+RANGE_EDGES = [
+    ["one_step_exit", "--n", "30,60", "--q", "3", "--lambda", L,
+     "--replicas", "1"],
+    ["sm_tail", "--n", "40,80", "--lambda", "0.5", "--rho", "0.3",
+     "--m-threshold", "5", "--replicas", "2"],
+    ["escape_time", "--n", "30", "--q", "3", "--lambda", L, "--replicas", "2",
+     "--cap", "50"],
+    ["one_step_exit", "--n", "30,60", "--q", "3", "--lambda", L,
+     "--replicas", "41"],
+    ["cm_drift_map", "--n", "200", "--q", "3", "--lambda", L,
+     "--grid", "0.3,0.5", "--replicas", "13"],
+    ["giant_concentration", "--n", "1000", "--lambda", "2",
+     "--epsilon", "0.05", "--replicas", "7"],
+]
+
+
+@pytest.mark.parametrize("argv", RANGE_EDGES, ids=lambda a: f"{a[0]}-{a[-1]}")
+def test_replica_range_edges_keep_bytes_across_threads(argv, tmp_path, capsys):
+    outs = []
+    for threads in ("1", "2", "3"):
+        out = tmp_path / f"t{threads}.csv"
+        assert run(capsys, "experiment", *argv, "--seed", "5",
+                   "--threads", threads, "--out", str(out))[0] == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("name,option,value", [
+    ("escape_time", "--replicas", "0"),
+    ("one_step_exit", "--replicas", "0"),
+    ("sm_tail", "--replicas", "-1"),
+    ("one_step_exit", "--threads", "0"),
+    ("one_step_exit", "--threads", "-3"),
+    ("escape_time", "--cap", "0"),
+    ("escape_time", "--cap", "-2"),
+])
+def test_replica_options_below_one_are_rejected(name, option, value,
+                                                 tmp_path, capsys):
+    _, opts = TINY[name]
+    out = tmp_path / "x.csv"
+    code, _, err = run(capsys, "experiment", name, *opts, "--seed", "5",
+                       option, value, "--out", str(out))
+    assert code == 1 and option.lstrip("-") in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_experiment_rejects_options_it_does_not_take(tmp_path, capsys):

@@ -15,8 +15,6 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from mcd.countlevel import (
     class_color_laws,
@@ -35,7 +33,13 @@ from mcd.countlevel import (
 from mcd.dynamics import _gnp_indices
 from mcd.experiments import balanced_spins
 from mcd.indexing import num_pairs, pairs_from_indices
-from mcd.model import SpinConfig, in_balanced_set
+from mcd.model import (
+    SpinConfig,
+    _edge_config_presorted,
+    cluster_decompose,
+    in_balanced_set,
+    split_partition,
+)
 from mcd.oracle import (
     _digit_matrix,
     build_kernel,
@@ -184,15 +188,13 @@ def test_expected_largest_matches_sampled_percolation():
         ks = _gnp_indices(batch * 3 * slots, p, rng)
         block, k = np.divmod(ks, slots)  # block = graph * 3 + class
         i, j = pairs_from_indices(k, 100)
-        u, v = block * 100 + i, block * 100 + j
-        graph = coo_matrix((np.ones(ks.size), (u, v)), shape=(batch * n,) * 2)
-        _, labels = connected_components(graph, directed=False)
-        comp_size = np.bincount(labels)
-        owner = np.zeros(comp_size.size, dtype=np.int64)
-        owner[labels] = np.arange(batch * n) // n
-        l1 = np.zeros(batch, dtype=np.int64)
-        np.maximum.at(l1, owner, comp_size)
-        largest.append(l1)
+        # the batch's graphs side by side, as model.disjoint_union lays them
+        # out; the pairs are canonical because ks ascends
+        union = _edge_config_presorted(batch * n, block * 100 + i,
+                                       block * 100 + j)
+        offsets = np.arange(0, batch * n + 1, n)
+        largest.append([part.largest_size for part in
+                        split_partition(cluster_decompose(union), offsets)])
     largest = np.concatenate(largest)
     se = largest.std(ddof=1) / math.sqrt(draws)
     assert abs(largest.mean() - exact) < 4 * se, (largest.mean(), se, exact)

@@ -11,6 +11,7 @@ from mcd.dynamics import (
     run_chain,
     sample_gnp,
     sw_step,
+    sw_steps,
 )
 from mcd.model import (
     EdgeConfig,
@@ -90,6 +91,28 @@ def test_sw_step_requires_integer_q():
     spins = SpinConfig(colors=np.array([1, 2, 1, 2]), q=2)
     with pytest.raises(ValueError):
         sw_step(spins, ModelParams(n=4, q=2.5, lam=1.0), rng_for("sw-badq"))
+    with pytest.raises(ValueError):
+        sw_steps(spins, ModelParams(n=4, q=2.5, lam=1.0), [rng_for("sw-badq")])
+
+
+@pytest.mark.parametrize("colors,q,lam", [
+    ([1] * 10 + [2] * 10 + [3] * 10, 3, 2.772588722239781),  # balanced
+    ([1] * 40 + [2] * 5 + [3] * 5, 3, 4.0),                   # majority
+    ([2, 1, 2, 2, 1, 2, 1], 2, 1.5),                          # interleaved
+    ([1], 2, 0.5),                                            # n = 1
+    ([1] * 3 + [4] * 60, 4, 0.2),                             # empty classes
+])
+def test_batched_sw_steps_equal_sw_step(colors, q, lam):
+    spins = SpinConfig(colors=np.array(colors), q=q)
+    params = ModelParams(n=spins.n, q=float(q), lam=lam)
+    batch = [rng_for("sw-batch", r) for r in range(25)]
+    alone = [rng_for("sw-batch", r) for r in range(25)]
+    for new, rng_b, rng_a in zip(sw_steps(spins, params, batch), batch, alone):
+        want, _ = sw_step(spins, params, rng_a)
+        assert np.array_equal(new.colors, want.colors)
+        assert np.array_equal(new.counts, want.counts)
+        # the batch consumed exactly the draws sw_step consumed
+        assert rng_b.random() == rng_a.random()
 
 
 # ---------------------------------------------------------------------------

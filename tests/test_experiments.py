@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mcd.experiments
 from mcd.analytic import RegimeError
 from mcd.experiments import (
     balanced_spins,
@@ -183,6 +184,65 @@ def test_thread_count_does_not_change_results():
     a = one_step_exit([40], LAMBDA_C3, 3, 0.08, "balanced", 60, 99, threads=1)
     b = one_step_exit([40], LAMBDA_C3, 3, 0.08, "balanced", 60, 99, threads=3)
     assert a.to_csv_text() == b.to_csv_text()
+
+
+def test_one_pool_per_experiment(monkeypatch):
+    made = []
+
+    class CountingPool(mcd.experiments.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(mcd.experiments, "ProcessPoolExecutor", CountingPool)
+    two = one_step_exit([30, 40, 50], LAMBDA_C3, 3, 0.08, "balanced", 40, 7,
+                        threads=2)
+    assert len(made) == 1
+    one = one_step_exit([30, 40, 50], LAMBDA_C3, 3, 0.08, "balanced", 40, 7)
+    assert len(made) == 1  # one thread runs inline
+    assert one.to_csv_text() == two.to_csv_text()
+
+
+# every experiment that runs replicas, with a grid of two cells where it
+# takes one: (function, args before replicas, n, kwargs after the seed)
+REPLICATED = {
+    "one_step_exit": (one_step_exit, ([30, 45], LAMBDA_C3, 3, 0.08,
+                                      "balanced"), {}),
+    "escape_time": (escape_time, ([30, 45], LAMBDA_C3, 3, 0.08, "balanced"),
+                    {"cap": 40}),
+    "sw_drift_map": (sw_drift_map, (60, LAMBDA_C3, 3, [0.4, 0.6]), {}),
+    "cm_drift_map": (cm_drift_map, (60, LAMBDA_C3, 3.0, [0.2, 0.5]), {}),
+    "sm_tail": (sm_tail, ([30, 45], 0.5, 3, 0.2), {}),
+    "cluster_tail_bound": (cluster_tail_bound, (60, 0.5, [2, 4]), {}),
+    "giant_concentration": (giant_concentration, (60, 2.0, 0.05), {}),
+}
+
+
+@pytest.mark.parametrize("name", list(REPLICATED))
+def test_range_size_does_not_change_results(name, monkeypatch):
+    run, args, kwargs = REPLICATED[name]
+    whole = run(*args, 23, 5, **kwargs).to_csv_text()
+    # ranges of 1..4 replicas, so 23 replicas end on a partial range
+    for budget in (1, 100, 200, 250):
+        monkeypatch.setattr(mcd.experiments, "_BATCH_VERTICES", budget)
+        assert run(*args, 23, 5, **kwargs).to_csv_text() == whole
+
+
+@pytest.mark.parametrize("name", list(REPLICATED))
+def test_replica_and_thread_counts_are_validated(name):
+    run, args, kwargs = REPLICATED[name]
+    for replicas in (0, -2):
+        with pytest.raises(ValueError, match="replicas"):
+            run(*args, replicas, 5, **kwargs)
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match="threads"):
+            run(*args, 4, 5, **kwargs, threads=threads)
+
+
+def test_escape_time_rejects_a_cap_below_one():
+    for cap in (0, -2):
+        with pytest.raises(ValueError, match="cap"):
+            escape_time([30], LAMBDA_C3, 3, 0.08, "balanced", 5, 7, cap=cap)
 
 
 # ---------------------------------------------------------------------------

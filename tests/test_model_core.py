@@ -1,20 +1,26 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
+from mcd.dynamics import sample_gnp
 from mcd.indexing import all_pairs, num_pairs, pair_index, pairs_from_indices
 from mcd.model import (
     EdgeConfig,
     ModelParams,
     SpinConfig,
     cluster_decompose,
+    decompose_each,
+    disjoint_union,
     in_balanced_set,
     in_ordered_set,
     s_m_minus_giant,
     s_m_vertices,
+    split_partition,
 )
-from mcd.rng import RngStream, replica_seed
+from mcd.rng import RngStream, replica_seed, replica_seeds
 
 
 def random_edges(n, density, rng):
@@ -120,6 +126,78 @@ def test_ids_by_size_breaks_ties_by_smallest_member():
     assert part.ids_by_size[0] == 0  # both size 2, cluster {0,3} wins
 
 
+def _reference_decompose(edges):
+    # components by scipy's COO route, canonical ids by np.unique
+    n = edges.n
+    if edges.edge_count:
+        u, v = edges.pairs[:, 0], edges.pairs[:, 1]
+        g = coo_matrix((np.ones(u.size), (u, v)), shape=(n, n))
+        _, raw = connected_components(g, directed=False)
+    else:
+        raw = np.arange(n)
+    _, first, inv = np.unique(raw, return_index=True, return_inverse=True)
+    counts = np.bincount(inv)
+    order = np.lexsort((first, -counts))
+    return first[inv], counts[order], first[order], counts.size
+
+
+def _same_partition(part, want):
+    assignment, sizes, ids_by_size, count = want
+    assert np.array_equal(part.assignment, assignment)
+    assert np.array_equal(part.sizes, sizes)
+    assert np.array_equal(part.ids_by_size, ids_by_size)
+    assert part.cluster_count == count
+
+
+@pytest.mark.parametrize("n", [1, 2, 100, 800, 10 ** 4, 10 ** 5])
+def test_decompose_matches_reference(n):
+    rng = np.random.default_rng(n)
+    for lam in (0.0, 0.7, 1.0, 1.5, 4.0):
+        edges = sample_gnp(n, min(lam / n, 1.0), rng)
+        _same_partition(cluster_decompose(edges), _reference_decompose(edges))
+
+
+def _check_union(blocks):
+    union, offsets = disjoint_union(blocks)
+    assert np.array_equal(offsets, np.cumsum([0] + [b.n for b in blocks]))
+    # already canonical: re-canonicalizing changes nothing
+    assert np.array_equal(EdgeConfig(n=union.n, pairs=union.pairs).pairs,
+                          union.pairs)
+    whole = cluster_decompose(union)
+    parts = split_partition(whole, offsets)
+    assert len(parts) == len(blocks)
+    for lo, hi, block, part, each in zip(offsets[:-1], offsets[1:], blocks,
+                                         parts, decompose_each(blocks)):
+        want = cluster_decompose(block)
+        assert np.array_equal(whole.assignment[lo:hi] - lo, want.assignment)
+        for got in (part, each):
+            assert got.n == block.n
+            _same_partition(got, (want.assignment, want.sizes,
+                                  want.ids_by_size, want.cluster_count))
+
+
+def test_union_slices_equal_per_block_decompose():
+    # unequal block sizes (as cm_drift_map draws them), blocks without
+    # edges, single vertices, and equal-size ties inside a block
+    rng = np.random.default_rng(11)
+    blocks = [sample_gnp(int(m), 1.5 / 40, rng) for m in (40, 3, 27, 40, 1, 12)]
+    blocks += [EdgeConfig.empty(1), EdgeConfig.empty(9),
+               EdgeConfig(n=6, pairs=np.array([[0, 3], [1, 4]])),
+               EdgeConfig(n=1, pairs=np.empty((0, 2)))]
+    _check_union(blocks)
+    _check_union([EdgeConfig.empty(1)])
+    _check_union([sample_gnp(300, 2.0 / 300, rng)])
+
+
+@given(st.lists(st.tuples(st.integers(1, 15), st.floats(0.0, 1.0)),
+                min_size=1, max_size=8),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_union_slices_equal_per_block_decompose_random(shapes, seed):
+    rng = np.random.default_rng(seed)
+    _check_union([random_edges(n, density, rng) for n, density in shapes])
+
+
 # ---------------------------------------------------------------------------
 # observables and stability sets
 
@@ -171,6 +249,18 @@ def test_replica_seeds_are_deterministic_and_distinct():
     seeds = {replica_seed(123, name, r)
              for name in ("exp", "exp2", "") for r in range(50)}
     assert len(seeds) == 150
+
+
+@given(st.integers(-2 ** 70, 2 ** 70), st.text(max_size=16),
+       st.integers(0, 2 ** 40), st.integers(0, 30))
+@example(-1, "", 0, 5)
+@example(2 ** 64, "one_step_exit:balanced:n=800", 1995, 5)
+@example(2 ** 64 + 7, "taille \u00e9tendue \u6587\u5b57 \U0001f600", 3, 4)
+@example(-2 ** 63, "\u00e9", 0, 0)
+@settings(max_examples=200, deadline=None)
+def test_replica_seeds_match_replica_seed(master, name, r0, count):
+    assert replica_seeds(master, name, r0, r0 + count) == [
+        replica_seed(master, name, r) for r in range(r0, r0 + count)]
 
 
 def test_stream_reproducibility():

@@ -301,9 +301,6 @@ class Trajectory:
     def l1_series(self) -> np.ndarray:
         return np.array([r.l1_frac for r in self.records])
 
-    def sm_series(self) -> np.ndarray:
-        return np.array([r.sm_frac for r in self.records])
-
 
 _KINDS = ("sw", "cm", "glauber")
 

@@ -54,8 +54,9 @@ def mask_partition_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For every C(n,2)-bit edge mask: per-vertex component labels
     (smallest member), component count, and edge count.
 
-    Built incrementally: mask with its lowest bit cleared differs by one
-    edge, so each row is a copy-and-merge of an earlier row.
+    Built by doubling: the masks whose highest bit is b are the masks below
+    2^b with pair b added, so each block is one merge of pair b's two
+    labels over the block before it.
     """
     if n in _partition_tables:
         return _partition_tables[n]
@@ -70,21 +71,14 @@ def mask_partition_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     labels[0] = np.arange(n, dtype=np.int8)
     kcnt[0] = n
     ecnt[0] = 0
-    for mask in range(1, size):
-        low = mask & -mask
-        b = low.bit_length() - 1
-        prev = mask ^ low
-        row = labels[prev].copy()
-        la, lb = int(row[pu[b]]), int(row[pv[b]])
-        ecnt[mask] = ecnt[prev] + 1
-        if la == lb:
-            kcnt[mask] = kcnt[prev]
-        else:
-            if la > lb:
-                la, lb = lb, la
-            row[row == lb] = la
-            kcnt[mask] = kcnt[prev] - 1
-        labels[mask] = row
+    for b in range(c):
+        lo, hi = 1 << b, 2 << b
+        rows = labels[:lo]
+        la, lb = rows[:, pu[b]], rows[:, pv[b]]
+        keep, drop = np.minimum(la, lb)[:, None], np.maximum(la, lb)[:, None]
+        labels[lo:hi] = np.where(rows == drop, keep, rows)
+        kcnt[lo:hi] = kcnt[:lo] - (la != lb)
+        ecnt[lo:hi] = ecnt[:lo] + 1
     labels.flags.writeable = False
     kcnt.flags.writeable = False
     ecnt.flags.writeable = False
@@ -339,6 +333,9 @@ def _sw_kernel(n: int, q: int, lam: float) -> KernelTable:
                        enumerate_potts_measure(n, q, lam))
 
 
+_SCATTER_ENTRIES = 1 << 18
+
+
 def _cm_kernel(n: int, q: float, lam: float) -> KernelTable:
     if n > 5:
         raise ValueError(f"cm kernel limited to n <= 5, got {n}")
@@ -348,37 +345,30 @@ def _cm_kernel(n: int, q: float, lam: float) -> KernelTable:
     c = num_pairs(n)
     size = 1 << c
     pu, pv = all_pairs(n)
-    labels_tbl, _, _ = mask_partition_table(n)
-    pairs_inside = np.zeros(1 << n, dtype=np.int64)
-    for vs in range(1 << n):
-        pm = 0
-        for b in range(c):
-            if (vs >> pu[b]) & 1 and (vs >> pv[b]) & 1:
-                pm |= 1 << b
-        pairs_inside[vs] = pm
-
+    labels, kcnt, _ = mask_partition_table(n)
+    states = np.arange(size, dtype=np.int64)
+    roots = (labels == np.arange(n)).astype(np.int64)
+    pair_bits = np.int64(1) << np.arange(c, dtype=np.int64)
+    # a step activates each cluster with probability 1/q, keeps the open
+    # pairs outside the active vertex set V and resamples the pairs inside
+    # it; V is reachable from a state iff no open pair leaves it
     P = np.zeros((size, size))
-    for s in range(size):
-        labels = labels_tbl[s]
-        ulab = np.unique(labels)
-        k = ulab.size
-        vmask = [int(np.bitwise_or.reduce(np.int64(1) << np.flatnonzero(labels == u)))
-                 for u in ulab]
-        for act in range(1 << k):
-            a = bin(act).count("1")
-            pr_act = (1.0 / q) ** a * (1.0 - 1.0 / q) ** (k - a)
-            if pr_act == 0.0:
-                continue
-            avs = 0
-            for i in range(k):
-                if (act >> i) & 1:
-                    avs |= vmask[i]
-            inside = int(pairs_inside[avs])
-            retained = s & ~inside
-            positions = np.flatnonzero((inside >> np.arange(c)) & 1)
-            masks, wsub = _bernoulli_submasks(positions, p)
-            P[s][retained | masks] += pr_act * wsub
-    return KernelTable("cm", n, q, lam, np.arange(size), sp.csr_matrix(P),
+    for vs in range(1 << n):
+        in_v = (vs >> np.arange(n)) & 1
+        inside = in_v[pu] & in_v[pv]
+        cut = (in_v[pu] ^ in_v[pv]) @ pair_bits
+        sel = states[(states & cut) == 0]
+        a = roots[sel] @ in_v
+        w_act = (1.0 / q) ** a * (1.0 - 1.0 / q) ** (kcnt[sel] - a)
+        masks, w_sub = _bernoulli_submasks(np.flatnonzero(inside), p)
+        kept = sel & ~(inside @ pair_bits)
+        # one V sends a row to distinct targets, so each chunk's += is a
+        # plain scatter; chunks bound the temporaries to _SCATTER_ENTRIES
+        step = max(1, _SCATTER_ENTRIES // masks.size)
+        for lo in range(0, sel.size, step):
+            rows = slice(lo, lo + step)
+            P[sel[rows, None], kept[rows, None] | masks] += w_act[rows, None] * w_sub
+    return KernelTable("cm", n, q, lam, states, sp.csr_matrix(P),
                        enumerate_fk_measure(n, lam, q))
 
 
@@ -548,11 +538,9 @@ def s_m_cuts(kernel: KernelTable, m_threshold: int) -> list[np.ndarray]:
     """Sublevel sets of |S_M| (vertices in clusters larger than M)."""
     if kernel.kind not in ("cm", "glauber"):
         raise ValueError("S_M cuts need an edge-configuration kernel")
-    labels_tbl, _, _ = mask_partition_table(kernel.n)
-    sm = np.empty(kernel.size, dtype=np.int64)
-    for s in range(kernel.size):
-        sizes = np.bincount(labels_tbl[s].astype(np.int64))
-        sm[s] = sizes[sizes > m_threshold].sum()
+    labels, _, _ = mask_partition_table(kernel.n)
+    cluster_size = (labels[:, :, None] == labels[:, None, :]).sum(axis=2)
+    sm = (cluster_size > m_threshold).sum(axis=1)
     cuts = []
     for t in range(kernel.n):
         mask = sm <= t

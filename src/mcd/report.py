@@ -43,7 +43,10 @@ def wilson_ci(successes: int, trials: int) -> tuple[float, float]:
     return lo, hi
 
 
-def bootstrap_ci(values, stat: str = "median", n_boot: int = 1000,
+_N_BOOT = 1000
+
+
+def bootstrap_ci(values, stat: str = "median",
                  seed: int = 0) -> tuple[float, float]:
     """Percentile bootstrap interval (95%) with a deterministic resampler."""
     values = np.asarray(values, dtype=np.float64)
@@ -53,7 +56,7 @@ def bootstrap_ci(values, stat: str = "median", n_boot: int = 1000,
         raise ValueError(f"stat must be median or mean, got {stat!r}")
     fn = np.median if stat == "median" else np.mean
     rng = np.random.Generator(np.random.PCG64(seed))
-    idx = rng.integers(0, values.size, size=(n_boot, values.size))
+    idx = rng.integers(0, values.size, size=(_N_BOOT, values.size))
     stats = fn(values[idx], axis=1)
     lo, hi = np.percentile(stats, [2.5, 97.5])
     return float(lo), float(hi)
@@ -88,12 +91,6 @@ class ExperimentReport:
                 raise ValueError(f"cell n={cell.n} has no replicas")
             if not (cell.ci_lo <= cell.ci_hi or math.isnan(cell.estimate)):
                 raise ValueError(f"cell n={cell.n} has inverted CI")
-
-    def cell(self, n: int, param: float) -> ReportCell:
-        for c in self.cells:
-            if c.n == n and c.param == param:
-                return c
-        raise KeyError(f"no cell with n={n}, param={param}")
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()

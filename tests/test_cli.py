@@ -68,16 +68,26 @@ def test_lambda_beta_exclusivity(capsys):
     assert code == 1 and "single" in err
 
 
-def test_beta_conversion_matches_formula(capsys):
+def test_beta_conversion_matches_formula(capsys, tmp_path):
     n, beta = 50, 0.5
     lam = -n * math.expm1(-beta / n)
     code, out, _ = run(capsys, "experiment", "cluster_tail_bound",
                        "--n", str(n), "--beta", str(beta), "--grid", "2",
                        "--replicas", "5", "--seed", "1",
-                       "--out", "/tmp/ct_beta.csv")
+                       "--out", str(tmp_path / "ct_beta.csv"))
     assert code == 0
-    side = json.loads(open("/tmp/ct_beta.json").read())
+    side = json.loads((tmp_path / "ct_beta.json").read_text())
     assert side["config"]["lambda"] == pytest.approx(lam, rel=1e-12)
+
+
+@pytest.mark.parametrize("q", ["0.5", "0", "-1"])
+def test_cm_drift_map_rejects_q_below_one(q, capsys, tmp_path):
+    out = tmp_path / "drift.csv"
+    code, _, err = run(capsys, "experiment", "cm_drift_map", "--n", "100",
+                       "--q", q, "--lambda", "2", "--grid", "0.3",
+                       "--replicas", "5", "--out", str(out))
+    assert code == 1 and "q >= 1" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sw_requires_integer_q(capsys):

@@ -136,6 +136,16 @@ def test_cm_drift_map_tracks_prediction_loosely():
     assert "empirical_drift" in cell.extra
 
 
+@pytest.mark.parametrize("q", [0.5, 0.0, -1.0])
+def test_cm_drift_map_rejects_q_below_one(q, monkeypatch):
+    def no_replicas(*args, **kwargs):
+        raise AssertionError("a replica ran")
+
+    monkeypatch.setattr(mcd.experiments, "_run_replicas", no_replicas)
+    with pytest.raises(ValueError, match="q"):
+        cm_drift_map(100, 2.0, q, [0.3], 5, 1)
+
+
 def test_sm_tail_requires_subcritical():
     with pytest.raises(RegimeError):
         sm_tail([50], 1.5, 5, 0.2, 10, 7)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcd.indexing import all_pairs
-from mcd.model import EdgeConfig
+from mcd.model import EdgeConfig, cluster_decompose
 from mcd.oracle import (
     KernelTable,
     MeasureTable,
@@ -70,6 +70,17 @@ def test_partition_table_triangle():
     assert ecnt.tolist() == [0, 1, 1, 2, 1, 2, 2, 3]
     # full mask: one cluster containing vertex 0
     assert labels[7].tolist() == [0, 0, 0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_partition_table_matches_cluster_decompose(n):
+    labels, kcnt, ecnt = mask_partition_table(n)
+    for mask in range(labels.shape[0]):
+        edges = edges_from_mask(mask, n)
+        part = cluster_decompose(edges)
+        assert np.array_equal(labels[mask], part.assignment)
+        assert kcnt[mask] == part.cluster_count
+        assert ecnt[mask] == edges.edge_count
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +170,38 @@ def test_sw_kernel_matches_the_two_step_definition():
     P = build_kernel("sw", n, q, lam).P
     assert P.has_canonical_format
     assert np.abs(P.toarray() - ref).max() < 1e-14
+
+
+
+@pytest.mark.parametrize("n,q,lam", [(3, 1.5, 1.0), (3, 2.5, 2.0),
+                                     (4, 1.5, 2.0), (4, 2.5, 1.0)])
+def test_cm_kernel_matches_the_step_definition(n, q, lam):
+    # one CM step by its definition, one state, one activation and one
+    # resampled set at a time: activate each cluster with probability 1/q,
+    # then resample every pair inside the active clusters with probability p
+    p = lam / n
+    pu, pv = all_pairs(n)
+    labels, _, _ = mask_partition_table(n)
+    terms = {}
+    for s in range(1 << len(pu)):
+        roots = np.unique(labels[s])
+        for active in itertools.product((False, True), repeat=roots.size):
+            a = sum(active)
+            w = (1 / q) ** a * (1 - 1 / q) ** (roots.size - a)
+            in_v = np.isin(labels[s], roots[list(active)])
+            inside = [b for b in range(len(pu)) if in_v[pu[b]] and in_v[pv[b]]]
+            kept = s & ~sum(1 << b for b in inside)
+            for bits in itertools.product((0, 1), repeat=len(inside)):
+                e = sum(bits)
+                y = kept | sum(1 << b for b, x in zip(inside, bits) if x)
+                terms.setdefault((s, y), []).append(
+                    w * p ** e * (1 - p) ** (len(inside) - e))
+    ref = np.zeros((1 << len(pu), 1 << len(pu)))
+    for (s, y), ts in terms.items():
+        ref[s, y] = math.fsum(ts)
+    P = build_kernel("cm", n, q, lam).P
+    assert P.has_canonical_format
+    assert np.abs(P.toarray() - ref).max() <= 1e-15
 
 
 @pytest.mark.parametrize("n,q,lam", [(3, 2, 1.0), (3, 3, 1.0), (3, 3, 2.0),

@@ -14,7 +14,6 @@ from .model import (
     ClusterPartition,
     cluster_decompose,
     s_m_vertices,
-    s_m_minus_giant,
     in_balanced_set,
     in_ordered_set,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "ClusterPartition",
     "cluster_decompose",
     "s_m_vertices",
-    "s_m_minus_giant",
     "in_balanced_set",
     "in_ordered_set",
     "RegimeError",

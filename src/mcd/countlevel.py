@@ -36,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .experiments import balanced_spins, spins_with_majority
+from .experiments import balanced_counts, majority_counts
+from .model import is_balanced
 
 _STATES_MAX = 4 * 10 ** 6
 _TAIL_TOL = 1e-12  # truncation bound on E[L1]
@@ -176,7 +177,7 @@ def sw_drift_mean(n: int, lam: float, q: int, z: float) -> float:
     1/q + (1 - 1/q) E[L1]/n with L1 the largest component of the union of
     G(c_i, lam/n) over the start's class sizes c_i.
     """
-    sizes = spins_with_majority(n, q, round(z * n)).counts
+    sizes = majority_counts(n, q, round(z * n))
     mean_l1, _ = expected_largest(sizes, lam / n)
     return 1.0 / q + (1.0 - 1.0 / q) * mean_l1 / n
 
@@ -245,18 +246,11 @@ def one_step_law(counts, lam: float, q: int,
     return np.maximum(np.fft.irfftn(spectrum, shape, axes), 0.0)
 
 
-def balanced_mask(counts: np.ndarray, rho: float) -> np.ndarray:
-    """in_balanced_set on the last axis of an array of count vectors."""
-    n = counts.sum(axis=-1)
-    q = counts.shape[-1]
-    return np.max(np.abs(counts - (n / q)[..., None]), axis=-1) < rho * n
-
-
 def exit_probability(counts, lam: float, q: int, rho: float) -> float:
     """P(one SW step from the given counts leaves the balanced set)."""
     row = one_step_law(counts, lam, q)
     grid, valid = count_grid(sum(counts), q)
-    return float(row[valid & ~balanced_mask(grid, rho)].sum())
+    return float(row[valid & ~is_balanced(grid, rho)].sum())
 
 
 @dataclass(frozen=True)
@@ -278,18 +272,18 @@ class EscapeLaw:
 
 def escape_time_law(n: int, lam: float, q: int, rho: float,
                     tmax: int) -> EscapeLaw:
-    """Escape-time law of SW from the balanced start (balanced_spins).
+    """Escape-time law of SW from the balanced start (balanced_counts).
 
     The count vectors inside the balanced set form an absorbing chain; its
     substochastic matrix Q has one_step_law rows restricted to the set, so
     P(T > t) = e_start Q^t 1 and E[T] = e_start (I - Q)^-1 1.
     """
     grid, valid = count_grid(n, q)
-    inside = valid & balanced_mask(grid, rho)
+    inside = valid & is_balanced(grid, rho)
     states = grid[inside]
     laws = class_color_laws(int(states.max()), lam / n, q)
     mat = np.array([one_step_law(c, lam, q, laws)[inside] for c in states])
-    start = balanced_spins(n, q).counts
+    start = balanced_counts(n, q)
     hits = np.flatnonzero((states == start).all(axis=1))
     if not hits.size:
         raise ValueError("the balanced start lies outside the balanced set")

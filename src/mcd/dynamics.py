@@ -5,12 +5,11 @@ generator in a fixed documented order, so a (seed, initial state) pair
 pins the whole trajectory:
 
 * G(n, p) draws walk the lexicographic pair order (see indexing.py) with
-  geometric gaps between accepted pairs, batched; the "scan" method draws
-  one uniform per pair instead and is only for small systems and
-  cross-checks.
+  geometric gaps between accepted pairs, batched.
 * Swendsen-Wang percolates inside color classes in ascending color order,
   then recolors clusters with a single uniform-color batch in ascending
-  cluster-id order (ClusterPartition.canonical_order).
+  cluster-id order (ClusterPartition.canonical_order). sw_size_step makes
+  the same draws from the class sizes alone.
 * Chayes-Machta draws cluster activations in ascending cluster-id order,
   then one G(|active|, p) stream over the active vertex set in ascending
   vertex order.
@@ -33,29 +32,21 @@ from .model import (
     SpinConfig,
     _edge_config_presorted,
     cluster_decompose,
-    disjoint_union,
+    component_sizes,
     s_m_vertices,
 )
 
 
-def _gnp_indices(count: int, p: float, rng: np.random.Generator,
-                 method: str = "skip") -> np.ndarray:
+def _gnp_indices(count: int, p: float, rng: np.random.Generator) -> np.ndarray:
     """Indices of the successes among `count` independent Bernoulli(p)
-    slots, in increasing order.
-
-    "skip" jumps between successes with geometric gaps (O(count * p) draws);
-    "scan" draws one uniform per slot.
-    """
+    slots, in increasing order, jumping between successes with geometric
+    gaps (O(count * p) draws)."""
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
     if count == 0 or p == 0.0:
         return np.empty(0, dtype=np.int64)
     if p == 1.0:
         return np.arange(count, dtype=np.int64)
-    if method == "scan":
-        return np.flatnonzero(rng.random(count) < p).astype(np.int64)
-    if method != "skip":
-        raise ValueError(f"unknown method {method!r}")
 
     out = []
     pos = -1  # last decided slot
@@ -74,10 +65,9 @@ def _gnp_indices(count: int, p: float, rng: np.random.Generator,
     return np.concatenate(out)
 
 
-def sample_gnp(n: int, p: float, rng: np.random.Generator,
-               method: str = "skip") -> EdgeConfig:
+def sample_gnp(n: int, p: float, rng: np.random.Generator) -> EdgeConfig:
     """One draw of the Erdos-Renyi graph G(n, p)."""
-    ks = _gnp_indices(num_pairs(n), p, rng, method)
+    ks = _gnp_indices(num_pairs(n), p, rng)
     u, v = pairs_from_indices(ks, n)
     return _edge_config_presorted(n, u, v)
 
@@ -121,23 +111,6 @@ def recolor_clusters(clusters: ClusterPartition, q: int,
     return SpinConfig(colors=draws[rank], q=q)
 
 
-def recolor_blocks(clusters: ClusterPartition, offsets: np.ndarray, q: int,
-                   rngs) -> np.ndarray:
-    """recolor_clusters on every block of a disjoint union at once
-    (model.disjoint_union): block b's clusters draw from rngs[b], one batch
-    in ascending cluster-id order, exactly as recolor_clusters would on the
-    block alone. Returns the new colors of all the union's vertices.
-    """
-    if q < 1:
-        raise ValueError(f"q must be a positive integer, got {q!r}")
-    ids, rank = clusters.canonical_order()
-    cuts = np.searchsorted(ids, offsets)  # block b owns ids[cuts[b]:cuts[b+1]]
-    draws = np.concatenate([
-        rng.integers(1, q + 1, size=c1 - c0, dtype=np.int64)
-        for rng, c0, c1 in zip(rngs, cuts[:-1], cuts[1:])])
-    return draws[rank]
-
-
 def _sw_q(spins: SpinConfig, params: ModelParams) -> int:
     q = params.q_int
     if q < 2:
@@ -157,16 +130,27 @@ def sw_step(spins: SpinConfig, params: ModelParams,
     return recolor_clusters(clusters, q, rng), omega
 
 
-def sw_steps(spins: SpinConfig, params: ModelParams, rngs) -> list[SpinConfig]:
-    """sw_step(spins, params, rng)[0] for each generator in rngs: the same
-    draws in the same order on every generator, with one components call
-    for the whole batch."""
-    q = _sw_q(spins, params)
-    omegas = [percolate_within_classes(spins, params.p, rng) for rng in rngs]
-    union, offsets = disjoint_union(omegas)
-    colors = recolor_blocks(cluster_decompose(union), offsets, q, rngs)
-    return [SpinConfig(colors=colors[lo:hi], q=q)
-            for lo, hi in zip(offsets[:-1], offsets[1:])]
+def sw_size_step(counts, p: float, rngs) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One Swendsen-Wang step from color-class sizes, on each generator in
+    rngs: (cluster sizes, cluster colors), clusters in ascending order of
+    smallest member.
+
+    Class i percolates as G(counts[i], p) in ascending color order, then
+    the clusters draw one batch of q-sided colors. These are sw_step's
+    draws when the classes are consecutive vertex ranges in color order,
+    as balanced_spins and spins_with_majority lay them out. One components
+    call serves every generator.
+    """
+    q = len(counts)
+    if q < 2:
+        raise ValueError(f"Swendsen-Wang needs q >= 2 classes, got {q}")
+    sizes = component_sizes([sample_gnp(int(m), p, rng)
+                             for rng in rngs for m in counts])
+    out = []
+    for r, rng in enumerate(rngs):
+        s = np.concatenate(sizes[r * q:(r + 1) * q])
+        out.append((s, rng.integers(1, q + 1, size=s.size, dtype=np.int64)))
+    return out
 
 
 def cm_step(edges: EdgeConfig, params: ModelParams,

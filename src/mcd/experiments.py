@@ -5,16 +5,20 @@ Replica r of a cell (experiment name plus cell tag) draws from its own
 stream, seeded by replica_seed(master_seed, cell name, r), in a fixed
 order. A task is a range of consecutive replicas of one cell: its worker
 gets one generator per replica and returns one value per replica. The
-batched workers draw each replica's graph from that replica's generator,
-decompose the whole range with one components call on the disjoint union
-(model.decompose_each, dynamics.sw_steps), then draw each replica's
-recoloring from its own generator in replica order; the per-replica loops
-(escape_time, cluster_tail_bound) run each replica's whole draw sequence
-in turn. Either way every stream sees the draws it would see alone, so
-results are reproducible bit-for-bit for a fixed master seed whatever the
-range sizes. All cells' tasks run on one pool per experiment call, and
-values are reduced in replica order after it completes, so they do not
-depend on the thread count either.
+single-step workers (one_step_exit, the drift maps, sm_tail,
+giant_concentration) work on cluster sizes: each replica draws its graphs
+from its own generator (one G(m, p) per color class for SW, one graph
+otherwise), one components call gives the whole range's component sizes
+(model.component_sizes), and the SW workers then draw each replica's
+cluster colors from its generator (dynamics.sw_size_step). They reduce
+sizes and counts and never build a per-vertex coloring. The chain
+workers (escape_time, bimodality_scan) run per-vertex sw_step, and
+cluster_tail_bound explores one cluster, each replica's whole draw
+sequence in turn. Either way every stream sees the draws it would see
+alone, so results are reproducible bit-for-bit for a fixed master seed
+whatever the range sizes. All cells' tasks run on one pool per experiment
+call, and values are reduced in replica order after it completes, so they
+do not depend on the thread count either.
 
 Regime notes. The ordered start needs the ordered drift fixed point, so
 it raises RegimeError below lambda_s. The balanced start is built for any
@@ -33,23 +37,13 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .analytic import RegimeError, a_fixed_point, cm_drift, sw_drift, theta_giant
-from .dynamics import (
-    percolate_within_classes,
-    recolor_blocks,
-    sample_gnp,
-    sw_step,
-    sw_steps,
-)
+from .dynamics import sample_gnp, sw_size_step, sw_step
 from .model import (
     ModelParams,
     SpinConfig,
-    cluster_decompose,
-    decompose_each,
-    disjoint_union,
-    in_balanced_set,
-    in_ordered_set,
-    s_m_vertices,
-    split_partition,
+    component_sizes,
+    is_balanced,
+    is_ordered,
 )
 from .report import ExperimentReport, ReportCell, bootstrap_ci, wilson_ci
 from .rng import RngStream, replica_seed, replica_seeds
@@ -58,22 +52,34 @@ from .rng import RngStream, replica_seed, replica_seeds
 # ---------------------------------------------------------------------------
 # starts and predicates
 
-def balanced_spins(n: int, q: int) -> SpinConfig:
+def balanced_counts(n: int, q: int) -> list[int]:
     """Class counts as equal as possible (first n mod q classes one larger)."""
     base, rem = divmod(n, q)
-    counts = [base + 1] * rem + [base] * (q - rem)
-    colors = np.repeat(np.arange(1, q + 1, dtype=np.int64), counts)
-    return SpinConfig(colors=colors, q=q)
+    return [base + 1] * rem + [base] * (q - rem)
 
 
-def spins_with_majority(n: int, q: int, v1: int) -> SpinConfig:
+def majority_counts(n: int, q: int, v1: int) -> list[int]:
     """Class 1 of size v1, the rest split as evenly as possible."""
     if not (0 <= v1 <= n):
         raise ValueError(f"majority size {v1} outside [0, {n}]")
     base, rem = divmod(n - v1, q - 1)
-    counts = [v1] + [base + 1] * rem + [base] * (q - 1 - rem)
+    return [v1] + [base + 1] * rem + [base] * (q - 1 - rem)
+
+
+def _consecutive_spins(counts: list[int]) -> SpinConfig:
+    """The coloring whose classes are consecutive vertex ranges in color
+    order, the layout dynamics.sw_size_step reproduces."""
+    q = len(counts)
     colors = np.repeat(np.arange(1, q + 1, dtype=np.int64), counts)
     return SpinConfig(colors=colors, q=q)
+
+
+def balanced_spins(n: int, q: int) -> SpinConfig:
+    return _consecutive_spins(balanced_counts(n, q))
+
+
+def spins_with_majority(n: int, q: int, v1: int) -> SpinConfig:
+    return _consecutive_spins(majority_counts(n, q, v1))
 
 
 def ordered_spins(n: int, q: int, a_lam: float) -> SpinConfig:
@@ -154,21 +160,24 @@ def _ls_slope(xs, ys) -> float:
 # ---------------------------------------------------------------------------
 # one-step exit and escape time (Swendsen-Wang metastability proxies)
 
-def _exited(spins: SpinConfig, rho: float, start: str, a_lam: float) -> bool:
+def _exited(counts, rho: float, start: str, a_lam: float):
+    """Whether the count vectors (last axis) left the start's set."""
     if start == "balanced":
-        return not in_balanced_set(spins, rho)
-    return not in_ordered_set(spins, rho, a_lam)
+        return ~is_balanced(counts, rho)
+    return ~is_ordered(counts, rho, a_lam)
 
 
-def _start_spins(n, q, start, a_lam) -> SpinConfig:
-    return balanced_spins(n, q) if start == "balanced" \
-        else ordered_spins(n, q, a_lam)
+def _start_counts(n, q, start, a_lam) -> list[int]:
+    return balanced_counts(n, q) if start == "balanced" \
+        else majority_counts(n, q, round(a_lam * n))
 
 
 def _exit_worker(rngs, n, q, lam, rho, start, a_lam) -> list:
     params = ModelParams(n=n, q=float(q), lam=lam)
-    return [int(_exited(new, rho, start, a_lam))
-            for new in sw_steps(_start_spins(n, q, start, a_lam), params, rngs)]
+    steps = sw_size_step(_start_counts(n, q, start, a_lam), params.p, rngs)
+    counts = np.array([np.bincount(colors, sizes, q + 1)[1:]
+                       for sizes, colors in steps], dtype=np.int64)
+    return [int(e) for e in _exited(counts, rho, start, a_lam)]
 
 
 @_timed
@@ -199,12 +208,13 @@ def one_step_exit(n_grid, lam: float, q: int, rho: float, start: str,
 
 def _escape_worker(rngs, n, q, lam, rho, start, a_lam, cap) -> list:
     params = ModelParams(n=n, q=float(q), lam=lam)
+    start_spins = _consecutive_spins(_start_counts(n, q, start, a_lam))
     times = []
     for rng in rngs:
-        spins = _start_spins(n, q, start, a_lam)
+        spins = start_spins
         for t in range(1, cap + 1):
             spins, _ = sw_step(spins, params, rng)
-            if _exited(spins, rho, start, a_lam):
+            if _exited(spins.counts, rho, start, a_lam):
                 break
         else:
             t = -1  # censored at the cap
@@ -256,17 +266,13 @@ def escape_time(n_grid, lam: float, q: int, rho: float, start: str,
 # drift maps
 
 def _sw_drift_worker(rngs, n, q, lam, z) -> list:
-    spins = spins_with_majority(n, q, round(z * n))
-    omegas = [percolate_within_classes(spins, lam / n, rng) for rng in rngs]
-    union, offsets = disjoint_union(omegas)
-    part = cluster_decompose(union)
-    colors = recolor_blocks(part, offsets, q, rngs)
     out = []
-    for lo, block in zip(offsets[:-1], split_partition(part, offsets)):
-        # the largest cluster (smallest-member ties), found by its id,
-        # which is its smallest member
-        color = colors[lo + block.ids_by_size[0]]
-        out.append(int(np.count_nonzero(colors[lo:lo + n] == color)) / n)
+    for sizes, colors in sw_size_step(majority_counts(n, q, round(z * n)),
+                                      lam / n, rngs):
+        # the largest cluster, ties to the smallest member: the first
+        # maximum in ascending smallest-member order
+        color = colors[np.argmax(sizes)]
+        out.append(int(sizes[colors == color].sum()) / n)
     return out
 
 
@@ -314,7 +320,7 @@ def _cm_drift_worker(rngs, n, q, lam, theta) -> list:
     g = max(round(theta * n), 1)
     graphs = [sample_gnp(g + int((rng.random(n - g) < 1.0 / q).sum()),
                          lam / n, rng) for rng in rngs]
-    return [part.largest_size / n for part in decompose_each(graphs)]
+    return [int(sizes.max()) / n for sizes in component_sizes(graphs)]
 
 
 @_timed
@@ -353,13 +359,14 @@ def cm_drift_map(n: int, lam: float, q: float, theta_grid, replicas: int,
 # ---------------------------------------------------------------------------
 # equilibrium cluster statistics of G(n, lam/n)
 
-def _gnp_each(rngs, n, lam) -> list:
-    return decompose_each([sample_gnp(n, lam / n, rng) for rng in rngs])
+def _gnp_sizes(rngs, n, lam) -> list:
+    return component_sizes([sample_gnp(n, lam / n, rng) for rng in rngs])
 
 
 def _sm_tail_worker(rngs, n, lam, m_thr, rho) -> list:
-    return [int(s_m_vertices(part, m_thr) >= rho * n)
-            for part in _gnp_each(rngs, n, lam)]
+    # |S_M|, the vertices in clusters larger than M
+    return [int(sizes[sizes > m_thr].sum() >= rho * n)
+            for sizes in _gnp_sizes(rngs, n, lam)]
 
 
 @_timed
@@ -374,6 +381,8 @@ def sm_tail(n_grid, lam: float, m_threshold: int, rho: float, replicas: int,
     """
     if lam >= 1.0:
         raise RegimeError(f"S_M tail probes subcritical graphs; lam={lam!r} >= 1")
+    if m_threshold < 0:
+        raise ValueError("M must be >= 0")
     report = ExperimentReport("sm_tail", 1.0, lam, master_seed)
     cells = [(f"sm_tail:n={n}", n, (n, lam, m_threshold, rho)) for n in n_grid]
     hit_lists = _run_replicas(_sm_tail_worker, master_seed, cells, replicas,
@@ -435,7 +444,7 @@ def cluster_tail_bound(n: int, lam: float, k_grid, replicas: int,
 
 
 def _giant_worker(rngs, n, lam) -> list:
-    return [part.largest_size / n for part in _gnp_each(rngs, n, lam)]
+    return [int(sizes.max()) / n for sizes in _gnp_sizes(rngs, n, lam)]
 
 
 @_timed

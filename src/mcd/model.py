@@ -215,7 +215,8 @@ def disjoint_union(configs) -> tuple[EdgeConfig, np.ndarray]:
 
     The union is canonical because every block is and the blocks follow
     each other, so cluster_decompose of the union decomposes every block
-    at once; split_partition recovers the per-block partitions.
+    at once, and block b owns the union's cluster ids in
+    [offsets[b], offsets[b+1]).
     """
     offsets = np.zeros(len(configs) + 1, dtype=np.int64)
     np.cumsum([c.n for c in configs], out=offsets[1:])
@@ -225,33 +226,16 @@ def disjoint_union(configs) -> tuple[EdgeConfig, np.ndarray]:
     return union, offsets
 
 
-def split_partition(partition: ClusterPartition,
-                    offsets: np.ndarray) -> list[ClusterPartition]:
-    """The per-block partitions of a disjoint union's partition, each
-    equal to cluster_decompose of its own block.
-
-    A block's vertices and cluster ids form one contiguous range of the
-    union's, so relabelling is a shift; the stable sort by block keeps the
-    size order (and its smallest-member tie-break) inside each block.
-    """
-    block = np.searchsorted(offsets, partition.ids_by_size, side="right") - 1
-    order = np.argsort(block, kind="stable")
-    ids = partition.ids_by_size[order]
-    sizes = partition.sizes[order]
-    cuts = np.searchsorted(block[order], np.arange(offsets.size))
-    return [ClusterPartition(n=int(hi - lo),
-                             assignment=partition.assignment[lo:hi] - lo,
-                             sizes=sizes[c0:c1], ids_by_size=ids[c0:c1] - lo,
-                             cluster_count=int(c1 - c0))
-            for lo, hi, c0, c1 in zip(offsets[:-1], offsets[1:],
-                                      cuts[:-1], cuts[1:])]
-
-
-def decompose_each(configs) -> list[ClusterPartition]:
-    """cluster_decompose of each configuration, through one components
-    call on their disjoint union."""
+def component_sizes(configs) -> list[np.ndarray]:
+    """The component sizes of each configuration, in ascending order of
+    smallest member (the order of ClusterPartition.canonical_order, in
+    which per-cluster randomness is drawn), through one components call
+    on their disjoint union."""
     union, offsets = disjoint_union(configs)
-    return split_partition(cluster_decompose(union), offsets)
+    part = cluster_decompose(union)
+    order = np.argsort(part.ids_by_size)
+    ids, sizes = part.ids_by_size[order], part.sizes[order]
+    return np.split(sizes, np.searchsorted(ids, offsets[1:-1]))
 
 
 def s_m_vertices(partition: ClusterPartition, m_threshold: int) -> int:
@@ -262,29 +246,34 @@ def s_m_vertices(partition: ClusterPartition, m_threshold: int) -> int:
     return int(sizes[sizes > m_threshold].sum())
 
 
-def s_m_minus_giant(partition: ClusterPartition, m_threshold: int) -> int:
-    """|S_M| with the largest cluster excluded when it itself exceeds M."""
-    s = s_m_vertices(partition, m_threshold)
-    l1 = partition.largest_size
-    if l1 > m_threshold:
-        return s - l1
-    return s
+def is_balanced(counts, rho: float):
+    """Whether every color class is within rho*n of n/q (strict), n the
+    total, over the last axis of an array of count vectors."""
+    counts = np.asarray(counts)
+    n = counts.sum(axis=-1)
+    target = n / counts.shape[-1]
+    return np.max(np.abs(counts - target[..., None]), axis=-1) < rho * n
+
+
+def is_ordered(counts, rho: float, a_lambda: float):
+    """Ordered-phase membership over the last axis of an array of count
+    vectors: sorted counts v1 >= v2 >= ... satisfy |v1 - a_lambda*n| <=
+    rho*n and v2 <= (n - v1)/(q - 1) + rho*n."""
+    counts = np.asarray(counts)
+    q = counts.shape[-1]
+    if q < 2:
+        raise ValueError("ordered set needs q >= 2")
+    v = np.sort(counts, axis=-1)
+    v1, v2, n = v[..., -1], v[..., -2], counts.sum(axis=-1)
+    return ((np.abs(v1 - a_lambda * n) <= rho * n)
+            & (v2 <= (n - v1) / (q - 1) + rho * n))
 
 
 def in_balanced_set(spin: SpinConfig, rho: float) -> bool:
-    """Whether every color class is within rho*n of n/q (strict)."""
-    n = spin.n
-    target = n / spin.q
-    return bool(np.max(np.abs(spin.counts - target)) < rho * n)
+    """is_balanced on the configuration's color counts."""
+    return bool(is_balanced(spin.counts, rho))
 
 
 def in_ordered_set(spin: SpinConfig, rho: float, a_lambda: float) -> bool:
-    """Ordered-phase membership: sorted counts v1 >= v2 >= ... satisfy
-    |v1 - a_lambda*n| <= rho*n and v2 <= (n - v1)/(q - 1) + rho*n."""
-    if spin.q < 2:
-        raise ValueError("ordered set needs q >= 2")
-    v = spin.sorted_counts()
-    n = spin.n
-    if abs(float(v[0]) - a_lambda * n) > rho * n:
-        return False
-    return bool(v[1] <= (n - v[0]) / (spin.q - 1) + rho * n)
+    """is_ordered on the configuration's color counts."""
+    return bool(is_ordered(spin.counts, rho, a_lambda))

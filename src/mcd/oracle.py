@@ -383,6 +383,10 @@ def _glauber_kernel(n: int, q: float, lam: float) -> KernelTable:
     pu, pv = all_pairs(n)
     labels_tbl, _, _ = mask_partition_table(n)
     states = np.arange(size, dtype=np.int64)
+    if c == 0:  # one vertex, no pair to update: the chain stays put
+        return KernelTable("glauber", n, q, lam, states,
+                           sp.identity(1, format="csr"),
+                           enumerate_fk_measure(n, lam, q))
     rows, cols, vals = [], [], []
     for b in range(c):
         bit = np.int64(1) << b

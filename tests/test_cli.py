@@ -127,6 +127,10 @@ def test_oracle_pass_fail_exit_codes(capsys):
                        "--n", "3", "--q", "2", "--lambda", "1",
                        "--tol", "1e-30")
     assert code == 2 and "FAIL" in out
+    # one vertex: the heat bath has no pair to update
+    code, out, _ = run(capsys, "oracle", "stationarity", "--kind", "glauber",
+                       "--n", "1", "--q", "2", "--lambda", "0.5")
+    assert code == 0 and "PASS" in out
 
 
 # a tiny run of every oracle check, and options it does not take

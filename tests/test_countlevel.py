@@ -36,9 +36,8 @@ from mcd.indexing import num_pairs, pairs_from_indices
 from mcd.model import (
     SpinConfig,
     _edge_config_presorted,
-    cluster_decompose,
+    component_sizes,
     in_balanced_set,
-    split_partition,
 )
 from mcd.oracle import (
     _digit_matrix,
@@ -187,14 +186,14 @@ def test_expected_largest_matches_sampled_percolation():
     for _ in range(draws // batch):
         ks = _gnp_indices(batch * 3 * slots, p, rng)
         block, k = np.divmod(ks, slots)  # block = graph * 3 + class
+        graph, cls = np.divmod(block, 3)
         i, j = pairs_from_indices(k, 100)
-        # the batch's graphs side by side, as model.disjoint_union lays them
-        # out; the pairs are canonical because ks ascends
-        union = _edge_config_presorted(batch * n, block * 100 + i,
-                                       block * 100 + j)
-        offsets = np.arange(0, batch * n + 1, n)
-        largest.append([part.largest_size for part in
-                        split_partition(cluster_decompose(union), offsets)])
+        # each graph's pairs are canonical because ks ascends
+        u, v = cls * 100 + i, cls * 100 + j
+        cuts = np.searchsorted(graph, np.arange(batch + 1))
+        graphs = [_edge_config_presorted(n, u[a:b], v[a:b])
+                  for a, b in zip(cuts[:-1], cuts[1:])]
+        largest.append([s.max() for s in component_sizes(graphs)])
     largest = np.concatenate(largest)
     se = largest.std(ddof=1) / math.sqrt(draws)
     assert abs(largest.mean() - exact) < 4 * se, (largest.mean(), se, exact)

@@ -10,8 +10,8 @@ from mcd.dynamics import (
     recolor_clusters,
     run_chain,
     sample_gnp,
+    sw_size_step,
     sw_step,
-    sw_steps,
 )
 from mcd.model import (
     EdgeConfig,
@@ -35,12 +35,11 @@ def test_gnp_degenerate_probabilities():
     assert sample_gnp(20, 1.0, rng).edge_count == 20 * 19 // 2
 
 
-@pytest.mark.parametrize("method", ["skip", "scan"])
-def test_gnp_mean_edge_count(method):
-    rng = rng_for(f"gnp-mean-{method}")
+def test_gnp_mean_edge_count():
+    rng = rng_for("gnp-mean-skip")
     n, p, reps = 60, 0.08, 400
     total_pairs = n * (n - 1) // 2
-    counts = [sample_gnp(n, p, rng, method).edge_count for _ in range(reps)]
+    counts = [sample_gnp(n, p, rng).edge_count for _ in range(reps)]
     mean = np.mean(counts)
     se = np.sqrt(total_pairs * p * (1 - p) / reps)
     assert abs(mean - total_pairs * p) < 5 * se
@@ -92,25 +91,28 @@ def test_sw_step_requires_integer_q():
     with pytest.raises(ValueError):
         sw_step(spins, ModelParams(n=4, q=2.5, lam=1.0), rng_for("sw-badq"))
     with pytest.raises(ValueError):
-        sw_steps(spins, ModelParams(n=4, q=2.5, lam=1.0), [rng_for("sw-badq")])
+        sw_size_step([4], 0.25, [rng_for("sw-badq")])
 
 
 @pytest.mark.parametrize("colors,q,lam", [
     ([1] * 10 + [2] * 10 + [3] * 10, 3, 2.772588722239781),  # balanced
     ([1] * 40 + [2] * 5 + [3] * 5, 3, 4.0),                   # majority
-    ([2, 1, 2, 2, 1, 2, 1], 2, 1.5),                          # interleaved
     ([1], 2, 0.5),                                            # n = 1
     ([1] * 3 + [4] * 60, 4, 0.2),                             # empty classes
 ])
 def test_batched_sw_steps_equal_sw_step(colors, q, lam):
+    # the size-level step over a batch of generators against sw_step, on
+    # classes laid out as consecutive vertex ranges in color order
     spins = SpinConfig(colors=np.array(colors), q=q)
     params = ModelParams(n=spins.n, q=float(q), lam=lam)
     batch = [rng_for("sw-batch", r) for r in range(25)]
     alone = [rng_for("sw-batch", r) for r in range(25)]
-    for new, rng_b, rng_a in zip(sw_steps(spins, params, batch), batch, alone):
-        want, _ = sw_step(spins, params, rng_a)
-        assert np.array_equal(new.colors, want.colors)
-        assert np.array_equal(new.counts, want.counts)
+    steps = sw_size_step(spins.counts, params.p, batch)
+    for (sizes, colors), rng_b, rng_a in zip(steps, batch, alone):
+        want, omega = sw_step(spins, params, rng_a)
+        assert np.array_equal(np.bincount(colors, sizes, q + 1)[1:],
+                              want.counts)
+        assert sizes.size == cluster_decompose(omega).cluster_count
         # the batch consumed exactly the draws sw_step consumed
         assert rng_b.random() == rng_a.random()
 

@@ -12,13 +12,12 @@ from mcd.model import (
     ModelParams,
     SpinConfig,
     cluster_decompose,
-    decompose_each,
+    component_sizes,
     disjoint_union,
     in_balanced_set,
     in_ordered_set,
-    s_m_minus_giant,
+    is_ordered,
     s_m_vertices,
-    split_partition,
 )
 from mcd.rng import RngStream, replica_seed, replica_seeds
 
@@ -164,16 +163,14 @@ def _check_union(blocks):
     assert np.array_equal(EdgeConfig(n=union.n, pairs=union.pairs).pairs,
                           union.pairs)
     whole = cluster_decompose(union)
-    parts = split_partition(whole, offsets)
-    assert len(parts) == len(blocks)
-    for lo, hi, block, part, each in zip(offsets[:-1], offsets[1:], blocks,
-                                         parts, decompose_each(blocks)):
+    sizes = component_sizes(blocks)
+    assert len(sizes) == len(blocks)
+    for lo, hi, block, got in zip(offsets[:-1], offsets[1:], blocks, sizes):
         want = cluster_decompose(block)
         assert np.array_equal(whole.assignment[lo:hi] - lo, want.assignment)
-        for got in (part, each):
-            assert got.n == block.n
-            _same_partition(got, (want.assignment, want.sizes,
-                                  want.ids_by_size, want.cluster_count))
+        # sizes in ascending order of smallest member
+        ids, rank = want.canonical_order()
+        assert np.array_equal(got, np.bincount(rank, minlength=ids.size))
 
 
 def test_union_slices_equal_per_block_decompose():
@@ -210,8 +207,6 @@ def test_s_m_monotone_in_threshold(n, density, seed):
     assert all(a >= b for a, b in zip(values, values[1:]))
     assert values[0] == n
     assert values[n] == 0
-    for m in range(n + 1):
-        assert 0 <= s_m_minus_giant(part, m) <= values[m]
 
 
 def test_s_m_threshold_is_strict():
@@ -238,6 +233,9 @@ def test_ordered_set_checks_majority_and_remainder():
     assert not in_ordered_set(spins, rho=0.05, a_lambda=0.5)
     lopsided = SpinConfig(colors=np.array([1] * 8 + [2] * 4), q=3)
     assert not in_ordered_set(lopsided, rho=0.05, a_lambda=8 / 12)
+    # the count-level predicate, row by row over stacked count vectors
+    rows = np.array([spins.counts, lopsided.counts])
+    assert is_ordered(rows, 0.05, 8 / 12).tolist() == [True, False]
 
 
 # ---------------------------------------------------------------------------

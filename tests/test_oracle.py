@@ -146,6 +146,17 @@ def test_kernel_rows_are_stochastic(kind, n, q):
     assert stationarity_residual(kernel) < 1e-12
 
 
+@pytest.mark.parametrize("kind", ["sw", "cm", "glauber"])
+def test_one_vertex_kernels(kind):
+    # no pair to open: every chain mixes in one step
+    kernel = build_kernel(kind, 1, 2.0, 0.5)
+    rows = np.asarray(kernel.P.sum(axis=1)).ravel()
+    assert np.allclose(rows, 1.0, atol=1e-15)
+    assert stationarity_residual(kernel) == 0.0
+    assert detailed_balance_violation(kernel) == 0.0
+    assert spectral_gap(kernel) == 1.0
+
+
 def test_sw_kernel_matches_the_two_step_definition():
     # one SW step by its definition, one coloring and one open set at a
     # time: keep each monochromatic pair with probability p, then give each

@@ -36,8 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .experiments import balanced_counts, majority_counts
-from .model import is_balanced
+from .model import balanced_counts, is_balanced, majority_counts
 
 _STATES_MAX = 4 * 10 ** 6
 _TAIL_TOL = 1e-12  # truncation bound on E[L1]

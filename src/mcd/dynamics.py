@@ -8,7 +8,7 @@ pins the whole trajectory:
   geometric gaps between accepted pairs, batched.
 * Swendsen-Wang percolates inside color classes in ascending color order,
   then recolors clusters with a single uniform-color batch in ascending
-  cluster-id order (ClusterPartition.canonical_order). sw_size_step makes
+  cluster-id order (the order of ClusterPartition). sw_size_step makes
   the same draws from the class sizes alone.
 * Chayes-Machta draws cluster activations in ascending cluster-id order,
   then one G(|active|, p) stream over the active vertex set in ascending
@@ -106,9 +106,8 @@ def recolor_clusters(clusters: ClusterPartition, q: int,
     """
     if q < 1:
         raise ValueError(f"q must be a positive integer, got {q!r}")
-    ids, rank = clusters.canonical_order()
-    draws = rng.integers(1, q + 1, size=ids.size, dtype=np.int64)
-    return SpinConfig(colors=draws[rank], q=q)
+    draws = rng.integers(1, q + 1, size=clusters.cluster_count, dtype=np.int64)
+    return SpinConfig(colors=draws[clusters.cluster_of], q=q)
 
 
 def _sw_q(spins: SpinConfig, params: ModelParams) -> int:
@@ -146,11 +145,9 @@ def sw_size_step(counts, p: float, rngs) -> list[tuple[np.ndarray, np.ndarray]]:
         raise ValueError(f"Swendsen-Wang needs q >= 2 classes, got {q}")
     sizes = component_sizes([sample_gnp(int(m), p, rng)
                              for rng in rngs for m in counts])
-    out = []
-    for r, rng in enumerate(rngs):
-        s = np.concatenate(sizes[r * q:(r + 1) * q])
-        out.append((s, rng.integers(1, q + 1, size=s.size, dtype=np.int64)))
-    return out
+    per_rng = [np.concatenate(sizes[i:i + q]) for i in range(0, len(sizes), q)]
+    return [(s, rng.integers(1, q + 1, size=s.size, dtype=np.int64))
+            for s, rng in zip(per_rng, rngs)]
 
 
 def cm_step(edges: EdgeConfig, params: ModelParams,
@@ -168,9 +165,8 @@ def cm_step(edges: EdgeConfig, params: ModelParams,
         raise ValueError("edge configuration does not match params")
     n, p, q = params.n, params.p, params.q
     clusters = cluster_decompose(edges)
-    ids, rank = clusters.canonical_order()
-    active_cluster = rng.random(ids.size) < 1.0 / q
-    active = active_cluster[rank]  # per vertex
+    active_cluster = rng.random(clusters.cluster_count) < 1.0 / q
+    active = active_cluster[clusters.cluster_of]  # per vertex
 
     pairs = edges.pairs
     if pairs.shape[0]:

@@ -41,9 +41,11 @@ from .dynamics import sample_gnp, sw_size_step, sw_step
 from .model import (
     ModelParams,
     SpinConfig,
+    balanced_counts,
     component_sizes,
     is_balanced,
     is_ordered,
+    majority_counts,
 )
 from .report import ExperimentReport, ReportCell, bootstrap_ci, wilson_ci
 from .rng import RngStream, replica_seed, replica_seeds
@@ -51,20 +53,6 @@ from .rng import RngStream, replica_seed, replica_seeds
 
 # ---------------------------------------------------------------------------
 # starts and predicates
-
-def balanced_counts(n: int, q: int) -> list[int]:
-    """Class counts as equal as possible (first n mod q classes one larger)."""
-    base, rem = divmod(n, q)
-    return [base + 1] * rem + [base] * (q - rem)
-
-
-def majority_counts(n: int, q: int, v1: int) -> list[int]:
-    """Class 1 of size v1, the rest split as evenly as possible."""
-    if not (0 <= v1 <= n):
-        raise ValueError(f"majority size {v1} outside [0, {n}]")
-    base, rem = divmod(n - v1, q - 1)
-    return [v1] + [base + 1] * rem + [base] * (q - 1 - rem)
-
 
 def _consecutive_spins(counts: list[int]) -> SpinConfig:
     """The coloring whose classes are consecutive vertex ranges in color
@@ -504,6 +492,10 @@ def bimodality_scan(n: int, lam: float, q: int, burn: int, samples: int,
     """
     if int(q) != q or q < 3:
         raise ValueError(f"bimodality scan needs integer q >= 3, got {q!r}")
+    if burn < 0:
+        raise ValueError(f"burn must be at least 0, got {burn!r}")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples!r}")
     q = int(q)
     a_ord = _ordered_a(lam, q)
     valley = (1.0 / q + 0.05, a_ord - 0.05)

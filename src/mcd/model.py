@@ -6,8 +6,8 @@ Conventions used throughout the package:
 * edges are unordered pairs (i, j) with i < j, stored as a canonical
   (m, 2) integer array sorted lexicographically;
 * cluster ids are canonical: every cluster is labeled by its smallest member
-  vertex, and cluster sizes are reported in non-increasing order with ties
-  broken by that smallest member.
+  vertex, and clusters are listed in ascending order of that id, the one
+  order in which per-cluster randomness is drawn.
 """
 
 from __future__ import annotations
@@ -151,36 +151,35 @@ def _edge_config_presorted(n: int, u: np.ndarray, v: np.ndarray) -> EdgeConfig:
 
 @dataclass(frozen=True)
 class ClusterPartition:
-    """Connected components of an EdgeConfig.
+    """Connected components of an EdgeConfig in canonical order, the draw
+    order for per-cluster randomness (recoloring, activation).
 
-    assignment[v] is the canonical id (smallest member) of v's cluster;
-    sizes is sorted non-increasing, ties broken by smallest member, and
-    ids_by_size aligns cluster ids with that order, so ids_by_size[0] is
-    "the largest cluster" in the package-wide tie-broken sense.
+    ids[c] is cluster c's smallest member (ascending in c), sizes[c] its
+    size, cluster_of[v] the index c of v's cluster, and assignment[v] =
+    ids[cluster_of[v]] the canonical id of v's cluster.
     """
 
     n: int
-    assignment: np.ndarray
+    ids: np.ndarray
     sizes: np.ndarray
-    ids_by_size: np.ndarray
-    cluster_count: int
+    cluster_of: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "assignment", _readonly(np.ascontiguousarray(self.assignment, dtype=np.int64)))
-        object.__setattr__(self, "sizes", _readonly(np.ascontiguousarray(self.sizes, dtype=np.int64)))
-        object.__setattr__(self, "ids_by_size", _readonly(np.ascontiguousarray(self.ids_by_size, dtype=np.int64)))
+        for name in ("ids", "sizes", "cluster_of"):
+            a = np.ascontiguousarray(getattr(self, name), dtype=np.int64)
+            object.__setattr__(self, name, _readonly(a))
+
+    @property
+    def assignment(self) -> np.ndarray:
+        return self.ids[self.cluster_of]
+
+    @property
+    def cluster_count(self) -> int:
+        return self.ids.size
 
     @property
     def largest_size(self) -> int:
-        return int(self.sizes[0])
-
-    def canonical_order(self) -> tuple[np.ndarray, np.ndarray]:
-        """(ids ascending, rank) where rank[v] indexes v's cluster in
-        ascending-id order. This is the draw order for per-cluster
-        randomness (recoloring, activation)."""
-        ids = np.sort(self.ids_by_size)
-        rank = np.searchsorted(ids, self.assignment)
-        return ids, rank
+        return int(self.sizes.max())
 
 
 def cluster_decompose(edges: EdgeConfig) -> ClusterPartition:
@@ -198,14 +197,14 @@ def cluster_decompose(edges: EdgeConfig) -> ClusterPartition:
         count, raw = n, np.arange(n)
     first = np.full(count, n, dtype=np.int64)
     np.minimum.at(first, raw, np.arange(n))  # smallest member per component
-    sizes = np.bincount(raw, minlength=count)
-    order = np.lexsort((first, -sizes))
+    order = np.argsort(first)
+    index = np.empty(count, dtype=np.int64)
+    index[order] = np.arange(count)
     return ClusterPartition(
         n=n,
-        assignment=first[raw],
-        sizes=sizes[order],
-        ids_by_size=first[order],
-        cluster_count=count,
+        ids=first[order],
+        sizes=np.bincount(raw, minlength=count)[order],
+        cluster_of=index[raw],
     )
 
 
@@ -227,15 +226,14 @@ def disjoint_union(configs) -> tuple[EdgeConfig, np.ndarray]:
 
 
 def component_sizes(configs) -> list[np.ndarray]:
-    """The component sizes of each configuration, in ascending order of
-    smallest member (the order of ClusterPartition.canonical_order, in
-    which per-cluster randomness is drawn), through one components call
-    on their disjoint union."""
+    """The component sizes of each configuration in canonical order (the
+    order of ClusterPartition, in which per-cluster randomness is drawn),
+    through one components call on their disjoint union."""
     union, offsets = disjoint_union(configs)
     part = cluster_decompose(union)
-    order = np.argsort(part.ids_by_size)
-    ids, sizes = part.ids_by_size[order], part.sizes[order]
-    return np.split(sizes, np.searchsorted(ids, offsets[1:-1]))
+    # a block starts at its first vertex's cluster, or past the last if empty
+    starts = np.append(part.cluster_of, part.cluster_count)[offsets[1:-1]]
+    return np.split(part.sizes, starts)
 
 
 def s_m_vertices(partition: ClusterPartition, m_threshold: int) -> int:
@@ -244,6 +242,20 @@ def s_m_vertices(partition: ClusterPartition, m_threshold: int) -> int:
         raise ValueError("M must be >= 0")
     sizes = partition.sizes
     return int(sizes[sizes > m_threshold].sum())
+
+
+def balanced_counts(n: int, q: int) -> list[int]:
+    """Class counts as equal as possible (first n mod q classes one larger)."""
+    base, rem = divmod(n, q)
+    return [base + 1] * rem + [base] * (q - rem)
+
+
+def majority_counts(n: int, q: int, v1: int) -> list[int]:
+    """Class 1 of size v1, the rest split as evenly as possible."""
+    if not (0 <= v1 <= n):
+        raise ValueError(f"majority size {v1} outside [0, {n}]")
+    base, rem = divmod(n - v1, q - 1)
+    return [v1] + [base + 1] * rem + [base] * (q - 1 - rem)
 
 
 def is_balanced(counts, rho: float):

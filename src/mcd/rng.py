@@ -38,17 +38,16 @@ def fnv1a64(text: str) -> int:
     return h
 
 
-def replica_seed(master_seed: int, name: str, replica: int) -> int:
-    """The documented (master, name, replica) -> 64-bit seed mix."""
-    s0 = splitmix64((master_seed & _MASK64) ^ fnv1a64(name))
-    return splitmix64(s0 ^ (replica & _MASK64))
-
-
 def replica_seeds(master_seed: int, name: str, r0: int, r1: int) -> list[int]:
-    """replica_seed(master_seed, name, r) for r in range(r0, r1), hashing
-    the name once."""
+    """The documented (master, name, replica) -> 64-bit seed mix for
+    replicas r0..r1-1, hashing the name once."""
     s0 = splitmix64((master_seed & _MASK64) ^ fnv1a64(name))
     return [splitmix64(s0 ^ (r & _MASK64)) for r in range(r0, r1)]
+
+
+def replica_seed(master_seed: int, name: str, replica: int) -> int:
+    """The seed of one replica (replica_seeds of a one-replica range)."""
+    return replica_seeds(master_seed, name, replica, replica + 1)[0]
 
 
 @dataclass(frozen=True)

@@ -236,6 +236,26 @@ TINY_SHA256 = {
 }
 
 
+# sha256 prefixes of `mcd simulate ... --seed 5` output: the sw chain's
+# recoloring order, cm's activation order and glauber's pair draws
+SIMULATE_SHA256 = {
+    ("--kind", "sw", "--n", "300", "--q", "3", "--lambda", "2.7726",
+     "--steps", "50", "--init", "random"): "7dae5c95b37b3612",
+    ("--kind", "cm", "--n", "60", "--q", "2.5", "--lambda", "2.0",
+     "--steps", "200", "--init", "gnp"): "7df566647d516cc0",
+    ("--kind", "glauber", "--n", "30", "--q", "2", "--lambda", "1.5",
+     "--steps", "300", "--init", "gnp"): "4786f4c787ff18cc",
+}
+
+
+@pytest.mark.parametrize("argv", list(SIMULATE_SHA256), ids=lambda a: a[1])
+def test_simulate_bytes_are_pinned(argv, capsys):
+    code, out, _ = run(capsys, "simulate", *argv, "--seed", "5")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] \
+        == SIMULATE_SHA256[argv]
+
+
 def test_registry_options_follow_function_parameters():
     # options are passed positionally after (n, lam)
     for entry in EXPERIMENTS.values():
@@ -314,6 +334,8 @@ def test_replica_range_edges_keep_bytes_across_threads(argv, tmp_path, capsys):
     ("one_step_exit", "--threads", "-3"),
     ("escape_time", "--cap", "0"),
     ("escape_time", "--cap", "-2"),
+    ("bimodality_scan", "--burn", "-5"),
+    ("bimodality_scan", "--samples", "0"),
 ])
 def test_replica_options_below_one_are_rejected(name, option, value,
                                                  tmp_path, capsys):

@@ -19,7 +19,7 @@ from mcd.model import (
     is_ordered,
     s_m_vertices,
 )
-from mcd.rng import RngStream, replica_seed, replica_seeds
+from mcd.rng import RngStream, fnv1a64, replica_seed, replica_seeds, splitmix64
 
 
 def random_edges(n, density, rng):
@@ -97,7 +97,6 @@ def test_decompose_invariant_under_vertex_relabeling(n, density, seed):
     edges = random_edges(n, density, rng)
     part = cluster_decompose(edges)
     assert int(part.sizes.sum()) == n
-    assert part.sizes.tolist() == sorted(part.sizes.tolist(), reverse=True)
 
     perm = rng.permutation(n)
     if edges.pairs.shape[0]:
@@ -107,7 +106,7 @@ def test_decompose_invariant_under_vertex_relabeling(n, density, seed):
         mapped = EdgeConfig(n=n, pairs=np.column_stack([lo, hi])[order])
     else:
         mapped = EdgeConfig.empty(n)
-    assert cluster_decompose(mapped).sizes.tolist() == part.sizes.tolist()
+    assert sorted(cluster_decompose(mapped).sizes) == sorted(part.sizes)
 
 
 def test_cluster_ids_are_minimum_members():
@@ -118,11 +117,17 @@ def test_cluster_ids_are_minimum_members():
         assert part.assignment[v] == members.min()
 
 
-def test_ids_by_size_breaks_ties_by_smallest_member():
+def test_clusters_are_in_ascending_id_order():
+    # two clusters of size 2 and two singletons, interleaved
     edges = EdgeConfig(n=6, pairs=np.array([[0, 3], [1, 4]]))
     part = cluster_decompose(edges)
-    assert part.sizes[0] == part.sizes[1] == 2
-    assert part.ids_by_size[0] == 0  # both size 2, cluster {0,3} wins
+    assert part.ids.tolist() == [0, 1, 2, 5]
+    assert part.sizes.tolist() == [2, 2, 1, 1]
+    assert part.cluster_of.tolist() == [0, 1, 2, 0, 1, 3]
+    assert part.cluster_count == 4 and part.largest_size == 2
+    for c, cid in enumerate(part.ids):
+        assert cid == np.flatnonzero(part.cluster_of == c).min()
+    assert np.array_equal(part.assignment, part.ids[part.cluster_of])
 
 
 def _reference_decompose(edges):
@@ -134,18 +139,21 @@ def _reference_decompose(edges):
         _, raw = connected_components(g, directed=False)
     else:
         raw = np.arange(n)
+    # relabel the components by smallest member, so ids ascend
     _, first, inv = np.unique(raw, return_index=True, return_inverse=True)
-    counts = np.bincount(inv)
-    order = np.lexsort((first, -counts))
-    return first[inv], counts[order], first[order], counts.size
+    order = np.argsort(first)
+    index = np.argsort(order)
+    return first[order], np.bincount(inv)[order], index[inv]
 
 
 def _same_partition(part, want):
-    assignment, sizes, ids_by_size, count = want
-    assert np.array_equal(part.assignment, assignment)
+    ids, sizes, cluster_of = want
+    assert np.array_equal(part.ids, ids)
     assert np.array_equal(part.sizes, sizes)
-    assert np.array_equal(part.ids_by_size, ids_by_size)
-    assert part.cluster_count == count
+    assert np.array_equal(part.cluster_of, cluster_of)
+    assert np.array_equal(part.assignment, ids[cluster_of])
+    assert part.cluster_count == ids.size
+    assert part.largest_size == sizes.max()
 
 
 @pytest.mark.parametrize("n", [1, 2, 100, 800, 10 ** 4, 10 ** 5])
@@ -169,18 +177,21 @@ def _check_union(blocks):
         want = cluster_decompose(block)
         assert np.array_equal(whole.assignment[lo:hi] - lo, want.assignment)
         # sizes in ascending order of smallest member
-        ids, rank = want.canonical_order()
-        assert np.array_equal(got, np.bincount(rank, minlength=ids.size))
+        assert np.array_equal(got, np.bincount(
+            want.cluster_of, minlength=want.cluster_count))
 
 
 def test_union_slices_equal_per_block_decompose():
     # unequal block sizes (as cm_drift_map draws them), blocks without
-    # edges, single vertices, and equal-size ties inside a block
+    # edges, single vertices, equal-size ties inside a block, and blocks
+    # without vertices (an empty color class in sw_size_step)
     rng = np.random.default_rng(11)
-    blocks = [sample_gnp(int(m), 1.5 / 40, rng) for m in (40, 3, 27, 40, 1, 12)]
+    blocks = [sample_gnp(int(m), 1.5 / 40, rng)
+              for m in (40, 3, 0, 27, 40, 1, 12)]
     blocks += [EdgeConfig.empty(1), EdgeConfig.empty(9),
                EdgeConfig(n=6, pairs=np.array([[0, 3], [1, 4]])),
-               EdgeConfig(n=1, pairs=np.empty((0, 2)))]
+               EdgeConfig(n=1, pairs=np.empty((0, 2))),
+               sample_gnp(0, 0.5, rng)]
     _check_union(blocks)
     _check_union([EdgeConfig.empty(1)])
     _check_union([sample_gnp(300, 2.0 / 300, rng)])
@@ -247,6 +258,9 @@ def test_replica_seeds_are_deterministic_and_distinct():
     seeds = {replica_seed(123, name, r)
              for name in ("exp", "exp2", "") for r in range(50)}
     assert len(seeds) == 150
+    # the documented mix, written out
+    s0 = splitmix64(123 ^ fnv1a64("exp"))
+    assert a == splitmix64(s0 ^ 0)
 
 
 @given(st.integers(-2 ** 70, 2 ** 70), st.text(max_size=16),

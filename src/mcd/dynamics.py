@@ -32,7 +32,6 @@ from .model import (
     SpinConfig,
     _edge_config_presorted,
     cluster_decompose,
-    component_sizes,
     s_m_vertices,
 )
 
@@ -65,11 +64,38 @@ def _gnp_indices(count: int, p: float, rng: np.random.Generator) -> np.ndarray:
     return np.concatenate(out)
 
 
+def _gnp_pairs(n: int, p: float,
+               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The open pairs (u, v) of one G(n, p) draw, in lexicographic order."""
+    return pairs_from_indices(_gnp_indices(num_pairs(n), p, rng), n)
+
+
 def sample_gnp(n: int, p: float, rng: np.random.Generator) -> EdgeConfig:
     """One draw of the Erdos-Renyi graph G(n, p)."""
-    ks = _gnp_indices(num_pairs(n), p, rng)
-    u, v = pairs_from_indices(ks, n)
-    return _edge_config_presorted(n, u, v)
+    return _edge_config_presorted(n, *_gnp_pairs(n, p, rng))
+
+
+def gnp_component_sizes(blocks, p: float) -> list[np.ndarray]:
+    """The component sizes of one G(m, p) draw per (m, rng) in blocks, each
+    in canonical order (the order of ClusterPartition, in which per-cluster
+    randomness is drawn).
+
+    Each block makes sample_gnp's draws on its generator, and the blocks
+    sit side by side in one union, so one components call serves them all.
+    """
+    us, vs, offsets = [], [], [0]
+    for m, rng in blocks:
+        u, v = _gnp_pairs(m, p, rng)
+        us.append(u + offsets[-1])
+        vs.append(v + offsets[-1])
+        offsets.append(offsets[-1] + int(m))
+    # the union is canonical because every block is and the blocks follow
+    # each other, so block b owns the union's clusters from the one holding
+    # its first vertex (or past the last cluster, if it has no vertex)
+    part = cluster_decompose(_edge_config_presorted(
+        offsets[-1], np.concatenate(us), np.concatenate(vs)))
+    starts = np.append(part.cluster_of, part.cluster_count)[offsets[1:-1]]
+    return np.split(part.sizes, starts)
 
 
 def percolate_within_classes(spins: SpinConfig, p: float,
@@ -86,8 +112,7 @@ def percolate_within_classes(spins: SpinConfig, p: float,
         m = verts.size
         if m < 2:
             continue
-        ks = _gnp_indices(num_pairs(m), p, rng)
-        li, lj = pairs_from_indices(ks, m)
+        li, lj = _gnp_pairs(m, p, rng)
         us.append(verts[li])
         vs.append(verts[lj])
     if not us:
@@ -123,10 +148,16 @@ def sw_step(spins: SpinConfig, params: ModelParams,
             rng: np.random.Generator) -> tuple[SpinConfig, EdgeConfig]:
     """One Swendsen-Wang update. Returns (new spins, the intermediate
     percolation configuration that produced them)."""
+    return _sw_step(spins, params, rng)[:2]
+
+
+def _sw_step(spins: SpinConfig, params: ModelParams, rng: np.random.Generator
+             ) -> tuple[SpinConfig, EdgeConfig, ClusterPartition]:
+    """sw_step, also returning the clusters of the percolation configuration."""
     q = _sw_q(spins, params)
     omega = percolate_within_classes(spins, params.p, rng)
     clusters = cluster_decompose(omega)
-    return recolor_clusters(clusters, q, rng), omega
+    return recolor_clusters(clusters, q, rng), omega, clusters
 
 
 def sw_size_step(counts, p: float, rngs) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -143,8 +174,7 @@ def sw_size_step(counts, p: float, rngs) -> list[tuple[np.ndarray, np.ndarray]]:
     q = len(counts)
     if q < 2:
         raise ValueError(f"Swendsen-Wang needs q >= 2 classes, got {q}")
-    sizes = component_sizes([sample_gnp(int(m), p, rng)
-                             for rng in rngs for m in counts])
+    sizes = gnp_component_sizes([(m, rng) for rng in rngs for m in counts], p)
     per_rng = [np.concatenate(sizes[i:i + q]) for i in range(0, len(sizes), q)]
     return [(s, rng.integers(1, q + 1, size=s.size, dtype=np.int64))
             for s, rng in zip(per_rng, rngs)]
@@ -159,12 +189,17 @@ def cm_step(edges: EdgeConfig, params: ModelParams,
     pairs within the active vertex set are resampled at density p.
     Valid for any real q >= 1.
     """
+    return _cm_step(edges, cluster_decompose(edges), params, rng)
+
+
+def _cm_step(edges: EdgeConfig, clusters: ClusterPartition,
+             params: ModelParams, rng: np.random.Generator) -> EdgeConfig:
+    """cm_step from the clusters of the edge configuration."""
     if params.q < 1:
         raise ValueError(f"Chayes-Machta needs q >= 1, got {params.q!r}")
     if edges.n != params.n:
         raise ValueError("edge configuration does not match params")
     n, p, q = params.n, params.p, params.q
-    clusters = cluster_decompose(edges)
     active_cluster = rng.random(clusters.cluster_count) < 1.0 / q
     active = active_cluster[clusters.cluster_of]  # per vertex
 
@@ -179,8 +214,7 @@ def cm_step(edges: EdgeConfig, params: ModelParams,
         keep_u = keep_v = np.empty(0, dtype=np.int64)
 
     verts = np.flatnonzero(active)
-    ks = _gnp_indices(num_pairs(verts.size), p, rng)
-    li, lj = pairs_from_indices(ks, verts.size)
+    li, lj = _gnp_pairs(verts.size, p, rng)
     u = np.concatenate([keep_u, verts[li]])
     v = np.concatenate([keep_v, verts[lj]])
     order = np.lexsort((v, u))
@@ -285,9 +319,9 @@ class Trajectory:
 _KINDS = ("sw", "cm", "glauber")
 
 
-def _observe(step: int, edges: EdgeConfig, m_threshold: int,
+def _observe(step: int, edges: EdgeConfig, part: ClusterPartition,
+             m_threshold: int,
              counts_sorted: tuple[int, ...] | None) -> ObservationRecord:
-    part = cluster_decompose(edges)
     return ObservationRecord(
         step=step,
         l1_frac=part.largest_size / edges.n,
@@ -326,12 +360,14 @@ def run_chain(kind: str, init, params: ModelParams, steps: int,
         spins = init
         omega = EdgeConfig.empty(n)
         counts = tuple(int(c) for c in spins.sorted_counts())
-        traj.records.append(_observe(0, omega, m_threshold, counts))
+        traj.records.append(_observe(0, omega, cluster_decompose(omega),
+                                     m_threshold, counts))
         for t in range(1, steps + 1):
-            spins, omega = sw_step(spins, params, rng)
+            spins, omega, clusters = _sw_step(spins, params, rng)
             if t % observe_every == 0:
                 counts = tuple(int(c) for c in spins.sorted_counts())
-                traj.records.append(_observe(t, omega, m_threshold, counts))
+                traj.records.append(_observe(t, omega, clusters, m_threshold,
+                                             counts))
         traj.final_spins = spins
         traj.final_edges = omega
         return traj
@@ -339,13 +375,17 @@ def run_chain(kind: str, init, params: ModelParams, steps: int,
     if not isinstance(init, EdgeConfig):
         raise TypeError(f"{kind} chain starts from an EdgeConfig")
     edges = init
-    traj.records.append(_observe(0, edges, m_threshold, None))
+    clusters = cluster_decompose(edges)
+    traj.records.append(_observe(0, edges, clusters, m_threshold, None))
     for t in range(1, steps + 1):
         if kind == "cm":
-            edges = cm_step(edges, params, rng)
+            edges = _cm_step(edges, clusters, params, rng)
         else:
             edges = glauber_step(edges, params, rng)
+        # the next cm step reuses them; glauber needs them only to observe
+        if kind == "cm" or t % observe_every == 0:
+            clusters = cluster_decompose(edges)
         if t % observe_every == 0:
-            traj.records.append(_observe(t, edges, m_threshold, None))
+            traj.records.append(_observe(t, edges, clusters, m_threshold, None))
     traj.final_edges = edges
     return traj

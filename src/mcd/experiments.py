@@ -9,7 +9,7 @@ single-step workers (one_step_exit, the drift maps, sm_tail,
 giant_concentration) work on cluster sizes: each replica draws its graphs
 from its own generator (one G(m, p) per color class for SW, one graph
 otherwise), one components call gives the whole range's component sizes
-(model.component_sizes), and the SW workers then draw each replica's
+(dynamics.gnp_component_sizes), and the SW workers then draw each replica's
 cluster colors from its generator (dynamics.sw_size_step). They reduce
 sizes and counts and never build a per-vertex coloring. The chain
 workers (escape_time, bimodality_scan) run per-vertex sw_step, and
@@ -37,12 +37,11 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .analytic import RegimeError, a_fixed_point, cm_drift, sw_drift, theta_giant
-from .dynamics import sample_gnp, sw_size_step, sw_step
+from .dynamics import gnp_component_sizes, sw_size_step, sw_step
 from .model import (
     ModelParams,
     SpinConfig,
     balanced_counts,
-    component_sizes,
     is_balanced,
     is_ordered,
     majority_counts,
@@ -225,6 +224,8 @@ def escape_time(n_grid, lam: float, q: int, rho: float, start: str,
     """
     if start not in ("balanced", "ordered"):
         raise ValueError(f"start must be balanced or ordered, got {start!r}")
+    if rho <= 0:
+        raise ValueError("rho must be positive")
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap!r}")
     a_lam = a_fixed_point(lam, q) if start == "ordered" else 0.0
@@ -306,9 +307,10 @@ def _cm_drift_worker(rngs, n, q, lam, theta) -> list:
     # resamples G(m, lam/n) on the m active vertices and the rest stay
     # isolated, so the drift depends only on sizes
     g = max(round(theta * n), 1)
-    graphs = [sample_gnp(g + int((rng.random(n - g) < 1.0 / q).sum()),
-                         lam / n, rng) for rng in rngs]
-    return [int(sizes.max()) / n for sizes in component_sizes(graphs)]
+    blocks = [(g + int((rng.random(n - g) < 1.0 / q).sum()), rng)
+              for rng in rngs]
+    return [int(sizes.max()) / n
+            for sizes in gnp_component_sizes(blocks, lam / n)]
 
 
 @_timed
@@ -348,7 +350,7 @@ def cm_drift_map(n: int, lam: float, q: float, theta_grid, replicas: int,
 # equilibrium cluster statistics of G(n, lam/n)
 
 def _gnp_sizes(rngs, n, lam) -> list:
-    return component_sizes([sample_gnp(n, lam / n, rng) for rng in rngs])
+    return gnp_component_sizes([(n, rng) for rng in rngs], lam / n)
 
 
 def _sm_tail_worker(rngs, n, lam, m_thr, rho) -> list:

@@ -208,34 +208,6 @@ def cluster_decompose(edges: EdgeConfig) -> ClusterPartition:
     )
 
 
-def disjoint_union(configs) -> tuple[EdgeConfig, np.ndarray]:
-    """The configurations side by side: block b's vertices are shifted by
-    offsets[b], and offsets[-1] is the total vertex count.
-
-    The union is canonical because every block is and the blocks follow
-    each other, so cluster_decompose of the union decomposes every block
-    at once, and block b owns the union's cluster ids in
-    [offsets[b], offsets[b+1]).
-    """
-    offsets = np.zeros(len(configs) + 1, dtype=np.int64)
-    np.cumsum([c.n for c in configs], out=offsets[1:])
-    shift = np.repeat(offsets[:-1], [c.edge_count for c in configs])
-    pairs = np.concatenate([c.pairs for c in configs]) + shift[:, None]
-    union = _edge_config_presorted(int(offsets[-1]), pairs[:, 0], pairs[:, 1])
-    return union, offsets
-
-
-def component_sizes(configs) -> list[np.ndarray]:
-    """The component sizes of each configuration in canonical order (the
-    order of ClusterPartition, in which per-cluster randomness is drawn),
-    through one components call on their disjoint union."""
-    union, offsets = disjoint_union(configs)
-    part = cluster_decompose(union)
-    # a block starts at its first vertex's cluster, or past the last if empty
-    starts = np.append(part.cluster_of, part.cluster_count)[offsets[1:-1]]
-    return np.split(part.sizes, starts)
-
-
 def s_m_vertices(partition: ClusterPartition, m_threshold: int) -> int:
     """|S_M|: number of vertices in clusters of size strictly greater than M."""
     if m_threshold < 0:

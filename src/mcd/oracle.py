@@ -23,6 +23,11 @@ glauber use one class per state, with K = P. Stationarity, detailed
 balance, the spectral gap and the mixing time are computed on K and the
 class sizes; `KernelTable.P` expands the per-state view for cuts, dumps
 and sampling checks.
+
+The cluster-coloring checks loop over the class colorings of the
+vertices: given one, the conditional law is a tensor with one axis per
+class, over the edge sets inside that class, so the class marginals are
+its axis sums and the independence test compares it with their product.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .indexing import all_pairs, num_pairs, pair_index, pair_indices_of
+from .indexing import all_pairs, num_pairs, pair_indices_of
 from .model import EdgeConfig, _edge_config_presorted
 from .report import atomic_write_text
 
@@ -451,7 +456,7 @@ def _symmetrized(K: sp.csr_matrix, sizes: np.ndarray,
     return ((m + m.T) * 0.5).tocsr()
 
 
-def spectral_gap(kernel: KernelTable, method: str = "lanczos") -> float:
+def spectral_gap(kernel: KernelTable) -> float:
     """1 - lambda_2 of the reversible kernel, on its class form.
 
     The symmetrization of K C (C the class sizes, see _symmetrized) carries
@@ -459,11 +464,11 @@ def spectral_gap(kernel: KernelTable, method: str = "lanczos") -> float:
     per class, so lambda_2 is at least 0 when there are fewer classes than
     states.
 
-    "lanczos" deflates the known top eigenvector sqrt(c pi) (shifting its
-    eigenvalue 1 to -1) and asks the iterative solver for the largest
-    remaining eigenvalue at tolerance 1e-10, from a fixed start vector so
-    that the result repeats exactly; it falls back to "dense" below 16
-    classes where the iteration has no room to work.
+    Below 16 classes, where an iteration has no room to work, the spectrum
+    is computed densely. From 16 on, Lanczos deflates the known top
+    eigenvector sqrt(c pi) (shifting its eigenvalue 1 to -1) and asks the
+    iterative solver for the largest remaining eigenvalue at tolerance
+    1e-10, from a fixed start vector so that the result repeats exactly.
     """
     if detailed_balance_violation(kernel) >= 1e-8:
         raise ValueError("spectral_gap requires a reversible kernel "
@@ -473,9 +478,9 @@ def spectral_gap(kernel: KernelTable, method: str = "lanczos") -> float:
     if count == 1:
         return 1.0
     m = _symmetrized(kernel.K, sizes, pi)
-    if method == "dense" or (method == "lanczos" and count < 16):
+    if count < 16:
         lam2 = scipy.linalg.eigvalsh(m.toarray())[-2]
-    elif method == "lanczos":
+    else:
         v1 = np.sqrt(sizes * pi)
         v1 = v1 / np.linalg.norm(v1)
 
@@ -486,8 +491,6 @@ def spectral_gap(kernel: KernelTable, method: str = "lanczos") -> float:
         v0 = np.random.default_rng(0).uniform(-1.0, 1.0, count)
         lam2 = eigsh(op, k=1, which="LA", tol=1e-10, v0=v0,
                      return_eigenvectors=False)[0]
-    else:
-        raise ValueError(f"unknown method {method!r}")
     if count < kernel.size:
         lam2 = max(lam2, 0.0)
     return float(1.0 - lam2)
@@ -653,28 +656,6 @@ def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
 
 
-@functools.lru_cache(maxsize=None)
-def _restriction_codec(subset: tuple[int, ...], n: int) -> tuple[tuple[int, int], ...]:
-    """Pairs ((global bit, local bit), ...) inside the subset."""
-    pos = {v: i for i, v in enumerate(subset)}
-    m = len(subset)
-    pu, pv = all_pairs(n)
-    out = []
-    for b in range(num_pairs(n)):
-        u, v = int(pu[b]), int(pv[b])
-        if u in pos and v in pos:
-            out.append((b, pair_index(pos[u], pos[v], m)))
-    return tuple(out)
-
-
-def _restrict_mask(mask: int, codec: tuple[tuple[int, int], ...]) -> int:
-    local = 0
-    for gb, lb in codec:
-        if (mask >> gb) & 1:
-            local |= 1 << lb
-    return local
-
-
 def _cluster_coloring_check(n: int, lam: float, q: float,
                             w: list[float]) -> float:
     """Exact verification of the cluster-coloring theorem: draw omega from
@@ -684,42 +665,36 @@ def _cluster_coloring_check(n: int, lam: float, q: float,
     random-cluster measure on m_i vertices with weight q*w[i] and the same
     edge density, independently across classes. Returns the maximum
     total-variation deviation over every class marginal and the product
-    test, over all class partitions."""
+    test, over all class colorings of the vertices."""
     measure = enumerate_fk_measure(n, lam, q)
-    labels_tbl, _, _ = mask_partition_table(n)
-    joint: dict[tuple[tuple[int, ...], ...], dict[tuple[int, ...], float]] = {}
-    for s in range(measure.size):
-        labels = labels_tbl[s]
-        members = [np.flatnonzero(labels == u).tolist() for u in np.unique(labels)]
-        for assign in np.ndindex(*([len(w)] * len(members))):
-            pr = float(measure.probs[s]) * math.prod(w[i] for i in assign)
-            if pr == 0.0:
-                continue
-            classes = tuple(tuple(sorted(v for j, c in enumerate(assign) if c == i
-                                         for v in members[j]))
-                            for i in range(len(w)))
-            loc = tuple(_restrict_mask(s, _restriction_codec(cl, n))
-                        for cl in classes)
-            cell = joint.setdefault(classes, {})
-            cell[loc] = cell.get(loc, 0.0) + pr
-
+    labels, _, _ = mask_partition_table(n)
+    roots = labels == np.arange(n)
+    pu, pv = all_pairs(n)
+    w = np.asarray(w, dtype=np.float64)
     worst = 0.0
-    for classes, cell in joint.items():
-        total = math.fsum(cell.values())
-        margs = [np.zeros(1 << num_pairs(len(cl))) for cl in classes]
-        for loc, x in cell.items():
-            for marg, li in zip(margs, loc):
-                marg[li] += x / total
-        for cl, marg, wi in zip(classes, margs, w):
-            m = len(cl)
-            ref = enumerate_fk_measure(m, lam * m / n, q * wi if m else 1.0)
+    for c in _digit_matrix(w.size ** n, w.size, n):
+        # the states whose clusters each stay inside one class are the
+        # products of edge sets inside the classes: axis i of the joint
+        # lists class i's masks in its own local codec, and a state weighs
+        # its FK probability times w[i] per cluster (root) in class i
+        axes = [_bernoulli_submasks(np.flatnonzero((c[pu] == i) & (c[pv] == i)),
+                                    lam / n)[0] for i in range(w.size)]
+        states = functools.reduce(np.add.outer, axes)
+        cluster_w = np.where(roots[states], w[c], 1.0).prod(axis=-1)
+        joint = measure.probs[states] * cluster_w
+        total = joint.sum()
+        if total == 0.0:  # a class of probability 0 holds a cluster
+            continue
+        joint /= total
+        margs = [joint.sum(axis=tuple(j for j in range(w.size) if j != i))
+                 for i in range(w.size)]
+        for i, marg in enumerate(margs):
+            m = int((c == i).sum())
+            ref = enumerate_fk_measure(m, lam * m / n, q * w[i] if m else 1.0)
             worst = max(worst, tv_distance(marg, ref.probs))
-        # conditional independence: the joint equals the product of the
-        # marginals; states absent from the cell contribute their product mass
-        prods = {loc: math.prod(marg[li] for marg, li in zip(margs, loc))
-                 for loc in cell}
-        dev = math.fsum(abs(x / total - prods[loc]) for loc, x in cell.items())
-        worst = max(worst, 0.5 * (dev + 1.0 - math.fsum(prods.values())))
+        # conditional independence: the joint is the product of its marginals
+        product = functools.reduce(np.multiply.outer, margs)
+        worst = max(worst, tv_distance(joint, product))
     return worst
 
 

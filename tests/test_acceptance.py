@@ -158,7 +158,7 @@ def test_criterion_2_oracle():
     # enumerating all 2^63 cuts of the 64-state space. The 8-state chain is
     # small enough to take the true exhaustive minimum directly.
     small = build_kernel("glauber", 3, 2.0, 1.0)
-    gap_s = spectral_gap(small, "dense")
+    gap_s = spectral_gap(small)
     phi_s, _ = exhaustive_min_ratio(small)
     clauses.append((phi_s ** 2 / 2 <= gap_s + 1e-12 and gap_s <= 2 * phi_s + 1e-12,
                     f"exhaustive sandwich n=3: {phi_s ** 2 / 2:.4f} <= {gap_s:.4f} <= {2 * phi_s:.4f}"))

@@ -334,6 +334,8 @@ def test_replica_range_edges_keep_bytes_across_threads(argv, tmp_path, capsys):
     ("one_step_exit", "--threads", "-3"),
     ("escape_time", "--cap", "0"),
     ("escape_time", "--cap", "-2"),
+    ("escape_time", "--rho", "-0.1"),
+    ("escape_time", "--rho", "0"),
     ("bimodality_scan", "--burn", "-5"),
     ("bimodality_scan", "--samples", "0"),
 ])

@@ -36,7 +36,7 @@ from mcd.indexing import num_pairs, pairs_from_indices
 from mcd.model import (
     SpinConfig,
     _edge_config_presorted,
-    component_sizes,
+    cluster_decompose,
     in_balanced_set,
 )
 from mcd.oracle import (
@@ -188,12 +188,13 @@ def test_expected_largest_matches_sampled_percolation():
         block, k = np.divmod(ks, slots)  # block = graph * 3 + class
         graph, cls = np.divmod(block, 3)
         i, j = pairs_from_indices(k, 100)
-        # each graph's pairs are canonical because ks ascends
-        u, v = cls * 100 + i, cls * 100 + j
-        cuts = np.searchsorted(graph, np.arange(batch + 1))
-        graphs = [_edge_config_presorted(n, u[a:b], v[a:b])
-                  for a, b in zip(cuts[:-1], cuts[1:])]
-        largest.append([s.max() for s in component_sizes(graphs)])
+        # the batch's graphs side by side, canonical because ks ascends:
+        # graph g owns the clusters from the one holding its vertex g * n
+        shift = graph * n + cls * 100
+        part = cluster_decompose(
+            _edge_config_presorted(batch * n, shift + i, shift + j))
+        starts = part.cluster_of[np.arange(batch) * n]
+        largest.append(np.maximum.reduceat(part.sizes, starts))
     largest = np.concatenate(largest)
     se = largest.std(ddof=1) / math.sqrt(draws)
     assert abs(largest.mean() - exact) < 4 * se, (largest.mean(), se, exact)

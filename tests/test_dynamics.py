@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcd import dynamics
 from mcd.dynamics import (
     cm_step,
     glauber_step,
+    gnp_component_sizes,
     percolate_within_classes,
     recolor_clusters,
     run_chain,
@@ -50,6 +52,43 @@ def test_gnp_mean_edge_count():
 def test_gnp_output_is_canonical(n, p, seed):
     edges = sample_gnp(n, p, np.random.default_rng(seed))
     EdgeConfig(n=n, pairs=edges.pairs)  # re-validation must not raise
+
+
+def _check_gnp_sizes(ms, gens, p, seed):
+    # against each block's own sample_gnp draw, made in block order on
+    # clones of the generators (blocks may share one, as a replica's color
+    # classes do in sw_size_step)
+    rngs = [np.random.default_rng([seed, g]) for g in range(max(gens) + 1)]
+    clones = [np.random.default_rng([seed, g]) for g in range(max(gens) + 1)]
+    sizes = gnp_component_sizes([(m, rngs[g]) for m, g in zip(ms, gens)], p)
+    assert len(sizes) == len(ms)
+    for m, g, got in zip(ms, gens, sizes):
+        want = cluster_decompose(sample_gnp(m, p, clones[g]))
+        # sizes in ascending order of smallest member
+        assert np.array_equal(got, want.sizes)
+    assert [r.random() for r in rngs] == [r.random() for r in clones]
+
+
+def test_gnp_component_sizes_equal_per_block_decompose():
+    # unequal block sizes (as cm_drift_map draws them), single vertices,
+    # blocks without vertices (an empty color class in sw_size_step),
+    # blocks sharing a generator, and edgeless and complete draws
+    _check_gnp_sizes([40, 3, 0, 27, 40, 1, 12, 0, 9],
+                     [0, 0, 0, 1, 2, 2, 3, 4, 4], 1.5 / 40, 11)
+    _check_gnp_sizes([1], [0], 0.5, 11)
+    _check_gnp_sizes([0], [0], 0.5, 11)
+    _check_gnp_sizes([300], [0], 2.0 / 300, 11)
+    _check_gnp_sizes([5, 6, 0], [0, 1, 1], 0.0, 11)
+    _check_gnp_sizes([5, 6, 0], [0, 1, 1], 1.0, 11)
+
+
+@given(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 3)),
+                min_size=1, max_size=8),
+       st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_gnp_component_sizes_equal_per_block_decompose_random(blocks, p, seed):
+    ms, gens = zip(*blocks)
+    _check_gnp_sizes(ms, gens, p, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +213,22 @@ def test_run_chain_edge_kinds_observe_state():
     assert traj.final_edges is not None
     with pytest.raises(TypeError):
         run_chain("cm", SpinConfig(np.array([1, 2]), 2), params, 1, rng)
+
+
+@pytest.mark.parametrize("kind", ["sw", "cm", "glauber"])
+def test_run_chain_decomposes_each_state_once(kind, monkeypatch):
+    calls = []
+
+    def counting(edges):
+        calls.append(edges.n)
+        return cluster_decompose(edges)
+
+    monkeypatch.setattr(dynamics, "cluster_decompose", counting)
+    params = ModelParams(n=30, q=3.0, lam=2.0)
+    init = SpinConfig(colors=np.tile([1, 2, 3], 10), q=3) if kind == "sw" \
+        else EdgeConfig.empty(30)
+    run_chain(kind, init, params, 50, rng_for("chain-decompose"))
+    assert len(calls) <= 51
 
 
 def test_chain_determinism_same_seed():

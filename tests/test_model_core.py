@@ -12,8 +12,6 @@ from mcd.model import (
     ModelParams,
     SpinConfig,
     cluster_decompose,
-    component_sizes,
-    disjoint_union,
     in_balanced_set,
     in_ordered_set,
     is_ordered,
@@ -162,48 +160,6 @@ def test_decompose_matches_reference(n):
     for lam in (0.0, 0.7, 1.0, 1.5, 4.0):
         edges = sample_gnp(n, min(lam / n, 1.0), rng)
         _same_partition(cluster_decompose(edges), _reference_decompose(edges))
-
-
-def _check_union(blocks):
-    union, offsets = disjoint_union(blocks)
-    assert np.array_equal(offsets, np.cumsum([0] + [b.n for b in blocks]))
-    # already canonical: re-canonicalizing changes nothing
-    assert np.array_equal(EdgeConfig(n=union.n, pairs=union.pairs).pairs,
-                          union.pairs)
-    whole = cluster_decompose(union)
-    sizes = component_sizes(blocks)
-    assert len(sizes) == len(blocks)
-    for lo, hi, block, got in zip(offsets[:-1], offsets[1:], blocks, sizes):
-        want = cluster_decompose(block)
-        assert np.array_equal(whole.assignment[lo:hi] - lo, want.assignment)
-        # sizes in ascending order of smallest member
-        assert np.array_equal(got, np.bincount(
-            want.cluster_of, minlength=want.cluster_count))
-
-
-def test_union_slices_equal_per_block_decompose():
-    # unequal block sizes (as cm_drift_map draws them), blocks without
-    # edges, single vertices, equal-size ties inside a block, and blocks
-    # without vertices (an empty color class in sw_size_step)
-    rng = np.random.default_rng(11)
-    blocks = [sample_gnp(int(m), 1.5 / 40, rng)
-              for m in (40, 3, 0, 27, 40, 1, 12)]
-    blocks += [EdgeConfig.empty(1), EdgeConfig.empty(9),
-               EdgeConfig(n=6, pairs=np.array([[0, 3], [1, 4]])),
-               EdgeConfig(n=1, pairs=np.empty((0, 2))),
-               sample_gnp(0, 0.5, rng)]
-    _check_union(blocks)
-    _check_union([EdgeConfig.empty(1)])
-    _check_union([sample_gnp(300, 2.0 / 300, rng)])
-
-
-@given(st.lists(st.tuples(st.integers(1, 15), st.floats(0.0, 1.0)),
-                min_size=1, max_size=8),
-       st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_union_slices_equal_per_block_decompose_random(shapes, seed):
-    rng = np.random.default_rng(seed)
-    _check_union([random_edges(n, density, rng) for n, density in shapes])
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcd import oracle
 from mcd.indexing import all_pairs
 from mcd.model import EdgeConfig, cluster_decompose
 from mcd.oracle import (
@@ -134,6 +135,23 @@ def test_iterated_check_at_integer_q_has_an_empty_remainder_class():
     assert iterated_coloring_check(4, 1.0, 3.0) < 1e-12
 
 
+@pytest.mark.parametrize("source,check", [
+    ((4, 1.0, 3.0), lambda: bgj_coloring_check(4, 1.0, 3.0, 1 / 3)),
+    ((4, 1.0, 3.5), lambda: iterated_coloring_check(4, 1.0, 3.5)),
+], ids=["bgj", "iterated"])
+def test_coloring_checks_detect_a_wrong_source_measure(source, check,
+                                                       monkeypatch):
+    # the measure the clusters are colored from uses q * 1.001; the class
+    # references keep their exact weights, so the restrictions must miss
+    exact = oracle.enumerate_fk_measure
+
+    def skewed(n, lam, q):
+        return exact(n, lam, q * 1.001 if (n, lam, q) == source else q)
+
+    monkeypatch.setattr(oracle, "enumerate_fk_measure", skewed)
+    assert check() > 1e-4
+
+
 # ---------------------------------------------------------------------------
 # kernels (small fast instances; the graded grid runs in the acceptance suite)
 
@@ -250,7 +268,6 @@ def test_sw_class_form_matches_the_per_state_kernel(n, q, lam):
     assert detailed_balance_violation(kernel) == np.abs(f - f.T).max()
     gap = 1.0 - np.linalg.eigvalsh(_dense_symmetrized(kernel))[-2]
     assert spectral_gap(kernel) == pytest.approx(gap, abs=1e-12)
-    assert spectral_gap(kernel, "dense") == pytest.approx(gap, abs=1e-12)
 
 
 def test_sw_gap_at_n6_q4():
@@ -293,15 +310,18 @@ def test_glauber_satisfies_detailed_balance_quickly():
 
 
 def test_gap_methods_agree():
-    kernel = build_kernel("glauber", 3, 2.0, 1.0)
-    assert spectral_gap(kernel, "lanczos") == pytest.approx(
-        spectral_gap(kernel, "dense"), abs=1e-10)
+    # enough classes for the Lanczos branch, against the dense per-state gap
+    for kernel in (build_kernel("glauber", 4, 2.0, 1.0),
+                   build_kernel("cm", 4, 2.5, 1.0)):
+        assert kernel.K.shape[0] >= 16
+        gap = 1.0 - np.linalg.eigvalsh(_dense_symmetrized(kernel))[-2]
+        assert spectral_gap(kernel) == pytest.approx(gap, abs=1e-10)
 
 
 def test_single_color_heat_bath_has_unit_gap():
     # q = 1 removes all interaction: the chain resamples edges independently
     kernel = build_kernel("cm", 3, 1.0, 1.5)
-    assert spectral_gap(kernel, "dense") == pytest.approx(1.0, abs=1e-10)
+    assert spectral_gap(kernel) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_mixing_time_is_minimal_threshold_time():
@@ -343,7 +363,7 @@ def test_family_minimum_upper_bounds_exhaustive_minimum():
     phi_exact, cut = exhaustive_min_ratio(kernel)
     phi_family, _ = min_bottleneck_ratio(kernel)
     assert phi_family >= phi_exact - 1e-14
-    gap = spectral_gap(kernel, "dense")
+    gap = spectral_gap(kernel)
     # exact conductance satisfies both sides of the spectral sandwich
     assert phi_exact ** 2 / 2 <= gap + 1e-12
     assert gap <= 2 * phi_exact + 1e-12

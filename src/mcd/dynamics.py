@@ -15,21 +15,28 @@ pins the whole trajectory:
   vertex order.
 * The heat bath draws one pair index and one uniform per step, always in
   that order, whether or not the uniform ends up deciding anything.
+
+Percolation and the Chayes-Machta resampling draw their pairs as a few
+runs that are each in lexicographic order already (one per color class;
+the kept and the resampled pairs). indexing.lex_order merges them on the
+pair index into the canonical edge order, after the draws and without
+changing any of them.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.csgraph import breadth_first_order
 
-from .indexing import num_pairs, pair_indices_of, pairs_from_indices
+from .indexing import lex_order, num_pairs, pair_indices_of, pairs_from_indices
 from .model import (
     ClusterPartition,
     EdgeConfig,
     ModelParams,
     SpinConfig,
+    _adjacency,
     _edge_config_presorted,
     cluster_decompose,
     s_m_vertices,
@@ -119,7 +126,7 @@ def percolate_within_classes(spins: SpinConfig, p: float,
         return EdgeConfig.empty(n)
     u = np.concatenate(us)
     v = np.concatenate(vs)
-    order = np.lexsort((v, u))
+    order = lex_order(u, v, n)
     return _edge_config_presorted(n, u[order], v[order])
 
 
@@ -217,31 +224,24 @@ def _cm_step(edges: EdgeConfig, clusters: ClusterPartition,
     li, lj = _gnp_pairs(verts.size, p, rng)
     u = np.concatenate([keep_u, verts[li]])
     v = np.concatenate([keep_v, verts[lj]])
-    order = np.lexsort((v, u))
+    order = lex_order(u, v, n)
     return _edge_config_presorted(n, u[order], v[order])
 
 
 def _connected_avoiding(edges: EdgeConfig, x: int, y: int) -> bool:
-    """Whether x and y are connected in the configuration with the pair
-    {x, y} removed (if present)."""
-    adj: dict[int, list[int]] = {}
-    for a, b in edges.pairs:
-        a, b = int(a), int(b)
-        if (a, b) == (min(x, y), max(x, y)):
-            continue
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    seen = {x}
-    queue = deque([x])
-    while queue:
-        w = queue.popleft()
-        for z in adj.get(w, ()):
-            if z == y:
-                return True
-            if z not in seen:
-                seen.add(z)
-                queue.append(z)
-    return False
+    """Whether x and y, x < y, are connected in the configuration with the
+    pair {x, y} removed (if present)."""
+    pairs = edges.pairs
+    pairs = pairs[(pairs[:, 0] != x) | (pairs[:, 1] != y)]
+    if not ((pairs == x).any() and (pairs == y).any()):
+        return False  # the common case at small n, decided without a graph
+    # each pair in both directions, so a directed search from x sees every
+    # neighbor without scipy transposing the graph (several times the cost
+    # of the search at small n)
+    arcs = np.concatenate([pairs, pairs[:, ::-1]])
+    g = _adjacency(edges.n, arcs[np.argsort(arcs[:, 0])])
+    reached = breadth_first_order(g, x, return_predecessors=False)
+    return bool((reached == y).any())
 
 
 def glauber_step(edges: EdgeConfig, params: ModelParams,

@@ -45,7 +45,22 @@ def pair_indices_of(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     """Vectorized pair_index over arrays with u < v elementwise."""
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
-    return u * (n - 1) - u * (u - 1) // 2 + (v - u - 1)
+    # pair_index rearranged to u*(2n-3-u)/2 + v - 1, whose product is even
+    return (u * (2 * n - 3 - u) >> 1) + v - 1
+
+
+def lex_order(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """The permutation that puts the distinct pairs (u, v), u < v, in
+    lexicographic order.
+
+    A stable sort of the pair indices, which numpy runs as timsort: pair
+    lists made of k runs that are each in order already (one per color
+    class, say) are merged in O(N log k). Distinct pairs have distinct
+    indices, so no tie is left to the sort.
+    """
+    if n >= 2 ** 31:  # beyond about 3.04e9 the int64 pair indices wrap
+        raise ValueError(f"need n below 2**31 to order pairs, got n={n}")
+    return np.argsort(pair_indices_of(u, v, n), kind="stable")
 
 
 def all_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:

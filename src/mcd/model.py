@@ -19,6 +19,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from .indexing import lex_order, pair_indices_of
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -122,12 +124,11 @@ class EdgeConfig:
                 raise ValueError("self-loops are not allowed")
             if lo.min() < 0 or hi.max() >= self.n:
                 raise ValueError("edge endpoint out of range")
-            pairs = np.column_stack([lo, hi])
-            order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-            pairs = pairs[order]
-            dup = (np.diff(pairs[:, 0]) == 0) & (np.diff(pairs[:, 1]) == 0)
-            if dup.any():
+            order = lex_order(lo, hi, self.n)
+            lo, hi = lo[order], hi[order]
+            if (np.diff(pair_indices_of(lo, hi, self.n)) == 0).any():
                 raise ValueError("duplicate edges are not allowed")
+            pairs = np.column_stack([lo, hi])
         object.__setattr__(self, "pairs", _readonly(np.ascontiguousarray(pairs)))
 
     @property
@@ -182,19 +183,29 @@ class ClusterPartition:
         return int(self.sizes.max())
 
 
+def _adjacency(n: int, pairs: np.ndarray) -> csr_matrix | None:
+    """The CSR graph with an arc a -> b for each row (a, b) of pairs, which
+    must be grouped by a (canonical pairs are); None if there are no rows.
+    Its int32 indices need n and the row count below 2**31."""
+    if max(n, pairs.shape[0]) >= 2 ** 31:
+        raise ValueError(f"need n and the arc count below 2**31, got n={n} "
+                         f"with {pairs.shape[0]} arcs")
+    if not pairs.shape[0]:
+        return None
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(pairs[:, 0], minlength=n), out=indptr[1:])
+    return csr_matrix((np.ones(pairs.shape[0]), pairs[:, 1].astype(np.int32),
+                       indptr), shape=(n, n))
+
+
 def cluster_decompose(edges: EdgeConfig) -> ClusterPartition:
     """Connected components with canonical (smallest-member) cluster ids."""
     n = edges.n
-    pairs = edges.pairs
-    if pairs.shape[0]:
-        # the pairs are sorted, so row i of the CSR holds i's larger partners
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(pairs[:, 0], minlength=n), out=indptr[1:])
-        g = csr_matrix((np.ones(pairs.shape[0]), pairs[:, 1].astype(np.int32),
-                        indptr), shape=(n, n))
-        count, raw = connected_components(g, directed=False)
-    else:
+    g = _adjacency(n, edges.pairs)
+    if g is None:
         count, raw = n, np.arange(n)
+    else:
+        count, raw = connected_components(g, directed=False)
     first = np.full(count, n, dtype=np.int64)
     np.minimum.at(first, raw, np.arange(n))  # smallest member per component
     order = np.argsort(first)

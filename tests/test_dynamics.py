@@ -1,6 +1,8 @@
+from collections import deque
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcd import dynamics
@@ -51,7 +53,7 @@ def test_gnp_mean_edge_count():
 @settings(max_examples=40, deadline=None)
 def test_gnp_output_is_canonical(n, p, seed):
     edges = sample_gnp(n, p, np.random.default_rng(seed))
-    EdgeConfig(n=n, pairs=edges.pairs)  # re-validation must not raise
+    assert np.array_equal(EdgeConfig(n=n, pairs=edges.pairs).pairs, edges.pairs)
 
 
 def _check_gnp_sizes(ms, gens, p, seed):
@@ -103,6 +105,29 @@ def test_percolation_stays_within_classes(n, q, p, seed):
     omega = percolate_within_classes(spins, p, rng)
     for i, j in omega.pairs:
         assert spins.colors[i] == spins.colors[j]
+
+
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=40),
+       st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+@example([3, 1, 3, 5, 3, 1, 3], 1.0, 0)  # empty classes 2 and 4, class 5 single
+@settings(max_examples=60, deadline=None)
+def test_percolation_is_in_lexicographic_order(colors, p, seed):
+    # scattered classes, including empty and single-vertex ones, against
+    # each class's own G(m, p) draw mapped to its vertices and sorted
+    spins = SpinConfig(colors=np.array(colors), q=5)
+    omega = percolate_within_classes(spins, p, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    us, vs = [], []
+    for color in range(1, 6):
+        verts = np.flatnonzero(spins.colors == color)
+        local = sample_gnp(verts.size, p, rng).pairs
+        us.append(verts[local[:, 0]])
+        vs.append(verts[local[:, 1]])
+    u, v = np.concatenate(us), np.concatenate(vs)
+    order = np.lexsort((v, u))
+    assert np.array_equal(omega.pairs, np.column_stack([u, v])[order])
+    assert np.array_equal(EdgeConfig(n=spins.n, pairs=omega.pairs).pairs,
+                          omega.pairs)
 
 
 def test_recoloring_is_constant_on_clusters():
@@ -181,13 +206,51 @@ def test_glauber_step_consumes_fixed_stream_amount():
     assert r1.random() == r2.random()
 
 
+def _connected_avoiding_bfs(pairs, x, y):
+    # a breadth-first search over adjacency lists, without the pair {x, y}
+    adj = {}
+    for a, b in pairs.tolist():
+        if (a, b) != (x, y):
+            adj.setdefault(a, []).append(b)
+            adj.setdefault(b, []).append(a)
+    seen, queue = {x}, deque([x])
+    while queue:
+        for z in adj.get(queue.popleft(), ()):
+            if z == y:
+                return True
+            if z not in seen:
+                seen.add(z)
+                queue.append(z)
+    return False
+
+
+@given(st.integers(2, 30), st.floats(0.0, 0.4), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_connected_avoiding_matches_bfs(n, density, seed):
+    # random configurations, asking about absent pairs and about present
+    # ones, whose own pair must not count
+    rng = np.random.default_rng(seed)
+    i, j = np.triu_indices(n, k=1)
+    keep = rng.random(i.size) < density
+    edges = EdgeConfig(n=n, pairs=np.column_stack([i[keep], j[keep]]))
+    queries = list(zip(i[:20].tolist(), j[:20].tolist()))
+    queries += [tuple(pair) for pair in edges.pairs[:20].tolist()]
+    for _ in range(20):
+        x, y = sorted(rng.choice(n, size=2, replace=False).tolist())
+        queries.append((x, y))
+    for x, y in queries:
+        assert dynamics._connected_avoiding(edges, x, y) \
+            == _connected_avoiding_bfs(edges.pairs, x, y)
+
+
 def test_cm_step_runs_and_keeps_canonical_form():
     rng = rng_for("cm-canonical")
     params = ModelParams(n=30, q=2.5, lam=2.0)
     edges = EdgeConfig.empty(30)
     for _ in range(25):
         edges = cm_step(edges, params, rng)
-        EdgeConfig(n=30, pairs=edges.pairs)
+        assert np.array_equal(EdgeConfig(n=30, pairs=edges.pairs).pairs,
+                              edges.pairs)
 
 
 # ---------------------------------------------------------------------------

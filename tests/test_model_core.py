@@ -6,7 +6,13 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from mcd.dynamics import sample_gnp
-from mcd.indexing import all_pairs, num_pairs, pair_index, pairs_from_indices
+from mcd.indexing import (
+    all_pairs,
+    num_pairs,
+    pair_index,
+    pair_indices_of,
+    pairs_from_indices,
+)
 from mcd.model import (
     EdgeConfig,
     ModelParams,
@@ -34,6 +40,7 @@ def test_pair_index_bijection(n):
     ai, aj = all_pairs(n)
     ks = np.array([pair_index(int(i), int(j), n) for i, j in zip(ai, aj)])
     assert np.array_equal(ks, np.arange(num_pairs(n)))
+    assert np.array_equal(pair_indices_of(ai, aj, n), ks)
     i2, j2 = pairs_from_indices(np.arange(num_pairs(n)), n)
     assert np.array_equal(i2, ai)
     assert np.array_equal(j2, aj)
@@ -67,6 +74,20 @@ def test_edge_config_canonicalizes_and_validates():
     with pytest.raises(ValueError):
         EdgeConfig(n=4, pairs=np.array([[0, 4]]))  # out of range
     assert EdgeConfig(n=4, pairs=np.array([[0, 1], [1, 2]])).edge_count == 2
+
+
+@given(st.integers(2, 15), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_edge_config_sorts_shuffled_pairs(n, density, seed):
+    rng = np.random.default_rng(seed)
+    want = random_edges(n, density, rng).pairs
+    shuffled = rng.permuted(want[rng.permutation(want.shape[0])], axis=1)
+    assert np.array_equal(EdgeConfig(n=n, pairs=shuffled).pairs, want)
+    if want.shape[0]:
+        repeated = np.insert(shuffled, rng.integers(0, want.shape[0] + 1),
+                             want[rng.integers(0, want.shape[0])][::-1], axis=0)
+        with pytest.raises(ValueError, match="duplicate"):
+            EdgeConfig(n=n, pairs=repeated)
 
 
 def test_spin_config_counts():
@@ -126,6 +147,15 @@ def test_clusters_are_in_ascending_id_order():
     for c, cid in enumerate(part.ids):
         assert cid == np.flatnonzero(part.cluster_of == c).min()
     assert np.array_equal(part.assignment, part.ids[part.cluster_of])
+
+
+def test_n_of_2_31_is_refused_before_allocation():
+    # the CSR indices are int32 and the pair indices int64: refuse before
+    # anything of size n exists
+    with pytest.raises(ValueError, match="n=2147483648"):
+        cluster_decompose(EdgeConfig.empty(2 ** 31))
+    with pytest.raises(ValueError, match="n=2147483648"):
+        EdgeConfig(n=2 ** 31, pairs=np.array([[0, 1]]))
 
 
 def _reference_decompose(edges):

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, eigsh
+from scipy.sparse.linalg import eigsh
 
 from .indexing import all_pairs, num_pairs, pair_indices_of
 from .model import EdgeConfig, _edge_config_presorted
@@ -249,6 +249,13 @@ class KernelTable:
         return pi
 
     @functools.cached_property
+    def balance_violation(self) -> float:
+        """max over classes of |pi_a K_ab - pi_b K_ba|; only the scalar is kept."""
+        f = self.K.copy()
+        f.data *= np.repeat(self.class_probs, np.diff(f.indptr))
+        return float(abs(f - f.T).max())
+
+    @functools.cached_property
     def P(self) -> sp.csr_matrix:
         """The per-state kernel in canonical CSR (rows sum to 1)."""
         P = self.K.tocsc()[:, self.classes].tocsr()[self.classes]
@@ -438,11 +445,8 @@ def stationarity_residual(kernel: KernelTable) -> float:
 
 
 def detailed_balance_violation(kernel: KernelTable) -> float:
-    """max_{x,y} |pi(x) P(x,y) - pi(y) P(y,x)|, which is the max over
-    classes of |pi_a K_ab - pi_b K_ba|."""
-    f = kernel.K.multiply(kernel.class_probs[:, None]).tocsr()
-    d = (f - f.T).tocoo()
-    return float(np.abs(d.data).max()) if d.nnz else 0.0
+    """max_{x,y} |pi(x) P(x,y) - pi(y) P(y,x)|, computed once per kernel."""
+    return kernel.balance_violation
 
 
 def _symmetrized(K: sp.csr_matrix, sizes: np.ndarray,
@@ -452,7 +456,9 @@ def _symmetrized(K: sp.csr_matrix, sizes: np.ndarray,
     per-state kernel. With unit sizes it is D^{1/2} P D^{-1/2}."""
     s = np.sqrt(pi)
     r = np.sqrt(sizes)
-    m = K.multiply((r * s)[:, None]).multiply((r / s)[None, :]).tocsr()
+    m = K.copy()
+    m.data *= np.repeat(r * s, np.diff(K.indptr))
+    m.data *= (r / s)[K.indices]
     return ((m + m.T) * 0.5).tocsr()
 
 
@@ -465,12 +471,13 @@ def spectral_gap(kernel: KernelTable) -> float:
     states.
 
     Below 16 classes, where an iteration has no room to work, the spectrum
-    is computed densely. From 16 on, Lanczos deflates the known top
-    eigenvector sqrt(c pi) (shifting its eigenvalue 1 to -1) and asks the
-    iterative solver for the largest remaining eigenvalue at tolerance
-    1e-10, from a fixed start vector so that the result repeats exactly.
+    is computed densely. From 16 on, Lanczos finds the two largest
+    eigenvalues (the top one is 1) at tolerance 1e-10 from a fixed start
+    vector, so that the result repeats exactly; lambda_2 is the smaller.
+    There is no deflation and no Python matvec: a numpy dot of length
+    >= 10^4 in the operator would wake the BLAS threads on every step.
     """
-    if detailed_balance_violation(kernel) >= 1e-8:
+    if kernel.balance_violation >= 1e-8:
         raise ValueError("spectral_gap requires a reversible kernel "
                          "(detailed balance violated)")
     sizes, pi = kernel.class_sizes, kernel.class_probs
@@ -481,16 +488,9 @@ def spectral_gap(kernel: KernelTable) -> float:
     if count < 16:
         lam2 = scipy.linalg.eigvalsh(m.toarray())[-2]
     else:
-        v1 = np.sqrt(sizes * pi)
-        v1 = v1 / np.linalg.norm(v1)
-
-        def matvec(x):
-            return m @ x - 2.0 * v1 * (v1 @ x)
-
-        op = LinearOperator((count, count), matvec=matvec, dtype=np.float64)
         v0 = np.random.default_rng(0).uniform(-1.0, 1.0, count)
-        lam2 = eigsh(op, k=1, which="LA", tol=1e-10, v0=v0,
-                     return_eigenvectors=False)[0]
+        lam2 = eigsh(m, k=2, which="LA", tol=1e-10, v0=v0,
+                     return_eigenvectors=False).min()
     if count < kernel.size:
         lam2 = max(lam2, 0.0)
     return float(1.0 - lam2)

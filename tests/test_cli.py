@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -382,3 +383,14 @@ def test_cli_rerun_is_byte_identical(tmp_path, capsys):
     assert run(capsys, *argv, "--threads", "1", "--out", str(a))[0] == 0
     assert run(capsys, *argv, "--threads", "4", "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_readme_cheeger_example_prints_what_it_quotes(capsys):
+    # the README quotes one oracle command and its output line verbatim
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines = readme.read_text().splitlines()
+    i = next(k for k, line in enumerate(lines)
+             if line.startswith("$ mcd oracle cheeger"))
+    code, out, _ = run(capsys, *lines[i].split()[2:])
+    assert code == 0
+    assert out == lines[i + 1] + "\n"

@@ -347,6 +347,43 @@ def test_lanczos_gap_repeats_exactly(kind, n, q):
     assert len(gaps) == 1
 
 
+@pytest.mark.parametrize("lam", [0.5, 2.0, 3.9])
+@pytest.mark.parametrize("kind,q", [("glauber", 1.5), ("glauber", 4.0),
+                                    ("cm", 1.5), ("cm", 2.5)])
+def test_lanczos_gap_matches_dense_at_n5(kind, q, lam):
+    kernel = build_kernel(kind, 5, q, lam)
+    assert kernel.K.shape[0] == 1024
+    gap = 1.0 - np.linalg.eigvalsh(_dense_symmetrized(kernel))[-2]
+    assert spectral_gap(kernel) == pytest.approx(gap, abs=1e-12)
+
+
+def _cycle_kernel(count):
+    # a lazy walk one step around a cycle: the uniform law is stationary,
+    # but every forward flow 1/(2 count) has no backward flow
+    K = sp.csr_matrix(0.5 * (np.eye(count) + np.roll(np.eye(count), 1, axis=1)))
+    measure = MeasureTable("toy", 0, 1.0, 0.0, np.full(count, 1.0 / count), 0.0)
+    return KernelTable("toy", 0, 1.0, 0.0, np.arange(count), K, measure)
+
+
+def test_gap_refuses_a_kernel_without_detailed_balance():
+    kernel = _cycle_kernel(16)
+    assert stationarity_residual(kernel) < 1e-15
+    with pytest.raises(ValueError, match="reversible"):
+        spectral_gap(kernel)
+    # asking for the violation first must not turn the refusal into a pass
+    kernel = _cycle_kernel(16)
+    assert detailed_balance_violation(kernel) == 1.0 / 32
+    with pytest.raises(ValueError, match="reversible"):
+        spectral_gap(kernel)
+    # a replaced K gets its own violation, in both directions
+    lazy = dataclasses.replace(kernel, K=0.5 * (kernel.K + kernel.K.T).tocsr())
+    assert detailed_balance_violation(lazy) == 0.0
+    assert spectral_gap(lazy) == pytest.approx(0.5 * (1.0 - math.cos(math.pi / 8)),
+                                               abs=1e-12)
+    with pytest.raises(ValueError, match="reversible"):
+        spectral_gap(dataclasses.replace(lazy, K=kernel.K))
+
+
 # ---------------------------------------------------------------------------
 # conductance machinery
 

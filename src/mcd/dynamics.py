@@ -21,6 +21,12 @@ runs that are each in lexicographic order already (one per color class;
 the kept and the resampled pairs). indexing.lex_order merges them on the
 pair index into the canonical edge order, after the draws and without
 changing any of them.
+
+The size-level step (gnp_component_sizes, sw_size_step) draws per block,
+each G(m, p) on its own generator in block order, and does the rest once
+per replica range: one closed-form decode of all pair indices, one
+components call on the blocks' union, and flat sizes with per-block (or
+per-generator) bounds.
 """
 
 from __future__ import annotations
@@ -77,32 +83,40 @@ def _gnp_pairs(n: int, p: float,
     return pairs_from_indices(_gnp_indices(num_pairs(n), p, rng), n)
 
 
+def _gnp_union(blocks, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_gnp_pairs's draws for each (m, rng) in blocks, in block order, with
+    the blocks side by side and all indices decoded in one pass. Returns
+    (u, v, offsets): block b holds vertices offsets[b] .. offsets[b+1] - 1,
+    and the pairs come in lexicographic order."""
+    ms, ks = [], []
+    for m, rng in blocks:
+        ms.append(int(m))  # numpy integers make the draw loop slower
+        ks.append(_gnp_indices(num_pairs(ms[-1]), p, rng))
+    edges = [k.size for k in ks]
+    offsets = np.cumsum([0] + ms, dtype=np.int64)
+    u, v = pairs_from_indices(np.concatenate(ks), np.repeat(ms, edges))
+    shift = np.repeat(offsets[:-1], edges)
+    return u + shift, v + shift, offsets
+
+
 def sample_gnp(n: int, p: float, rng: np.random.Generator) -> EdgeConfig:
     """One draw of the Erdos-Renyi graph G(n, p)."""
     return _edge_config_presorted(n, *_gnp_pairs(n, p, rng))
 
 
-def gnp_component_sizes(blocks, p: float) -> list[np.ndarray]:
-    """The component sizes of one G(m, p) draw per (m, rng) in blocks, each
-    in canonical order (the order of ClusterPartition, in which per-cluster
-    randomness is drawn).
-
-    Each block makes sample_gnp's draws on its generator, and the blocks
-    sit side by side in one union, so one components call serves them all.
+def gnp_component_sizes(blocks, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """The component sizes of one G(m, p) draw per (m, rng) in blocks, as
+    (sizes, bounds): block b's sizes are sizes[bounds[b]:bounds[b+1]], in
+    canonical order (the order of ClusterPartition, in which per-cluster
+    randomness is drawn). Each block makes sample_gnp's draws on its
+    generator; one components call serves the union of all blocks.
     """
-    us, vs, offsets = [], [], [0]
-    for m, rng in blocks:
-        u, v = _gnp_pairs(m, p, rng)
-        us.append(u + offsets[-1])
-        vs.append(v + offsets[-1])
-        offsets.append(offsets[-1] + int(m))
+    u, v, offsets = _gnp_union(blocks, p)
     # the union is canonical because every block is and the blocks follow
     # each other, so block b owns the union's clusters from the one holding
     # its first vertex (or past the last cluster, if it has no vertex)
-    part = cluster_decompose(_edge_config_presorted(
-        offsets[-1], np.concatenate(us), np.concatenate(vs)))
-    starts = np.append(part.cluster_of, part.cluster_count)[offsets[1:-1]]
-    return np.split(part.sizes, starts)
+    part = cluster_decompose(_edge_config_presorted(int(offsets[-1]), u, v))
+    return part.sizes, np.append(part.cluster_of, part.cluster_count)[offsets]
 
 
 def percolate_within_classes(spins: SpinConfig, p: float,
@@ -113,19 +127,14 @@ def percolate_within_classes(spins: SpinConfig, p: float,
     slots follow the lexicographic order of the class's vertex list.
     """
     n = spins.n
-    us, vs = [], []
-    for color in range(1, spins.q + 1):
-        verts = np.flatnonzero(spins.colors == color)
-        m = verts.size
-        if m < 2:
-            continue
-        li, lj = _gnp_pairs(m, p, rng)
-        us.append(verts[li])
-        vs.append(verts[lj])
-    if not us:
+    u, v, _ = _gnp_union([(m, rng) for m in spins.counts], p)
+    if not u.size:
         return EdgeConfig.empty(n)
-    u = np.concatenate(us)
-    v = np.concatenate(vs)
+    # the classes' vertex lists, one after another in color order: a
+    # stable sort, which numpy runs as a radix sort on small integer types
+    colors = spins.colors.astype(np.min_scalar_type(spins.q))
+    verts = np.argsort(colors, kind="stable")
+    u, v = verts[u], verts[v]
     order = lex_order(u, v, n)
     return _edge_config_presorted(n, u[order], v[order])
 
@@ -167,24 +176,28 @@ def _sw_step(spins: SpinConfig, params: ModelParams, rng: np.random.Generator
     return recolor_clusters(clusters, q, rng), omega, clusters
 
 
-def sw_size_step(counts, p: float, rngs) -> list[tuple[np.ndarray, np.ndarray]]:
+def sw_size_step(counts, p: float,
+                 rngs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One Swendsen-Wang step from color-class sizes, on each generator in
-    rngs: (cluster sizes, cluster colors), clusters in ascending order of
-    smallest member.
+    rngs. Returns (sizes, colors, clusters): generator r owns the next
+    clusters[r] entries of the flat cluster sizes and colors, its clusters
+    in ascending order of smallest member.
 
     Class i percolates as G(counts[i], p) in ascending color order, then
     the clusters draw one batch of q-sided colors. These are sw_step's
     draws when the classes are consecutive vertex ranges in color order,
-    as balanced_spins and spins_with_majority lay them out. One components
-    call serves every generator.
+    as balanced_spins and spins_with_majority lay them out. One decode and
+    one components call serve every generator (gnp_component_sizes).
     """
     q = len(counts)
     if q < 2:
         raise ValueError(f"Swendsen-Wang needs q >= 2 classes, got {q}")
-    sizes = gnp_component_sizes([(m, rng) for rng in rngs for m in counts], p)
-    per_rng = [np.concatenate(sizes[i:i + q]) for i in range(0, len(sizes), q)]
-    return [(s, rng.integers(1, q + 1, size=s.size, dtype=np.int64))
-            for s, rng in zip(per_rng, rngs)]
+    sizes, bounds = gnp_component_sizes(
+        [(m, rng) for rng in rngs for m in counts], p)
+    clusters = np.diff(bounds[::q])
+    colors = np.concatenate([rng.integers(1, q + 1, size=c, dtype=np.int64)
+                             for rng, c in zip(rngs, clusters)])
+    return sizes, colors, clusters
 
 
 def cm_step(edges: EdgeConfig, params: ModelParams,
@@ -261,8 +274,7 @@ def glauber_step(edges: EdgeConfig, params: ModelParams,
     n, p, q = params.n, params.p, params.q
     k = int(rng.integers(0, num_pairs(n)))
     u01 = float(rng.random())
-    xi, yj = pairs_from_indices(np.array([k], dtype=np.int64), n)
-    x, y = int(xi[0]), int(yj[0])
+    x, y = map(int, pairs_from_indices(k, n))
 
     enc = pair_indices_of(edges.pairs[:, 0], edges.pairs[:, 1], n) \
         if edges.pairs.shape[0] else np.empty(0, dtype=np.int64)

@@ -9,9 +9,9 @@ single-step workers (one_step_exit, the drift maps, sm_tail,
 giant_concentration) work on cluster sizes: each replica draws its graphs
 from its own generator (one G(m, p) per color class for SW, one graph
 otherwise), one components call gives the whole range's component sizes
-(dynamics.gnp_component_sizes), and the SW workers then draw each replica's
-cluster colors from its generator (dynamics.sw_size_step). They reduce
-sizes and counts and never build a per-vertex coloring. The chain
+in one flat array (dynamics.gnp_component_sizes), and the SW workers then
+draw each replica's cluster colors from its generator (dynamics.sw_size_step).
+They reduce sizes and counts and never build a per-vertex coloring. The chain
 workers (escape_time, bimodality_scan) run per-vertex sw_step, and
 cluster_tail_bound explores one cluster, each replica's whole draw
 sequence in turn. Either way every stream sees the draws it would see
@@ -159,11 +159,19 @@ def _start_counts(n, q, start, a_lam) -> list[int]:
         else majority_counts(n, q, round(a_lam * n))
 
 
+def _color_counts(sizes, colors, clusters, q: int) -> np.ndarray:
+    """Per-replica color counts of sw_size_step's output: row r, column c
+    counts replica r's vertices of color c (column 0 stays 0)."""
+    replicas = clusters.size
+    replica = np.repeat(np.arange(replicas), clusters)
+    counts = np.bincount(replica * (q + 1) + colors, sizes, replicas * (q + 1))
+    return counts.astype(np.int64).reshape(replicas, q + 1)
+
+
 def _exit_worker(rngs, n, q, lam, rho, start, a_lam) -> list:
     params = ModelParams(n=n, q=float(q), lam=lam)
-    steps = sw_size_step(_start_counts(n, q, start, a_lam), params.p, rngs)
-    counts = np.array([np.bincount(colors, sizes, q + 1)[1:]
-                       for sizes, colors in steps], dtype=np.int64)
+    step = sw_size_step(_start_counts(n, q, start, a_lam), params.p, rngs)
+    counts = _color_counts(*step, q)[:, 1:]
     return [int(e) for e in _exited(counts, rho, start, a_lam)]
 
 
@@ -255,14 +263,14 @@ def escape_time(n_grid, lam: float, q: int, rho: float, start: str,
 # drift maps
 
 def _sw_drift_worker(rngs, n, q, lam, z) -> list:
-    out = []
-    for sizes, colors in sw_size_step(majority_counts(n, q, round(z * n)),
-                                      lam / n, rngs):
-        # the largest cluster, ties to the smallest member: the first
-        # maximum in ascending smallest-member order
-        color = colors[np.argmax(sizes)]
-        out.append(int(sizes[colors == color].sum()) / n)
-    return out
+    step = sw_size_step(majority_counts(n, q, round(z * n)), lam / n, rngs)
+    sizes, colors, clusters = step
+    # each replica's largest cluster, ties to the smallest member: the
+    # first maximum in ascending smallest-member order (lexsort is stable)
+    replica = np.repeat(np.arange(clusters.size), clusters)
+    largest = np.lexsort((-sizes, replica))[np.cumsum(clusters) - clusters]
+    counts = _color_counts(*step, q)[np.arange(clusters.size), colors[largest]]
+    return (counts / n).tolist()
 
 
 @_timed
@@ -309,8 +317,8 @@ def _cm_drift_worker(rngs, n, q, lam, theta) -> list:
     g = max(round(theta * n), 1)
     blocks = [(g + int((rng.random(n - g) < 1.0 / q).sum()), rng)
               for rng in rngs]
-    return [int(sizes.max()) / n
-            for sizes in gnp_component_sizes(blocks, lam / n)]
+    sizes, bounds = gnp_component_sizes(blocks, lam / n)  # no empty block
+    return (np.maximum.reduceat(sizes, bounds[:-1]) / n).tolist()
 
 
 @_timed
@@ -349,14 +357,12 @@ def cm_drift_map(n: int, lam: float, q: float, theta_grid, replicas: int,
 # ---------------------------------------------------------------------------
 # equilibrium cluster statistics of G(n, lam/n)
 
-def _gnp_sizes(rngs, n, lam) -> list:
-    return gnp_component_sizes([(n, rng) for rng in rngs], lam / n)
-
-
 def _sm_tail_worker(rngs, n, lam, m_thr, rho) -> list:
-    # |S_M|, the vertices in clusters larger than M
-    return [int(sizes[sizes > m_thr].sum() >= rho * n)
-            for sizes in _gnp_sizes(rngs, n, lam)]
+    # |S_M|, the vertices in clusters larger than M; no block is empty, so
+    # neither is a reduceat segment (which would give a[i])
+    sizes, bounds = gnp_component_sizes([(n, rng) for rng in rngs], lam / n)
+    s_m = np.add.reduceat(np.where(sizes > m_thr, sizes, 0), bounds[:-1])
+    return (s_m >= rho * n).astype(int).tolist()
 
 
 @_timed
@@ -434,7 +440,8 @@ def cluster_tail_bound(n: int, lam: float, k_grid, replicas: int,
 
 
 def _giant_worker(rngs, n, lam) -> list:
-    return [int(sizes.max()) / n for sizes in _gnp_sizes(rngs, n, lam)]
+    sizes, bounds = gnp_component_sizes([(n, rng) for rng in rngs], lam / n)
+    return (np.maximum.reduceat(sizes, bounds[:-1]) / n).tolist()
 
 
 @_timed

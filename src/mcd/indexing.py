@@ -8,6 +8,12 @@ Pairs of vertices 0..n-1 with i < j are numbered (0,1), (0,2), ...,
 runs over 0 .. n*(n-1)/2 - 1. Everything that enumerates or samples edges
 (exact transition kernels, G(n,p) draws, the heat-bath chain) goes through
 this one numbering so indices mean the same thing everywhere.
+
+Row i starts at o(i) = i*(2n-1-i)/2, so index k lies in row i = floor(r),
+r = ((2n-1) - sqrt((2n-1)**2 - 8k)) / 2 the smaller root of o(x) = k, and
+j = k - o(i) + i + 1. pairs_from_indices takes the discriminant in exact
+integers and the root in floating point, then settles the one row that
+rounding leaves in doubt by comparing o(i) with k exactly.
 """
 
 from __future__ import annotations
@@ -26,19 +32,34 @@ def pair_index(i: int, j: int, n: int) -> int:
     return i * (n - 1) - i * (i - 1) // 2 + (j - i - 1)
 
 
-def row_offsets(n: int) -> np.ndarray:
-    """offsets[i] = index of pair (i, i+1); sentinel num_pairs(n) at the end."""
-    i = np.arange(n, dtype=np.int64)
-    return i * (n - 1) - i * (i - 1) // 2
+def pairs_from_indices(ks, n) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized inverse of pair_index: index array -> (i, j) arrays.
 
-
-def pairs_from_indices(ks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized inverse of pair_index: index array -> (i, j) arrays."""
+    n is one vertex count, or one per index. Raises ValueError for n
+    outside [0, 2**31), beyond which (2n-1)**2 overflows uint64, and for
+    an index outside [0, n*(n-1)/2).
+    """
     ks = np.asarray(ks, dtype=np.int64)
-    offsets = row_offsets(n)
-    i = np.searchsorted(offsets, ks, side="right") - 1
-    j = ks - offsets[i] + i + 1
-    return i, j
+    if np.ndim(n) == 0:  # a Python int is faster than a numpy scalar
+        n = lo = hi = int(n)
+    else:
+        n = np.asarray(n, dtype=np.int64)
+        lo, hi = (n.min(), n.max()) if n.size else (0, 0)
+    if lo < 0 or hi >= 2 ** 31:
+        raise ValueError(f"need 0 <= n < 2**31, got n from {lo} to {hi}")
+    if not ks.size:
+        return ks.copy(), ks.copy()
+    if ks.min() < 0 or (ks >= n * (n - 1) // 2).any():
+        raise ValueError(f"pair index outside [0, n*(n-1)/2): indices from "
+                         f"{ks.min()} to {ks.max()}, n from {lo} to {hi}")
+    a = 2 * n - 1
+    disc = np.asarray(a, dtype=np.uint64) ** 2 - 8 * ks.astype(np.uint64)
+    # 1 <= disc < 2**64, so the float root errs by under 1e-6; adding
+    # 2**-10 puts its floor on row i or i + 1, and one exact comparison
+    # with the row offset o(i) = i*(a-i)/2 settles which
+    i = ((a + 2.0 ** -9 - np.sqrt(disc)) / 2).astype(np.int64)
+    i -= (i * (a - i) >> 1) > ks
+    return i, ks - (i * (a - i) >> 1) + i + 1
 
 
 def pair_indices_of(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:

@@ -206,17 +206,15 @@ def cluster_decompose(edges: EdgeConfig) -> ClusterPartition:
         count, raw = n, np.arange(n)
     else:
         count, raw = connected_components(g, directed=False)
+    # scipy numbers undirected components in order of first appearance
+    # along 0..n-1, which is the canonical order; checked, not assumed
     first = np.full(count, n, dtype=np.int64)
     np.minimum.at(first, raw, np.arange(n))  # smallest member per component
-    order = np.argsort(first)
-    index = np.empty(count, dtype=np.int64)
-    index[order] = np.arange(count)
-    return ClusterPartition(
-        n=n,
-        ids=first[order],
-        sizes=np.bincount(raw, minlength=count)[order],
-        cluster_of=index[raw],
-    )
+    if (first[1:] <= first[:-1]).any():
+        raise AssertionError("components are not numbered by smallest member")
+    return ClusterPartition(n=n, ids=first,
+                            sizes=np.bincount(raw, minlength=count),
+                            cluster_of=raw)
 
 
 def s_m_vertices(partition: ClusterPartition, m_threshold: int) -> int:

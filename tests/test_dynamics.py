@@ -62,12 +62,14 @@ def _check_gnp_sizes(ms, gens, p, seed):
     # classes do in sw_size_step)
     rngs = [np.random.default_rng([seed, g]) for g in range(max(gens) + 1)]
     clones = [np.random.default_rng([seed, g]) for g in range(max(gens) + 1)]
-    sizes = gnp_component_sizes([(m, rngs[g]) for m, g in zip(ms, gens)], p)
-    assert len(sizes) == len(ms)
-    for m, g, got in zip(ms, gens, sizes):
+    sizes, bounds = gnp_component_sizes(
+        [(m, rngs[g]) for m, g in zip(ms, gens)], p)
+    assert len(bounds) == len(ms) + 1
+    assert bounds[0] == 0 and bounds[-1] == sizes.size
+    for b, (m, g) in enumerate(zip(ms, gens)):
         want = cluster_decompose(sample_gnp(m, p, clones[g]))
         # sizes in ascending order of smallest member
-        assert np.array_equal(got, want.sizes)
+        assert np.array_equal(sizes[bounds[b]:bounds[b + 1]], want.sizes)
     assert [r.random() for r in rngs] == [r.random() for r in clones]
 
 
@@ -171,12 +173,16 @@ def test_batched_sw_steps_equal_sw_step(colors, q, lam):
     params = ModelParams(n=spins.n, q=float(q), lam=lam)
     batch = [rng_for("sw-batch", r) for r in range(25)]
     alone = [rng_for("sw-batch", r) for r in range(25)]
-    steps = sw_size_step(spins.counts, params.p, batch)
-    for (sizes, colors), rng_b, rng_a in zip(steps, batch, alone):
+    sizes, colors, clusters = sw_size_step(spins.counts, params.p, batch)
+    assert sizes.size == colors.size == clusters.sum()
+    bounds = np.concatenate([[0], np.cumsum(clusters)])
+    for r, (rng_b, rng_a) in enumerate(zip(batch, alone)):
         want, omega = sw_step(spins, params, rng_a)
-        assert np.array_equal(np.bincount(colors, sizes, q + 1)[1:],
+        sizes_r = sizes[bounds[r]:bounds[r + 1]]
+        colors_r = colors[bounds[r]:bounds[r + 1]]
+        assert np.array_equal(np.bincount(colors_r, sizes_r, q + 1)[1:],
                               want.counts)
-        assert sizes.size == cluster_decompose(omega).cluster_count
+        assert np.array_equal(sizes_r, cluster_decompose(omega).sizes)
         # the batch consumed exactly the draws sw_step consumed
         assert rng_b.random() == rng_a.random()
 

@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mcd.experiments
 from mcd.analytic import RegimeError
+from mcd.dynamics import sw_size_step
 from mcd.experiments import (
+    _color_counts,
+    _sw_drift_worker,
     balanced_spins,
     bimodality_scan,
     cluster_tail_bound,
@@ -21,6 +24,7 @@ from mcd.experiments import (
     spins_with_majority,
     sw_drift_map,
 )
+from mcd.model import majority_counts
 from mcd.report import (
     ExperimentReport,
     ReportCell,
@@ -188,6 +192,45 @@ def test_bimodality_scan_cells_and_fallback():
     assert kinds == ["mean", "mean", "valley_mass", "valley_mass"]
     with pytest.raises(ValueError):
         bimodality_scan(50, 2.0, 2, burn=1, samples=5, master_seed=7)
+
+
+def _replica_slices(clusters):
+    bounds = np.concatenate([[0], np.cumsum(clusters)])
+    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+@given(st.lists(st.integers(0, 6), min_size=2, max_size=5),
+       st.integers(1, 30), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+@example([1, 0], 3, 0.5, 0)  # one cluster per replica: a color stays empty
+@example([0, 0, 0], 2, 0.5, 0)  # replicas without a cluster
+@settings(max_examples=60, deadline=None)
+def test_color_counts_match_each_replica(counts, replicas, p, seed):
+    # small classes and up to five colors, so many replicas leave a color
+    # without a cluster, which must count 0
+    rngs = [np.random.default_rng([seed, r]) for r in range(replicas)]
+    sizes, colors, clusters = sw_size_step(counts, p, rngs)
+    q = len(counts)
+    got = _color_counts(sizes, colors, clusters, q)
+    assert got.shape == (replicas, q + 1) and got.dtype == np.int64
+    for row, r in zip(got, _replica_slices(clusters)):
+        assert np.array_equal(row, np.bincount(colors[r], sizes[r], q + 1))
+
+
+@pytest.mark.parametrize("n,q,lam,z", [(12, 3, 6.0, 0.5), (40, 4, 3.0, 0.25),
+                                       (200, 3, LAMBDA_C3, 0.6)])
+def test_sw_drift_worker_matches_per_replica_loop(n, q, lam, z):
+    # the per-replica loop it replaced; small n makes tied largest clusters
+    # common, and ties go to the smallest member
+    got = _sw_drift_worker([np.random.default_rng([n, r]) for r in range(50)],
+                           n, q, lam, z)
+    sizes, colors, clusters = sw_size_step(
+        majority_counts(n, q, round(z * n)), lam / n,
+        [np.random.default_rng([n, r]) for r in range(50)])
+    want = []
+    for r in _replica_slices(clusters):
+        color = colors[r][np.argmax(sizes[r])]
+        want.append(int(sizes[r][colors[r] == color].sum()) / n)
+    assert got == want
 
 
 def test_thread_count_does_not_change_results():

@@ -17,6 +17,7 @@ from mcd.model import (
     EdgeConfig,
     ModelParams,
     SpinConfig,
+    _edge_config_presorted,
     cluster_decompose,
     in_balanced_set,
     in_ordered_set,
@@ -59,6 +60,83 @@ def test_pair_index_rejects_bad_input():
         pair_index(2, 1, 5)
     with pytest.raises(ValueError):
         pair_index(0, 5, 5)
+
+
+def test_pairs_from_indices_rejects_bad_input():
+    # 10 at n = 5 decoded to (4, 5) and -1 to (-1, -11) before
+    for k in (10, -1, 11, -2 ** 40):
+        with pytest.raises(ValueError, match="outside"):
+            pairs_from_indices(np.array([k]), 5)
+    with pytest.raises(ValueError, match="outside"):
+        pairs_from_indices(np.array([0]), 1)  # no pair at all
+    with pytest.raises(ValueError, match="outside"):
+        pairs_from_indices(np.array([0, 3, 2]), np.array([4, 3, 3]))
+    for n in (2 ** 31, 2 ** 40, -1):
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            pairs_from_indices(np.array([0]), n)
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            pairs_from_indices(np.array([0, 0]), np.array([5, n]))
+
+
+def _searchsorted_decode(ks, n):
+    # the row-offset table and binary search the closed form replaced
+    i = np.arange(n, dtype=np.int64)
+    offsets = i * (n - 1) - i * (i - 1) // 2
+    rows = np.searchsorted(offsets, ks, side="right") - 1
+    return rows, ks - offsets[rows] + rows + 1
+
+
+@given(st.integers(2, 2000))
+@settings(max_examples=60, deadline=None)
+@example(2)
+@example(2000)
+def test_pairs_from_indices_matches_searchsorted_every_index(n):
+    ks = np.arange(num_pairs(n))
+    i, j = pairs_from_indices(ks, n)
+    want_i, want_j = _searchsorted_decode(ks, n)
+    assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+
+
+@given(st.lists(st.integers(0, 80), min_size=1, max_size=12),
+       st.integers(0, 2 ** 32 - 1))
+@example([0], 0)
+@example([1, 0, 2, 0, 1], 0)
+@settings(max_examples=60, deadline=None)
+def test_pairs_from_indices_per_index_n(ms, seed):
+    # a few indices of each block (every index of the small ones), decoded
+    # in one call with one n per index, as gnp_component_sizes does
+    rng = np.random.default_rng(seed)
+    ks = [np.sort(rng.choice(num_pairs(m), min(num_pairs(m), 40),
+                             replace=False)) for m in ms]
+    i, j = pairs_from_indices(np.concatenate(ks),
+                              np.repeat(ms, [k.size for k in ks]))
+    at = 0
+    for m, k in zip(ms, ks):
+        want_i, want_j = _searchsorted_decode(k, m)
+        assert np.array_equal(i[at:at + k.size], want_i)
+        assert np.array_equal(j[at:at + k.size], want_j)
+        at += k.size
+    assert at == i.size
+
+
+@given(st.integers(1, 2 ** 31 - 4))  # rows with at least two pairs
+@example(1)
+@example(2 ** 31 - 4)
+@example(2 ** 30)
+@settings(max_examples=200, deadline=None)
+def test_pairs_from_indices_exact_at_the_largest_n(row):
+    # n = 2**31 - 1: (2n-1)**2 is just below 2**64, and no offset table
+    # fits in memory, so the reference is the pair arithmetic itself
+    n = 2 ** 31 - 1
+    last = num_pairs(n) - 1
+    start = row * (2 * n - 1 - row) // 2  # first index of the row
+    ks = np.array([0, last, start - 1, start, start + 1])
+    i, j = pairs_from_indices(ks, n)
+    assert list(zip(i.tolist(), j.tolist())) == [
+        (0, 1), (n - 2, n - 1), (row - 1, n - 1), (row, row + 1),
+        (row, row + 2)]
+    for k, a, b in zip(ks.tolist(), i.tolist(), j.tolist()):
+        assert pair_index(a, b, n) == k
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +268,26 @@ def test_decompose_matches_reference(n):
     for lam in (0.0, 0.7, 1.0, 1.5, 4.0):
         edges = sample_gnp(n, min(lam / n, 1.0), rng)
         _same_partition(cluster_decompose(edges), _reference_decompose(edges))
+
+
+@given(st.integers(1, 40), st.floats(0.0, 0.3), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_decompose_matches_reference_on_random_graphs(n, density, seed):
+    edges = random_edges(n, density, np.random.default_rng(seed))
+    _same_partition(cluster_decompose(edges), _reference_decompose(edges))
+
+
+def test_decompose_of_the_empty_union():
+    # gnp_component_sizes decomposes a union of n = 0 vertices when every
+    # block is empty; EdgeConfig itself refuses n = 0
+    edges = _edge_config_presorted(0, np.empty(0, dtype=np.int64),
+                                   np.empty(0, dtype=np.int64))
+    part = cluster_decompose(edges)
+    ids, sizes, cluster_of = _reference_decompose(edges)
+    assert part.cluster_count == 0
+    for got, want in ((part.ids, ids), (part.sizes, sizes),
+                      (part.cluster_of, cluster_of)):
+        assert got.size == 0 and np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

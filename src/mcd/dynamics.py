@@ -22,11 +22,22 @@ the kept and the resampled pairs). indexing.lex_order merges them on the
 pair index into the canonical edge order, after the draws and without
 changing any of them.
 
-The size-level step (gnp_component_sizes, sw_size_step) draws per block,
-each G(m, p) on its own generator in block order, and does the rest once
-per replica range: one closed-form decode of all pair indices, one
-components call on the blocks' union, and flat sizes with per-block (or
-per-generator) bounds.
+Several G(m, p) blocks are drawn together (percolation's color classes,
+and gnp_component_sizes and sw_size_step over a replica range, where each
+replica's blocks sit on its own generator): one geometric call per
+generator per step draws the first batch of every block on it, back to
+back in block order. numpy draws geometric variates one at a time from
+the bit stream and buffers nothing between calls, so geometric(size=a+b)
+gives geometric(size=a) followed by geometric(size=b), and the one call
+reads the same stream as one call per block. A block whose first batch
+does not reach its last slot needs a second batch before the next block's
+first: its generator then replays the per-block walk over all its blocks,
+the drawn gaps first and fresh draws after them, so the draws and the
+generator's final state stay those of block-by-block sampling. The rest is
+done once for all blocks: one prefix sum, one search and one gather
+recover the walks, one closed-form decode gives all pairs, and (for
+sizes) one components call on the blocks' union gives flat sizes with
+per-block (or per-generator) bounds.
 """
 
 from __future__ import annotations
@@ -36,7 +47,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.csgraph import breadth_first_order
 
-from .indexing import lex_order, num_pairs, pair_indices_of, pairs_from_indices
+from .indexing import (
+    lex_order,
+    num_pairs,
+    pair_from_index,
+    pair_indices_of,
+    pairs_from_indices,
+)
 from .model import (
     ClusterPartition,
     EdgeConfig,
@@ -47,6 +64,12 @@ from .model import (
     cluster_decompose,
     s_m_vertices,
 )
+
+
+def _batch_size(slots: int, p: float) -> int:
+    """How many geometric gaps a walk over `slots` undecided slots draws
+    at once: a quarter more than the expected successes, plus 16."""
+    return max(16, int(slots * p * 1.25) + 16)
 
 
 def _gnp_indices(count: int, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -63,7 +86,7 @@ def _gnp_indices(count: int, p: float, rng: np.random.Generator) -> np.ndarray:
     out = []
     pos = -1  # last decided slot
     while True:
-        batch = max(16, int((count - pos - 1) * p * 1.25) + 16)
+        batch = _batch_size(count - pos - 1, p)
         gaps = rng.geometric(p, size=batch)
         # geometric draws saturate at 2**63 - 1 for tiny p, so accumulate
         # in float64: prefix sums below 2**53 (hence below any feasible
@@ -77,6 +100,78 @@ def _gnp_indices(count: int, p: float, rng: np.random.Generator) -> np.ndarray:
     return np.concatenate(out)
 
 
+class _Drawn:
+    """A generator's geometric stream with its first gaps already drawn:
+    those first, then fresh draws (the same stream, see the module
+    docstring)."""
+
+    def __init__(self, rng: np.random.Generator, gaps: np.ndarray):
+        self.rng, self.gaps = rng, gaps
+
+    def geometric(self, p: float, size: int) -> np.ndarray:
+        head, self.gaps = self.gaps[:size], self.gaps[size:]
+        if head.size == size:
+            return head
+        fresh = self.rng.geometric(p, size=size - head.size)
+        return np.concatenate([head, fresh])
+
+
+def _gnp_walks(counts: list[int], rngs: list,
+               p: float) -> tuple[np.ndarray, np.ndarray]:
+    """_gnp_indices(counts[b], p, rngs[b]) for every block b in block
+    order, 0 < p < 1, as (indices, per-block index counts), with one
+    geometric call per run of consecutive blocks on one generator.
+
+    The call draws the run's first batches back to back, which is the
+    stream _gnp_indices reads while no block needs a second batch. One
+    prefix sum, one search and one gather then recover every walk. When a
+    block's first batch falls short of its count, its generator replays
+    the sequential walk over all its blocks, the drawn gaps first (_Drawn).
+    """
+    batch = [_batch_size(c, p) if c else 0 for c in counts]
+    heads = [0] + [b for b in range(1, len(rngs)) if rngs[b] is not rngs[b - 1]]
+    draws = [rngs[b].geometric(p, size=size) for b, size
+             in zip(heads, np.add.reduceat(batch, heads).tolist())]
+    gaps = draws[0] if len(draws) == 1 else np.concatenate(draws)
+    ends = np.add.accumulate(batch)
+    starts = ends - batch
+    cap = max(counts) + 1
+    if (gaps.size + 1) * cap < 2 ** 63:
+        # clamped to cap, a gap still passes every block's last slot, so no
+        # walk changes, and the prefix sums stay exact in int64 (the draws
+        # saturate at 2**63 - 1 for tiny p)
+        walk = np.add.accumulate(np.minimum(gaps, cap, out=gaps), out=gaps)
+        # draw i of block b lands on slot walk[i] - base[b]: the block keeps
+        # its draws before the first with walk[i] reaching base[b] +
+        # counts[b], and is short if it keeps its whole batch
+        base = walk[starts - 1] * (starts > 0) + 1
+        stop = np.searchsorted(walk, base + np.array(counts, dtype=np.int64))
+        stop = np.minimum(stop, ends)
+        kept, lost = stop - starts, ends - stop
+        spans = np.array([kept, lost]).T.ravel()  # kept draws, then dropped
+        keep = np.repeat(np.arange(spans.size) % 2 == 0, spans)
+        ks = walk[keep]
+        ks -= np.repeat(base, kept)
+        short = (lost == 0) & (kept > 0)
+        if not short.any():
+            return ks, kept
+        walks = np.split(ks, np.cumsum(kept)[:-1])
+        gaps = np.diff(walk, prepend=0)  # the clamped gaps, for the replay
+    else:  # the prefix sums could wrap: walk every block one by one
+        short = np.ones(len(counts), dtype=bool)
+        walks = [None] * len(counts)
+    own = {}  # each generator's blocks, in block order
+    for b, rng in enumerate(rngs):
+        own.setdefault(id(rng), []).append(b)
+    for blocks in own.values():
+        if short[blocks].any():
+            stream = _Drawn(rngs[blocks[0]], np.concatenate(
+                [gaps[starts[b]:ends[b]] for b in blocks]))
+            for b in blocks:
+                walks[b] = _gnp_indices(counts[b], p, stream)
+    return np.concatenate(walks), np.array([w.size for w in walks])
+
+
 def _gnp_pairs(n: int, p: float,
                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """The open pairs (u, v) of one G(n, p) draw, in lexicographic order."""
@@ -88,15 +183,19 @@ def _gnp_union(blocks, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the blocks side by side and all indices decoded in one pass. Returns
     (u, v, offsets): block b holds vertices offsets[b] .. offsets[b+1] - 1,
     and the pairs come in lexicographic order."""
-    ms, ks = [], []
-    for m, rng in blocks:
-        ms.append(int(m))  # numpy integers make the draw loop slower
-        ks.append(_gnp_indices(num_pairs(ms[-1]), p, rng))
-    edges = [k.size for k in ks]
+    ms = [int(m) for m, _ in blocks]  # numpy integers are slower here
+    counts = [num_pairs(m) for m in ms]
+    if 0.0 < p < 1.0 and any(counts):
+        ks, edges = _gnp_walks(counts, [rng for _, rng in blocks], p)
+    else:  # nothing to draw; _gnp_indices also rejects a p outside [0, 1]
+        walks = [_gnp_indices(c, p, None) for c in counts]
+        ks, edges = np.concatenate(walks), [w.size for w in walks]
     offsets = np.cumsum([0] + ms, dtype=np.int64)
-    u, v = pairs_from_indices(np.concatenate(ks), np.repeat(ms, edges))
+    u, v = pairs_from_indices(ks, np.repeat(ms, edges))
     shift = np.repeat(offsets[:-1], edges)
-    return u + shift, v + shift, offsets
+    u += shift
+    v += shift
+    return u, v, offsets
 
 
 def sample_gnp(n: int, p: float, rng: np.random.Generator) -> EdgeConfig:
@@ -109,7 +208,11 @@ def gnp_component_sizes(blocks, p: float) -> tuple[np.ndarray, np.ndarray]:
     (sizes, bounds): block b's sizes are sizes[bounds[b]:bounds[b+1]], in
     canonical order (the order of ClusterPartition, in which per-cluster
     randomness is drawn). Each block makes sample_gnp's draws on its
-    generator; one components call serves the union of all blocks.
+    generator: one geometric call per generator draws all its blocks'
+    first batches, which is the same stream, as numpy buffers nothing
+    between geometric calls; a generator with a block that needs a second
+    batch replays its blocks one by one over the drawn gaps (see the
+    module docstring). One components call serves the union of all blocks.
     """
     u, v, offsets = _gnp_union(blocks, p)
     # the union is canonical because every block is and the blocks follow
@@ -274,7 +377,7 @@ def glauber_step(edges: EdgeConfig, params: ModelParams,
     n, p, q = params.n, params.p, params.q
     k = int(rng.integers(0, num_pairs(n)))
     u01 = float(rng.random())
-    x, y = map(int, pairs_from_indices(k, n))
+    x, y = pair_from_index(k, n)
 
     enc = pair_indices_of(edges.pairs[:, 0], edges.pairs[:, 1], n) \
         if edges.pairs.shape[0] else np.empty(0, dtype=np.int64)

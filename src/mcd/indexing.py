@@ -13,10 +13,14 @@ Row i starts at o(i) = i*(2n-1-i)/2, so index k lies in row i = floor(r),
 r = ((2n-1) - sqrt((2n-1)**2 - 8k)) / 2 the smaller root of o(x) = k, and
 j = k - o(i) + i + 1. pairs_from_indices takes the discriminant in exact
 integers and the root in floating point, then settles the one row that
-rounding leaves in doubt by comparing o(i) with k exactly.
+rounding leaves in doubt by comparing o(i) with k exactly. pair_from_index
+does the same for one index in Python integers, with math.isqrt for the
+root and no numpy call.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -30,6 +34,20 @@ def pair_index(i: int, j: int, n: int) -> int:
     if not (0 <= i < j < n):
         raise ValueError(f"need 0 <= i < j < n, got ({i}, {j}) with n={n}")
     return i * (n - 1) - i * (i - 1) // 2 + (j - i - 1)
+
+
+def pair_from_index(k: int, n: int) -> tuple[int, int]:
+    """Inverse of pair_index for one index, in exact integers; raises the
+    ValueErrors of pairs_from_indices."""
+    if not 0 <= n < 2 ** 31:
+        raise ValueError(f"need 0 <= n < 2**31, got n={n}")
+    if not 0 <= k < n * (n - 1) // 2:
+        raise ValueError(f"pair index outside [0, n*(n-1)/2): {k} with n={n}")
+    a = 2 * n - 1
+    # isqrt errs by under 1, so this is row i or row i + 1
+    i = (a - math.isqrt(a * a - 8 * k)) // 2
+    i -= i * (a - i) // 2 > k
+    return i, k - i * (a - i) // 2 + i + 1
 
 
 def pairs_from_indices(ks, n) -> tuple[np.ndarray, np.ndarray]:

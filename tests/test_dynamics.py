@@ -114,15 +114,21 @@ def test_percolation_stays_within_classes(n, q, p, seed):
 @example([3, 1, 3, 5, 3, 1, 3], 1.0, 0)  # empty classes 2 and 4, class 5 single
 @settings(max_examples=60, deadline=None)
 def test_percolation_is_in_lexicographic_order(colors, p, seed):
+    _check_percolation(colors, 5, p, seed)
+
+
+def _check_percolation(colors, q, p, seed):
     # scattered classes, including empty and single-vertex ones, against
-    # each class's own G(m, p) draw mapped to its vertices and sorted
-    spins = SpinConfig(colors=np.array(colors), q=5)
-    omega = percolate_within_classes(spins, p, np.random.default_rng(seed))
+    # each class's own G(m, p) draw mapped to its vertices and sorted, on a
+    # clone of the generator
+    spins = SpinConfig(colors=np.array(colors), q=q)
     rng = np.random.default_rng(seed)
+    omega = percolate_within_classes(spins, p, rng)
+    clone = np.random.default_rng(seed)
     us, vs = [], []
-    for color in range(1, 6):
+    for color in range(1, q + 1):
         verts = np.flatnonzero(spins.colors == color)
-        local = sample_gnp(verts.size, p, rng).pairs
+        local = sample_gnp(verts.size, p, clone).pairs
         us.append(verts[local[:, 0]])
         vs.append(verts[local[:, 1]])
     u, v = np.concatenate(us), np.concatenate(vs)
@@ -130,6 +136,7 @@ def test_percolation_is_in_lexicographic_order(colors, p, seed):
     assert np.array_equal(omega.pairs, np.column_stack([u, v])[order])
     assert np.array_equal(EdgeConfig(n=spins.n, pairs=omega.pairs).pairs,
                           omega.pairs)
+    assert rng.random() == clone.random()
 
 
 def test_recoloring_is_constant_on_clusters():
@@ -185,6 +192,69 @@ def test_batched_sw_steps_equal_sw_step(colors, q, lam):
         assert np.array_equal(sizes_r, cluster_decompose(omega).sizes)
         # the batch consumed exactly the draws sw_step consumed
         assert rng_b.random() == rng_a.random()
+
+
+def _check_sw_size_step(counts, p, seed, replicas=3):
+    # against each class's own sample_gnp draw and one batch of colors per
+    # generator, made on clones of the generators
+    q = len(counts)
+    rngs = [np.random.default_rng([seed, r]) for r in range(replicas)]
+    clones = [np.random.default_rng([seed, r]) for r in range(replicas)]
+    sizes, colors, clusters = sw_size_step(counts, p, rngs)
+    at = 0
+    for rng, clone, c in zip(rngs, clones, clusters.tolist()):
+        want = np.concatenate([cluster_decompose(sample_gnp(m, p, clone)).sizes
+                               for m in counts])
+        assert np.array_equal(sizes[at:at + c], want)
+        assert np.array_equal(colors[at:at + c],
+                              clone.integers(1, q + 1, size=c, dtype=np.int64))
+        assert rng.random() == clone.random()
+        at += c
+    assert at == sizes.size
+
+
+def _short_batches(slots, p):
+    # one to three gaps per batch: nearly every walk needs more batches
+    return 1 + slots % 3
+
+
+@pytest.mark.parametrize("p", [0.05, 0.2, 1 / 3, 0.7, 1e-300, 0.0, 1.0])
+def test_short_first_batches_replay_the_sequential_walk(p, monkeypatch):
+    # p below 1/3 and from 1/3 up take numpy's inversion and search
+    # samplers; 1e-300 saturates the draws; 0 and 1 draw nothing
+    monkeypatch.setattr(dynamics, "_batch_size", _short_batches)
+    _check_gnp_sizes([40, 3, 0, 27, 40, 1, 12, 0, 9],
+                     [0, 0, 0, 1, 2, 2, 3, 4, 4], p, 11)
+    _check_gnp_sizes([9, 0, 1, 30, 6], [0, 1, 0, 1, 0], p, 12)  # interleaved
+    _check_percolation([3, 1, 3, 5, 3, 1, 3] + [1, 2, 3] * 9, 5, p, 13)
+    _check_sw_size_step([20, 1, 0, 9], p, 14)
+
+
+def test_walks_whose_prefix_sums_could_wrap():
+    # a block of 2**60 slots clamps every gap to 2**60 + 1, so 40-odd draws
+    # could wrap int64: every block is walked one by one instead
+    counts, p = [2 ** 60, 50, 0, 1] * 4, 1e-17
+    rngs = [np.random.default_rng([15, g]) for g in range(2)]
+    clones = [np.random.default_rng([15, g]) for g in range(2)]
+    ks, kept = dynamics._gnp_walks(
+        counts, [rngs[b % 2] for b in range(len(counts))], p)
+    want = [dynamics._gnp_indices(c, p, clones[b % 2])
+            for b, c in enumerate(counts)]
+    assert kept.tolist() == [w.size for w in want] and kept[0] > 0
+    assert np.array_equal(ks, np.concatenate(want))
+    assert [r.random() for r in rngs] == [r.random() for r in clones]
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.5, float("nan"), float("inf")])
+def test_bad_p_is_rejected_without_any_pair(p):
+    rng = rng_for("bad-p")
+    for blocks in ([(1, rng), (0, rng)], [(5, rng)]):
+        with pytest.raises(ValueError, match="p must lie"):
+            gnp_component_sizes(blocks, p)
+    with pytest.raises(ValueError, match="p must lie"):
+        percolate_within_classes(SpinConfig(colors=np.array([1, 2]), q=2), p, rng)
+    with pytest.raises(ValueError, match="p must lie"):
+        sw_size_step([1, 0, 1], p, [rng, rng_for("bad-p", 1)])
 
 
 # ---------------------------------------------------------------------------

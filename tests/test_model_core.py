@@ -9,6 +9,7 @@ from mcd.dynamics import sample_gnp
 from mcd.indexing import (
     all_pairs,
     num_pairs,
+    pair_from_index,
     pair_index,
     pair_indices_of,
     pairs_from_indices,
@@ -67,8 +68,12 @@ def test_pairs_from_indices_rejects_bad_input():
     for k in (10, -1, 11, -2 ** 40):
         with pytest.raises(ValueError, match="outside"):
             pairs_from_indices(np.array([k]), 5)
+        with pytest.raises(ValueError, match="outside"):
+            pair_from_index(k, 5)
     with pytest.raises(ValueError, match="outside"):
         pairs_from_indices(np.array([0]), 1)  # no pair at all
+    with pytest.raises(ValueError, match="outside"):
+        pair_from_index(0, 1)
     with pytest.raises(ValueError, match="outside"):
         pairs_from_indices(np.array([0, 3, 2]), np.array([4, 3, 3]))
     for n in (2 ** 31, 2 ** 40, -1):
@@ -76,6 +81,16 @@ def test_pairs_from_indices_rejects_bad_input():
             pairs_from_indices(np.array([0]), n)
         with pytest.raises(ValueError, match="2\\*\\*31"):
             pairs_from_indices(np.array([0, 0]), np.array([5, n]))
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            pair_from_index(0, n)
+
+
+def test_pair_from_index_inverts_pair_index_for_every_index():
+    for n in range(65):
+        for k in range(num_pairs(n)):
+            i, j = pair_from_index(k, n)
+            assert type(i) is int and type(j) is int
+            assert pair_index(i, j, n) == k
 
 
 def _searchsorted_decode(ks, n):
@@ -126,7 +141,8 @@ def test_pairs_from_indices_per_index_n(ms, seed):
 @settings(max_examples=200, deadline=None)
 def test_pairs_from_indices_exact_at_the_largest_n(row):
     # n = 2**31 - 1: (2n-1)**2 is just below 2**64, and no offset table
-    # fits in memory, so the reference is the pair arithmetic itself
+    # fits in memory, so the reference is the pair arithmetic itself; the
+    # scalar pair_from_index must agree
     n = 2 ** 31 - 1
     last = num_pairs(n) - 1
     start = row * (2 * n - 1 - row) // 2  # first index of the row
@@ -137,6 +153,7 @@ def test_pairs_from_indices_exact_at_the_largest_n(row):
         (row, row + 2)]
     for k, a, b in zip(ks.tolist(), i.tolist(), j.tolist()):
         assert pair_index(a, b, n) == k
+        assert pair_from_index(k, n) == (a, b)
 
 
 # ---------------------------------------------------------------------------

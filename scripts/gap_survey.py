@@ -3,10 +3,13 @@
 
 For each lambda on the grid this builds the full transition matrix of the
 Swendsen-Wang, Chayes-Machta, and edge-flip heat-bath chains, computes the
-spectral gap, the certified bottleneck ratio, and the exact mixing time,
-and prints one table per kind. Everything here is observational: the
-sandwich phi^2/2 <= gap <= phi is printed so one can see how tight the
-bottleneck certificate runs, not asserted (the test suite does that).
+spectral gap, the minimum bottleneck ratio phi = Q(S, S^c)/(pi(S) pi(S^c)),
+and the exact mixing time, and prints one table per kind. Everything here
+is observational: phi^2/2 is printed beside the gap so one can see how
+tight the bottleneck bound runs, not asserted. gap <= phi holds for every
+cut, but for this normalisation Cheeger's inequality gives only
+phi^2/8 <= gap; phi^2/2 <= gap is stronger than the theorem and has held
+on every kernel scanned, without being guaranteed.
 
 State spaces grow like q^n and 2^(n(n-1)/2), so n stays small; n = 4 with
 q = 2 (the default) already separates the kinds visibly near lambda = q.

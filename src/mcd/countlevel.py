@@ -12,10 +12,13 @@ sampling:
   J_{s-1}(1/(1-p)), with J_{k+1}(y) = sum_i C(k,i) [i+1]_y J_i(y) J_{k-i}(y)
   and [j]_y = 1 + y + ... + y^(j-1). Every term is positive, so float64 in
   log space carries it without the cancellation of 1 - P(disconnected);
-* the law of the component of the lowest vertex of G(m, p),
-  C(m-1, s-1) conn_p(s) (1-p)^(s(m-s)), and from it the law of the color
-  counts a class of m vertices contributes after one step: peel off that
-  component, give it a uniform color, recurse on the rest;
+* the law g_m(s) = C(m-1, s-1) conn_p(s) (1-p)^(s(m-s)) of the component
+  of the lowest vertex of G(m, p); peeling it off gives Z_r(w) = E[w^k]
+  over the number k of components of G(r, p): Z_r = w sum_s g_r(s) Z_{r-s};
+* the color counts k of a class of m vertices after one step, in product
+  form by the Edwards-Sokal coupling: multinomial(m; k) (1-p)^(sum_{i<j}
+  k_i k_j) prod_i Z_{k_i}(1/q), as no edge joins two color sets and each
+  set's components all take its color;
 * the one-step law of the count vector (a convolution over the classes),
   the exit probability of the balanced set, and the escape-time law of the
   absorbing chain inside it;
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -69,28 +73,33 @@ def log_connectivity(smax: int, p: float) -> np.ndarray:
         i = np.arange(k + 1)
         log_j[k + 1] = logsumexp(lf[k] - lf[i] - lf[k - i] + log_qint[i]
                                  + log_j[i] + log_j[k - i])
-    out = np.zeros(smax + 1)
     s = np.arange(1, smax + 1, dtype=np.float64)
-    out[1:] = ((s - 1) * math.log(p) - big_l * ((s - 1) * (s - 2) / 2)
-               + log_j[:smax])
-    return out
+    return np.append(0.0, (s - 1) * math.log(p) - big_l * ((s - 1) * (s - 2) / 2)
+                     + log_j[:smax])
 
 
-def component_law(m: int, p: float, log_conn: np.ndarray | None = None) -> np.ndarray:
-    """P(|C(v)| = s) for s = 0..m, v the lowest vertex of G(m, p), m >= 1.
-
-    log_conn, if given, is log_connectivity(smax, p) for some smax >= m.
-    """
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+def log_component_law(m: int, p: float,
+                      log_conn: np.ndarray | None = None) -> np.ndarray:
+    """log g_m(s) = log P(|C(v)| = s) for s = 0..m (g_m(0) = 0), v the lowest
+    vertex of G(m, p); log_conn, if given, is log_connectivity(smax, p) for
+    some smax >= m."""
     if log_conn is None:
         log_conn = log_connectivity(m, p)
     lf = _log_factorials(m)
     s = np.arange(1, m + 1)
-    out = np.zeros(m + 1)
-    out[1:] = np.exp(lf[m - 1] - lf[s - 1] - lf[m - s] + log_conn[s]
-                     - _log_y(p) * s * (m - s))
-    return out
+    return np.append(-np.inf, lf[m - 1] - lf[s - 1] - lf[m - s]
+                     + log_conn[1:m + 1] - _log_y(p) * s * (m - s))
+
+
+def log_cluster_weight(mmax: int, p: float, w: float) -> np.ndarray:
+    """log Z_r(w) = log E[w^k] for r = 0..mmax, k the number of components
+    of G(r, p), w > 0: peel off the lowest vertex's component, Z_r(w) =
+    w sum_s g_r(s) Z_{r-s}(w), Z_0 = 1, positive terms summed in log space."""
+    log_conn, log_z = log_connectivity(mmax, p), np.zeros(mmax + 1)
+    for r in range(1, mmax + 1):
+        log_z[r] = math.log(w) + logsumexp(
+            log_component_law(r, p, log_conn)[1:] + log_z[r - 1::-1])
+    return log_z
 
 
 # ---------------------------------------------------------------------------
@@ -137,22 +146,6 @@ def largest_component_cdf(sizes, p: float, kmax: int) -> np.ndarray:
     return np.exp(_log_largest_cdf(sizes, p, kmax))
 
 
-def _expected_component_counts(sizes, p: float) -> np.ndarray:
-    """E[number of components with exactly s vertices], s = 0..max(sizes),
-    in the disjoint union of G(m, p) over m in sizes."""
-    sizes = np.asarray(sizes, dtype=np.int64)
-    big_r = int(sizes.max())
-    log_conn = log_connectivity(big_r, p)
-    lf = _log_factorials(big_r)
-    s = np.arange(big_r + 1)
-    out = np.zeros(big_r + 1)
-    for m in sizes:
-        t = s[1:m + 1]
-        out[1:m + 1] += np.exp(lf[m] - lf[t] - lf[m - t] + log_conn[t]
-                               - _log_y(p) * t * (m - t))
-    return out
-
-
 def expected_largest(sizes, p: float) -> tuple[float, float]:
     """(E[L1], bound) for the disjoint union of G(m, p) over m in sizes.
 
@@ -160,7 +153,12 @@ def expected_largest(sizes, p: float) -> tuple[float, float]:
     bound E[(L1 - K)^+] <= sum_{s>K} (s-K) E[N_s] is below 1e-12; the
     returned value is low by at most the returned bound.
     """
-    counts = _expected_component_counts(sizes, p)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    log_conn = log_connectivity(int(sizes.max()), p)
+    s = np.arange(sizes.max() + 1)
+    counts = np.zeros(len(s))  # E[N_s], N_s the number of components of s vertices
+    for m in sizes:  # in G(m, p), C(m, s) conn_p(s) (1-p)^(s(m-s)) = (m/s) g_m(s)
+        counts[1:m + 1] += m / s[1:m + 1] * np.exp(log_component_law(m, p, log_conn)[1:])
     tail = np.cumsum(counts[::-1])[::-1]               # sum_{s' >= s} E[N_s']
     bound = np.append(np.cumsum(tail[:0:-1])[::-1], 0.0)  # sum_{j > K} tail[j]
     kmax = int(np.argmax(bound < _TAIL_TOL))
@@ -184,10 +182,17 @@ def sw_drift_mean(n: int, lam: float, q: int, z: float) -> float:
 # ---------------------------------------------------------------------------
 # the count-vector chain
 
+def _integer_q(q) -> int:
+    """q as an int; count vectors need an integral q >= 2 (3.0 is 3)."""
+    if not (float(q).is_integer() and q >= 2):
+        raise ValueError(f"need integer q >= 2, got {q!r}")
+    return int(q)
+
+
 def count_grid(total: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Full count vectors for the (q-1)-dimensional layout with the given
     total: (counts of shape (total+1,)*(q-1) + (q,), mask of valid ones)."""
-    d = q - 1
+    d = _integer_q(q) - 1
     if (total + 1) ** d > _STATES_MAX:
         raise ValueError(f"count grid {(total + 1) ** d} exceeds {_STATES_MAX}")
     head = np.stack(np.indices((total + 1,) * d), axis=-1)
@@ -195,50 +200,45 @@ def count_grid(total: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([head, last], axis=-1), last[..., 0] >= 0
 
 
-def class_color_laws(mmax: int, p: float, q: int) -> list[np.ndarray]:
-    """For m = 0..mmax, the law of the color counts that a class of m
-    vertices contributes after one SW step, in the (q-1)-dimensional layout
-    with total m.
-
-    Peel off the component of the lowest vertex (component_law), give it a
-    uniform color, and recurse on the remaining m - s vertices, which form
-    G(m - s, p).
-    """
-    if int(q) != q or q < 2:
-        raise ValueError(f"need integer q >= 2, got {q!r}")
-    d = int(q) - 1
-    log_conn = log_connectivity(mmax, p)
-    laws = [np.ones((1,) * d)]
-    for m in range(1, mmax + 1):
-        g = component_law(m, p, log_conn)
-        f = np.zeros((m + 1,) * d)
-        for s in range(1, m + 1):
-            src = laws[m - s] * (g[s] / q)
-            k = m - s + 1
-            f[(slice(0, k),) * d] += src  # the last color
-            for axis in range(d):
-                idx = [slice(0, k)] * d
-                idx[axis] = slice(s, s + k)
-                f[tuple(idx)] += src
-        laws.append(f)
+def _class_color_laws(sizes, p: float, q: int) -> dict[int, np.ndarray]:
+    """{m: class_color_laws' law at m} for m in sizes, normalised by the
+    identity; sum_{i<j} k_i k_j = (m^2 - sum_i k_i^2)/2 is exact in ints."""
+    q = _integer_q(q)
+    lf = _log_factorials(max(sizes))
+    b = log_cluster_weight(max(sizes), p, 1.0 / q) - lf  # log Z_k(1/q) - log k!
+    laws = {}
+    for m in sizes:
+        k = np.arange(m + 1)
+        last = m - reduce(np.add.outer, [k] * (q - 1))  # < 0 off the simplex
+        cross = (m * m - reduce(np.add.outer, [k * k] * (q - 1)) - last * last) // 2
+        log_law = (lf[m] + reduce(np.add.outer, [b[:m + 1]] * (q - 1))
+                   + b.take(last, mode="clip") - _log_y(p) * cross)
+        laws[m] = np.exp(np.where(last >= 0, log_law, -np.inf))
     return laws
+
+
+def class_color_laws(mmax: int, p: float, q: int) -> list[np.ndarray]:
+    """For m = 0..mmax, the color-count law of a class of m vertices after
+    one SW step (the product form above), in the layout with total m."""
+    return list(_class_color_laws(range(mmax + 1), p, q).values())
 
 
 def one_step_law(counts, lam: float, q: int,
                  laws: list[np.ndarray] | None = None) -> np.ndarray:
     """Exact law of the next count vector of SW from the given counts.
 
-    The classes percolate and recolor independently, so the law is the
-    convolution of their class_color_laws, taken by FFT on the full grid
-    (no wrap-around); its entries carry an absolute rounding error of
-    order 1e-16, and the sub-rounding negatives are set to 0. laws, if
-    given, is class_color_laws(mmax, lam/n, q) for some mmax >= max(counts).
+    The classes percolate and recolor independently: the law is the FFT
+    convolution of their class_color_laws on the full grid (no wrap-around),
+    with absolute rounding errors of order 1e-16; sub-rounding negatives
+    are set to 0. laws, if given, is class_color_laws(mmax, lam/n, q) for
+    some mmax >= max(counts); if not, only the sizes in counts are built.
     """
+    q = _integer_q(q)
     counts = [int(c) for c in counts]
     if len(counts) != q:
         raise ValueError(f"need {q} counts, got {len(counts)}")
     if laws is None:
-        laws = class_color_laws(max(counts), lam / sum(counts), q)
+        laws = _class_color_laws(set(counts), lam / sum(counts), q)
     shape, axes = (sum(counts) + 1,) * (q - 1), list(range(q - 1))
     spectrum = np.prod([np.fft.rfftn(laws[c], shape, axes) for c in counts],
                        axis=0)
@@ -282,7 +282,7 @@ def escape_time_law(n: int, lam: float, q: int, rho: float,
     states = grid[inside]
     laws = class_color_laws(int(states.max()), lam / n, q)
     mat = np.array([one_step_law(c, lam, q, laws)[inside] for c in states])
-    start = balanced_counts(n, q)
+    start = balanced_counts(n, int(q))  # q checked by count_grid
     hits = np.flatnonzero((states == start).all(axis=1))
     if not hits.size:
         raise ValueError("the balanced start lies outside the balanced set")

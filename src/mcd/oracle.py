@@ -640,10 +640,10 @@ def exhaustive_min_ratio(kernel: KernelTable) -> tuple[float, np.ndarray]:
 
 
 def min_conductance(kernel: KernelTable) -> tuple[float, str]:
-    """The bottleneck-ratio minimum: exhaustive ("exact") up to 16 states,
-    the cut-family minimum ("family") beyond. The family minimum is an
-    upper bound on the true one, and gap <= Phi(S) holds for every cut, so
-    phi^2/2 <= gap <= phi certifies the conductance sandwich either way."""
+    """Min bottleneck ratio phi of Q(S, S^c)/(pi(S) pi(S^c)): exhaustive ("exact")
+    to 16 states, cut families ("family", an upper bound) beyond. gap <= phi for
+    every cut; Cheeger gives only phi^2/8 <= gap here, so phi^2/2 <= gap (held
+    on every kernel scanned) is stronger than the theorem, not certified."""
     if kernel.size <= 16:
         return exhaustive_min_ratio(kernel)[0], "exact"
     return min_bottleneck_ratio(kernel)[0], "family"

@@ -5,9 +5,11 @@ spaces of mcd.oracle: the one-step count law against the SW kernel lumped
 to counts, the escape-time law against the spin-level absorbing chain, the
 stationary count law against the Potts measure, and the connectivity,
 component and largest-component laws against the random-cluster measure
-at q = 1 (which is G(n, p)). Beyond brute force, connectivity is checked
-against the subtraction recurrence in high-precision decimal arithmetic,
-and E[L1] against batched percolation draws.
+at q = 1 (which is G(n, p)), and the weighted peel log_cluster_weight
+against the random-cluster normaliser at weight w. Beyond brute force,
+connectivity is checked against the subtraction recurrence in
+high-precision decimal arithmetic, and E[L1] against batched percolation
+draws.
 """
 
 import math
@@ -18,12 +20,13 @@ import pytest
 
 from mcd.countlevel import (
     class_color_laws,
-    component_law,
     count_grid,
     escape_time_law,
     exit_probability,
     expected_largest,
     largest_component_cdf,
+    log_cluster_weight,
+    log_component_law,
     log_connectivity,
     majority_law,
     one_step_law,
@@ -75,7 +78,7 @@ def test_gnp_laws_match_enumeration(n, lam):
     p = lam / n
     conn, comp0, cdf = _gnp_laws(n, p)
     assert abs(math.exp(log_connectivity(n, p)[n]) - conn) < 1e-12
-    assert np.max(np.abs(component_law(n, p) - comp0)) < 1e-12
+    assert np.max(np.abs(np.exp(log_component_law(n, p)) - comp0)) < 1e-12
     assert np.max(np.abs(largest_component_cdf([n], p, n + 2)[:n + 1] - cdf)) < 1e-12
     assert largest_component_cdf([n], p, n + 2)[-1] == pytest.approx(1.0, abs=1e-12)
 
@@ -106,21 +109,59 @@ def test_connectivity_matches_high_precision_recurrence():
         assert np.max(np.abs(got - want)) < 1e-12
 
 
+@pytest.mark.parametrize("r", range(7))
+@pytest.mark.parametrize("w", [1 / 3, 1 / 2, 1.0, 2.5])
+def test_cluster_weight_matches_fk_normaliser(r, w):
+    # the FK normaliser sums p^|E| (1-p)^(C-|E|) w^k: exactly E_{G(r,p)}[w^k]
+    for p in (0.05, 0.3, LAMBDA_C3 / 6, 0.9):
+        want = enumerate_fk_measure(r, p * r, w).log_norm
+        assert abs(log_cluster_weight(6, p, w)[r] - want) < 1e-12
+
+
 def test_component_and_class_laws_are_normalised():
     p = LAMBDA_C3 / 400
     log_conn = log_connectivity(134, p)
     for m in (1, 50, 134):
-        assert component_law(m, p, log_conn).sum() == pytest.approx(1.0, abs=1e-12)
-    laws = class_color_laws(30, p, 3)
-    for m, law in enumerate(laws):
-        assert law.shape == (m + 1, m + 1)
-        assert law.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.exp(log_component_law(m, p, log_conn)).sum() == pytest.approx(1.0, abs=1e-12)
+    for q in (2, 3):
+        laws = class_color_laws(134, p, q)
+        for m, law in enumerate(laws):
+            assert law.shape == (m + 1,) * (q - 1)
+            assert law.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_integral_float_q_is_an_int_and_others_raise():
+    counts = [2, 1, 2]
+    same = [
+        lambda q: count_grid(5, q)[0],
+        lambda q: class_color_laws(5, 0.3, q)[5],
+        lambda q: one_step_law(counts, 1.5, q),
+        lambda q: exit_probability(counts, 1.5, q, 0.2),
+        lambda q: escape_time_law(5, 1.5, q, 0.2, 3).survival,
+        lambda q: stationary_count_law(5, q, 1.5)[1],
+    ]
+    for f in same:
+        assert np.array_equal(f(3.0), f(3))
+        for bad in (2.5, 1):
+            with pytest.raises(ValueError, match="integer q >= 2"):
+                f(bad)
 
 
 @pytest.mark.parametrize("lam", LAMBDAS)
 @pytest.mark.parametrize("n", SMALL_N)
 def test_one_step_law_matches_lumped_sw_kernel(n, lam):
-    q = 3
+    _check_one_step_law(n, 3, lam)
+
+
+@pytest.mark.parametrize("lam", LAMBDAS)
+@pytest.mark.parametrize(("n", "q"), [(n, 2) for n in SMALL_N]
+                         + [(n, 4) for n in SMALL_N if n <= 5])
+def test_one_step_law_matches_lumped_sw_kernel_other_layouts(n, q, lam):
+    # q = 2 and 4 cover the product form's one- and three-axis layouts
+    _check_one_step_law(n, q, lam)
+
+
+def _check_one_step_law(n, q, lam):
     kernel = build_kernel("sw", n, q, lam).P.toarray()
     counts = _spin_counts(n, q)
     grid, valid = count_grid(n, q)

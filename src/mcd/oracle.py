@@ -19,9 +19,14 @@ P(x, y) = K[classes[x], classes[y]], and the stationary measure is constant
 on each class (checked on construction). An SW entry depends on the two
 colorings only through their monochromatic pair masks, so the sw classes
 are those masks (187 of them for the 4096 states at n = 6, q = 4); cm and
-glauber use one class per state, with K = P. Stationarity, detailed
-balance, the spectral gap and the mixing time are computed on K and the
-class sizes; `KernelTable.P` expands the per-state view for cuts, dumps
+glauber use one class per state, with K = P. K is stored in the shape it
+has: every coloring (sw) or edge set (cm) is reachable in one step, so
+those class kernels are full and held as dense ndarrays, while a glauber
+row has one entry per pair plus the diagonal and is held in CSR.
+Stationarity, detailed balance, the spectral gap and the mixing time are
+computed on K and the class sizes, by the same operations on either
+storage; Lanczos reads a dense K through a full CSR view of its rows.
+`KernelTable.P` expands the per-state view, always in CSR, for cuts, dumps
 and sampling checks.
 
 The cluster-coloring checks loop over the class colorings of the
@@ -214,15 +219,16 @@ def enumerate_potts_measure(n: int, q: int, lam: float) -> MeasureTable:
 @dataclass(frozen=True)
 class KernelTable:
     """Exact transition kernel in class form (see the module docstring):
-    P(x, y) = K[classes[x], classes[y]] with K in CSR, plus the stationary
-    reference measure, indexed per the module codec."""
+    P(x, y) = K[classes[x], classes[y]], plus the stationary reference
+    measure, indexed per the module codec. K is a dense ndarray for the
+    full sw and cm kernels and CSR for glauber; every consumer takes both."""
 
     kind: str
     n: int
     q: float
     lam: float
     classes: np.ndarray
-    K: sp.csr_matrix
+    K: np.ndarray | sp.csr_matrix
     measure: MeasureTable
 
     def __post_init__(self):
@@ -251,16 +257,37 @@ class KernelTable:
     @functools.cached_property
     def balance_violation(self) -> float:
         """max over classes of |pi_a K_ab - pi_b K_ba|; only the scalar is kept."""
-        f = self.K.copy()
-        f.data *= np.repeat(self.class_probs, np.diff(f.indptr))
+        f = _scaled(self.K, self.class_probs)
         return float(abs(f - f.T).max())
 
     @functools.cached_property
     def P(self) -> sp.csr_matrix:
         """The per-state kernel in canonical CSR (rows sum to 1)."""
-        P = self.K.tocsc()[:, self.classes].tocsr()[self.classes]
+        P = sp.csr_matrix(self.K).tocsc()[:, self.classes].tocsr()[self.classes]
         P.sort_indices()
         return P
+
+
+def _scaled(K: np.ndarray | sp.csr_matrix, row: np.ndarray,
+            col: np.ndarray | None = None) -> np.ndarray | sp.csr_matrix:
+    """diag(row) K diag(col) in K's own storage, rows scaled first. A CSR K
+    keeps its pattern: its copy's data are scaled in place. A zero of a
+    dense K stays zero, as an entry left out of a CSR does, also against an
+    infinite col entry (1/sqrt(pi) on a class of measure zero)."""
+    if not sp.issparse(K):
+        m = K * row[:, None]
+        if col is not None:
+            np.multiply(m, col, out=m, where=K != 0)
+        return m
+    m = K.copy()
+    m.data *= np.repeat(row, np.diff(K.indptr))
+    if col is not None:
+        m.data *= col[K.indices]
+    return m
+
+
+def _dense(K: np.ndarray | sp.csr_matrix) -> np.ndarray:
+    return K.toarray() if sp.issparse(K) else K
 
 
 def _bernoulli_submasks(positions: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
@@ -333,14 +360,20 @@ def _sw_kernel(n: int, q: int, lam: float) -> KernelTable:
         raise ValueError(f"sw kernel limited to C(n,2) <= 15, got {num_pairs(n)}")
     # an entry depends on the two colorings only through their
     # monochromatic pair masks, so the factor product is taken once per pair
-    # of distinct masks, with one representative coloring per target mask.
-    # An entry sums up to 2^C terms; extended precision keeps it within
-    # rounding of the exact value (float64 accumulation drifts by ~5e-14 at
-    # n = 6)
-    masks, reps, classes = np.unique(_mono_masks(n, q), return_index=True,
-                                     return_inverse=True)
-    K = (_percolation_factor(masks, n, lam / n).astype(np.longdouble)
-         @ _recolor_factor(n, q)[:, reps].astype(np.longdouble)).astype(np.float64)
+    # of distinct masks. Recoloring sends omega to a coloring with mask m
+    # with probability q^-k(omega) iff omega's open pairs lie in m, so that
+    # factor, restricted to one coloring per mask, has the pattern of the
+    # percolation factor transposed. An entry sums up to 2^C terms;
+    # extended precision keeps it within rounding of the exact value
+    # (float64 accumulation drifts by ~5e-14 at n = 6)
+    masks, classes = np.unique(_mono_masks(n, q), return_inverse=True)
+    perc = _percolation_factor(masks, n, lam / n)
+    _, kcnt, _ = mask_partition_table(n)
+    recolor = sp.csr_matrix(
+        (1.0 / q ** kcnt[perc.indices].astype(np.int64), perc.indices, perc.indptr),
+        shape=perc.shape).T
+    K = (perc.astype(np.longdouble) @ recolor.astype(np.longdouble)).toarray()
+    K = K.astype(np.float64)
     return KernelTable("sw", n, float(q), lam, classes, K,
                        enumerate_potts_measure(n, q, lam))
 
@@ -380,7 +413,7 @@ def _cm_kernel(n: int, q: float, lam: float) -> KernelTable:
         for lo in range(0, sel.size, step):
             rows = slice(lo, lo + step)
             P[sel[rows, None], kept[rows, None] | masks] += w_act[rows, None] * w_sub
-    return KernelTable("cm", n, q, lam, states, sp.csr_matrix(P),
+    return KernelTable("cm", n, q, lam, states, P,
                        enumerate_fk_measure(n, lam, q))
 
 
@@ -393,25 +426,41 @@ def _glauber_kernel(n: int, q: float, lam: float) -> KernelTable:
     c = num_pairs(n)
     size = 1 << c
     pu, pv = all_pairs(n)
-    labels_tbl, _, _ = mask_partition_table(n)
+    labels_tbl, _, ones = mask_partition_table(n)
     states = np.arange(size, dtype=np.int64)
     if c == 0:  # one vertex, no pair to update: the chain stays put
         return KernelTable("glauber", n, q, lam, states,
                            sp.identity(1, format="csr"),
                            enumerate_fk_measure(n, lam, q))
-    rows, cols, vals = [], [], []
+    # row x holds x ^ 2^b for each pair b and x itself, in column order:
+    # first the set bits from the highest down (slot = set bits above b),
+    # then x (slot = popcount x), then the clear bits from the lowest up
+    # (slot = popcount x + 1 + clear bits below b). The diagonal sums the
+    # pairs' stay weights in pair order
+    width = c + 1
+    base = states * width
+    indices = np.empty(size * width, dtype=np.int32)
+    data = np.empty(size * width)
+    diag = np.zeros(size)
+    below = np.zeros(size, dtype=np.int64)  # set bits below b
     for b in range(c):
         bit = np.int64(1) << b
         wo = states & ~bit
         conn = labels_tbl[wo, pu[b]] == labels_tbl[wo, pv[b]]
         r = np.where(conn, p, p / (p + q * (1.0 - p)))
-        rows.extend([states, states])
-        cols.extend([states | bit, wo])
-        vals.extend([r / c, (1.0 - r) / c])
-    P = sp.coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(size, size)).tocsr()
-    return KernelTable("glauber", n, q, lam, states, P,
+        up, down = r / c, (1.0 - r) / c
+        is_set = (states & bit) != 0
+        rank = ones - below  # set bits at or above b
+        slot = base + np.where(is_set, rank - 1, rank + 1 + b)
+        indices[slot] = states ^ bit
+        data[slot] = np.where(is_set, down, up)
+        diag += np.where(is_set, up, down)
+        below += is_set
+    indices[base + ones] = states
+    data[base + ones] = diag
+    indptr = np.arange(0, size * width + 1, width, dtype=np.int32)
+    return KernelTable("glauber", n, q, lam, states,
+                       sp.csr_matrix((data, indices, indptr), shape=(size, size)),
                        enumerate_fk_measure(n, lam, q))
 
 
@@ -439,8 +488,11 @@ def build_kernel(kind: str, n: int, q: float, lam: float) -> KernelTable:
 
 def stationarity_residual(kernel: KernelTable) -> float:
     """L1 norm of pi P - pi against the enumerated measure. Class b of
-    (pi P) is sum_a c_a pi_a K[a, b] over the class sizes c."""
-    flow = (kernel.class_probs * kernel.class_sizes) @ kernel.K
+    (pi P) is sum_a c_a pi_a K[a, b] over the class sizes c. On a dense K
+    that is a column sum, which adds the rows in order, as the sparse
+    product does, and makes no BLAS call."""
+    K, w = kernel.K, kernel.class_probs * kernel.class_sizes
+    flow = w @ K if sp.issparse(K) else _scaled(K, w).sum(axis=0)
     return float(np.abs(flow[kernel.classes] - kernel.measure.probs).sum())
 
 
@@ -449,17 +501,28 @@ def detailed_balance_violation(kernel: KernelTable) -> float:
     return kernel.balance_violation
 
 
-def _symmetrized(K: sp.csr_matrix, sizes: np.ndarray,
-                 pi: np.ndarray) -> sp.csr_matrix:
+def _symmetrized(K: np.ndarray | sp.csr_matrix, sizes: np.ndarray,
+                 pi: np.ndarray) -> np.ndarray | sp.csr_matrix:
     """The symmetric C^{1/2} D^{1/2} K D^{-1/2} C^{1/2} for C = diag(sizes)
-    and D = diag(pi): similar to K C, so it has the nonzero spectrum of the
-    per-state kernel. With unit sizes it is D^{1/2} P D^{-1/2}."""
+    and D = diag(pi), in K's storage: similar to K C, so it has the nonzero
+    spectrum of the per-state kernel. With unit sizes it is
+    D^{1/2} P D^{-1/2}."""
     s = np.sqrt(pi)
     r = np.sqrt(sizes)
-    m = K.copy()
-    m.data *= np.repeat(r * s, np.diff(K.indptr))
-    m.data *= (r / s)[K.indices]
-    return ((m + m.T) * 0.5).tocsr()
+    with np.errstate(divide="ignore"):  # inf on a class of measure zero
+        col = r / s
+    m = _scaled(K, r * s, col)
+    return (m + m.T) * 0.5
+
+
+def _csr_view(m: np.ndarray) -> sp.csr_matrix:
+    """A full CSR over the rows of a C-contiguous square m, sharing its
+    memory. The pattern is written down, not found by a scan for nonzeros;
+    its matvec is scipy's own loop, so no BLAS call touches m."""
+    count = m.shape[0]
+    cols = np.tile(np.arange(count, dtype=np.int32), count)
+    indptr = np.arange(0, count * count + 1, count, dtype=np.int32)
+    return sp.csr_matrix((m.ravel(), cols, indptr), shape=m.shape)
 
 
 def spectral_gap(kernel: KernelTable) -> float:
@@ -475,7 +538,10 @@ def spectral_gap(kernel: KernelTable) -> float:
     eigenvalues (the top one is 1) at tolerance 1e-10 from a fixed start
     vector, so that the result repeats exactly; lambda_2 is the smaller.
     There is no deflation and no Python matvec: a numpy dot of length
-    >= 10^4 in the operator would wake the BLAS threads on every step.
+    >= 10^4 in the operator would wake the BLAS threads on every step. For
+    the same reason a dense K reaches eigsh as a CSR view (_csr_view): a
+    BLAS matrix-vector product on the 1024^2 cm kernel wakes the second
+    thread, which then spins after each call.
     """
     if kernel.balance_violation >= 1e-8:
         raise ValueError("spectral_gap requires a reversible kernel "
@@ -486,8 +552,10 @@ def spectral_gap(kernel: KernelTable) -> float:
         return 1.0
     m = _symmetrized(kernel.K, sizes, pi)
     if count < 16:
-        lam2 = scipy.linalg.eigvalsh(m.toarray())[-2]
+        lam2 = scipy.linalg.eigvalsh(_dense(m))[-2]
     else:
+        if not sp.issparse(m):
+            m = _csr_view(m)
         v0 = np.random.default_rng(0).uniform(-1.0, 1.0, count)
         lam2 = eigsh(m, k=2, which="LA", tol=1e-10, v0=v0,
                      return_eigenvectors=False).min()
@@ -508,9 +576,8 @@ def mixing_time_exact(kernel: KernelTable) -> int:
     size = kernel.size
     if size > 4096:
         raise ValueError(f"exact mixing time limited to 4096 states, got {size}")
-    k = kernel.K.toarray()
+    m = k = _dense(kernel.K)
     sizes, pi = kernel.class_sizes, kernel.class_probs
-    m = k.copy()
     for t in range(1, 10 ** 6 + 1):
         if 0.5 * (np.abs(m - pi) @ sizes).max() < _MIXING_THRESHOLD:
             return t

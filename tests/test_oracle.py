@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcd import oracle
-from mcd.indexing import all_pairs
+from mcd.indexing import all_pairs, num_pairs
 from mcd.model import EdgeConfig, cluster_decompose
 from mcd.oracle import (
     KernelTable,
@@ -355,6 +355,92 @@ def test_lanczos_gap_matches_dense_at_n5(kind, q, lam):
     assert kernel.K.shape[0] == 1024
     gap = 1.0 - np.linalg.eigvalsh(_dense_symmetrized(kernel))[-2]
     assert spectral_gap(kernel) == pytest.approx(gap, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# kernel storage
+
+def _outputs(kernel):
+    """What the oracle returns on a kernel, as the reprs it prints."""
+    return [repr(check(kernel)) for check in (
+        stationarity_residual, detailed_balance_violation, spectral_gap,
+        mixing_time_exact)]
+
+
+@pytest.mark.parametrize("kind,n,q,lam", [
+    ("sw", 3, 2, 1.0), ("sw", 4, 3, 2.5), ("sw", 5, 2, 0.5), ("sw", 5, 3, 2.0),
+    ("cm", 3, 1.0, 0.0), ("cm", 4, 1.5, 3.5), ("cm", 4, 2.5, 1.0),
+    ("cm", 5, 2.5, 1.0), ("cm", 5, 4.0, 3.0)])
+def test_dense_and_csr_class_kernels_agree_bit_for_bit(kind, n, q, lam):
+    # the full kernels are dense; handed in as CSR they take the sparse
+    # path, where `*` would be a matrix product. At cm q = 1, lam = 0 the
+    # measure is zero off the empty graph, and a dense zero must stay zero
+    # against 1/sqrt(pi) = inf as an entry missing from the CSR does
+    dense = build_kernel(kind, n, q, lam)
+    assert isinstance(dense.K, np.ndarray)
+    csr = dataclasses.replace(dense, K=sp.csr_matrix(dense.K))
+    assert _outputs(csr) == _outputs(dense)
+    assert dense.P.has_canonical_format
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(csr.P, attr), getattr(dense.P, attr))
+
+
+def _glauber_coo(n, q, lam):
+    """The heat-bath kernel as one COO entry per pair and direction, with
+    the duplicates (the diagonal) summed by scipy."""
+    p, c = lam / n, num_pairs(n)
+    pu, pv = all_pairs(n)
+    labels, _, _ = mask_partition_table(n)
+    states = np.arange(1 << c)
+    rows, cols, vals = [], [], []
+    for b in range(c):
+        wo = states & ~(1 << b)
+        r = np.where(labels[wo, pu[b]] == labels[wo, pv[b]],
+                     p, p / (p + q * (1.0 - p)))
+        rows += [states, states]
+        cols += [states | (1 << b), wo]
+        vals += [r / c, (1.0 - r) / c]
+    return sp.coo_matrix((np.concatenate(vals),
+                          (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(1 << c, 1 << c)).tocsr()
+
+
+@pytest.mark.parametrize("n,q,lam", [(2, 2.0, 1.0), (3, 0.5, 2.5), (4, 2.0, 1.0),
+                                     (4, 3.0, 0.0), (5, 2.0, 1.0), (5, 4.0, 4.5),
+                                     (6, 2.0, 1.0), (6, 1.5, 5.5)])
+def test_glauber_csr_is_canonical_and_matches_the_coo_sum(n, q, lam):
+    K = build_kernel("glauber", n, q, lam).K
+    ref = _glauber_coo(n, q, lam)
+    width = num_pairs(n) + 1
+    # every row holds its width entries, in strictly increasing columns
+    assert np.array_equal(K.indptr, np.arange(0, K.shape[0] * width + 1, width))
+    assert (np.diff(K.indices.reshape(-1, width), axis=1) > 0).all()
+    assert np.abs(np.add.reduceat(K.data, K.indptr[:-1]) - 1.0).max() <= 1e-15
+    assert np.array_equal(K.indptr, ref.indptr)
+    assert np.array_equal(K.indices, ref.indices)
+    if n <= 4:  # scipy sums each short row's duplicates in pair order
+        assert np.array_equal(K.data, ref.data)
+    else:
+        assert np.abs(K.data - ref.data).max() <= 1e-15
+
+
+# the oracle's values when every kernel was held in CSR; a change of
+# storage or of summation order that moves them shows here
+ORACLE_PINS = {
+    ("sw", 5, 3.0, 2.0): ["3.421742056364252e-16", "3.2526065174565133e-19",
+                          "0.4517465029219786", "3"],
+    ("cm", 4, 1.5, 3.5): ["1.321845736167171e-16", "6.938893903907228e-18",
+                          "0.43847047398702055", "4"],
+    ("cm", 5, 2.5, 1.0): ["6.178600758465935e-15", "2.6020852139652106e-18",
+                          "0.3145914819230644", "6"],
+    ("glauber", 4, 2.0, 1.0): ["1.5600314009350802e-16", "5.204170427930421e-18",
+                               "0.15290765046736055", "15"],
+}
+
+
+@pytest.mark.parametrize("case", list(ORACLE_PINS), ids=lambda c: f"{c[0]}-{c[1]}")
+def test_oracle_values_are_pinned(case):
+    assert _outputs(build_kernel(*case)) == ORACLE_PINS[case]
 
 
 def _cycle_kernel(count):

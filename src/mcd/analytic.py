@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .model import integer_q
+
 
 class RegimeError(ValueError):
     """Raised when a quantity is requested outside its parameter regime."""
@@ -75,8 +77,8 @@ class CriticalPoints:
 
 
 def critical_points(q: float) -> CriticalPoints:
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q!r}")
+    if not 1 <= q < math.inf:
+        raise ValueError(f"q must be finite and >= 1, got {q!r}")
     if q <= 2:
         # all three transition points coincide (continuous transition)
         return CriticalPoints(q=q, lambda_s=float(q), lambda_c=float(q), lambda_S=float(q))
@@ -165,9 +167,7 @@ def a_fixed_point(lam: float, q: int) -> float:
 
     Requires integer q >= 3 and lam > lambda_s(q).
     """
-    if int(q) != q or q < 3:
-        raise ValueError(f"a_fixed_point needs integer q >= 3, got {q!r}")
-    q = int(q)
+    q = integer_q(q, 3, "a_fixed_point")
     if lam <= critical_points(q).lambda_s:
         raise RegimeError(f"no ordered fixed point at lam={lam!r} <= lambda_s({q})")
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -54,7 +55,7 @@ from .experiments import (
     sm_tail,
     sw_drift_map,
 )
-from .model import EdgeConfig, ModelParams, SpinConfig
+from .model import EdgeConfig, ModelParams, SpinConfig, integer_q
 from .oracle import (
     bgj_coloring_check,
     build_kernel,
@@ -187,15 +188,9 @@ def _resolve_lambda(opts: dict, n_values: list[int] | None) -> float:
             raise CliError(1, "--beta conversion needs a single --n")
         n = n_values[0]
         lam = -n * math.expm1(-float(beta) / n)
-    if lam <= 0:
-        raise CliError(1, f"edge intensity must be positive, got {lam!r}")
+    if not 0 < lam < math.inf:
+        raise CliError(1, f"edge intensity must be finite and > 0, got {lam!r}")
     return lam
-
-
-def _require_integer_q(q: float, what: str) -> int:
-    if q != int(q):
-        raise CliError(1, f"{what} requires integer q, got {q!r}")
-    return int(q)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +247,7 @@ def _cmd_simulate(ns) -> int:
         raise CliError(1, "--n and --q are required")
     lam = _resolve_lambda(opts, [n])
     if kind == "sw":
-        q = float(_require_integer_q(q, "sw"))
+        q = float(integer_q(q, 2, "sw"))
     params = ModelParams(n=n, q=q, lam=lam)
     steps = _opt(opts, "steps", default=100, conv=int)
     every = _opt(opts, "observe_every", default=1, conv=int)
@@ -293,96 +288,91 @@ def _cmd_simulate(ns) -> int:
     return 0
 
 
-@dataclasses.dataclass(frozen=True)
-class Experiment:
-    """How `mcd experiment NAME` runs one function of mcd.experiments.
-
-    options names the function's parameters after (n, lam), in its order,
-    by option dest, each with its CLI default (None: required; the seed
-    always resolves through MCD_SEED). single_n and integer_q are the
-    shape rules on --n and --q.
-    """
-
-    run: Callable
-    options: dict
-    single_n: bool = False
-    integer_q: bool = False
+def _options(func: Callable, skip: int, defaults: dict) -> dict:
+    """func's parameters after the first skip, by option dest (master_seed
+    is seed, any *_grid is grid) in signature order, each with its default:
+    from defaults, else the signature's, else None (required)."""
+    options = {}
+    for name, par in list(inspect.signature(func).parameters.items())[skip:]:
+        dest = ("seed" if name == "master_seed" else
+                "grid" if name.endswith("_grid") else name)
+        options[dest] = defaults.get(
+            dest, None if par.default is par.empty else par.default)
+    return options
 
 
+# The registries. `mcd experiment NAME` runs a function of mcd.experiments
+# on (n or the n grid, lambda, options) and `mcd oracle CHECK` a _check_*
+# function below on (n, q, lambda, options). The options, their order and
+# their defaults are read from the function's signature; an experiment
+# whose first parameter is n takes a single --n. An experiment's entry
+# holds only the defaults the library leaves to its caller.
 EXPERIMENTS = {
-    "one_step_exit": Experiment(one_step_exit, dict(
-        q=None, rho=0.08, start="balanced", replicas=500, seed=None,
-        threads=1), integer_q=True),
-    "escape_time": Experiment(escape_time, dict(
-        q=None, rho=0.08, start="balanced", replicas=200, seed=None,
-        cap=10 ** 6, threads=1), integer_q=True),
-    "sw_drift_map": Experiment(sw_drift_map, dict(
-        q=None, grid=None, replicas=200, seed=None, threads=1),
-        single_n=True, integer_q=True),
-    "cm_drift_map": Experiment(cm_drift_map, dict(
-        q=1.0, grid=None, replicas=200, seed=None, threads=1), single_n=True),
-    "sm_tail": Experiment(sm_tail, dict(
-        m_threshold=20, rho=0.2, replicas=50000, seed=None, threads=1)),
-    "cluster_tail_bound": Experiment(cluster_tail_bound, dict(
-        grid="20:60:20", replicas=100000, seed=None, threads=1),
-        single_n=True),
-    "giant_concentration": Experiment(giant_concentration, dict(
-        epsilon=0.01, replicas=100, seed=None, threads=1), single_n=True),
-    "bimodality_scan": Experiment(bimodality_scan, dict(
-        q=None, burn=200, samples=1000, seed=None),
-        single_n=True, integer_q=True),
+    "one_step_exit": (one_step_exit,
+                      dict(rho=0.08, start="balanced", replicas=500)),
+    "escape_time": (escape_time,
+                    dict(rho=0.08, start="balanced", replicas=200)),
+    "sw_drift_map": (sw_drift_map, dict(replicas=200)),
+    "cm_drift_map": (cm_drift_map, dict(q=1.0, replicas=200)),
+    "sm_tail": (sm_tail, dict(m_threshold=20, rho=0.2, replicas=50000)),
+    "cluster_tail_bound": (cluster_tail_bound,
+                           dict(grid="20:60:20", replicas=100000)),
+    "giant_concentration": (giant_concentration,
+                            dict(epsilon=0.01, replicas=100)),
+    "bimodality_scan": (bimodality_scan, dict(burn=200, samples=1000)),
 }
+_EXPERIMENT_OPTIONS = {name: _options(run, 2, defaults)
+                       for name, (run, defaults) in EXPERIMENTS.items()}
 
 
 def _cmd_experiment(ns) -> int:
     name = ns.name
-    spec = EXPERIMENTS.get(name)
-    if spec is None:
+    if name not in EXPERIMENTS:
         raise CliError(1, f"unknown experiment {name!r}; choose from "
                           + ", ".join(EXPERIMENTS))
-    opts = _merged_options(ns, {"n", "lam", "beta", "out", *spec.options})
+    run, options = EXPERIMENTS[name][0], _EXPERIMENT_OPTIONS[name]
+    opts = _merged_options(ns, {"n", "lam", "beta", "out", *options})
     if opts.get("n") is None:
         raise CliError(1, "--n is required")
     n_vals = _parse_grid(opts["n"], "int")
-    if spec.single_n and len(n_vals) != 1:
+    single_n = next(iter(inspect.signature(run).parameters)) == "n"
+    if single_n and len(n_vals) != 1:
         raise CliError(1, f"{name} takes a single --n")
     lam = _resolve_lambda(opts, n_vals)
     opts["seed"] = _master_seed(opts)
     config = {"command": "experiment", "experiment": name, "n": n_vals,
               "lambda": lam}
-    args = []
-    for key, default in spec.options.items():
+    for key, default in options.items():
         value = opts.get(key, default)
         if value is None:
             raise CliError(1, f"{name} needs {_flag(key)}")
         conv = _parse_grid if key == "grid" else _OPTIONS[key].get("type", str)
-        config[key] = value = conv(value)
-        args.append(_require_integer_q(value, name)
-                    if key == "q" and spec.integer_q else value)
+        config[key] = conv(value)
     config["out"] = opts.get("out") or f"mcd_{name}.csv"
-    report = spec.run(n_vals[0] if spec.single_n else n_vals, lam, *args)
+    report = run(n_vals[0] if single_n else n_vals, lam,
+                 *(config[key] for key in options))
     write_report(report, config["out"], config, __version__)
     print(config["out"])
     print(f"wall clock: {report.wall_clock_s:.2f}s", file=sys.stderr)
     return 0
 
 
-def _check_stationarity(n, q, lam, kind, tol) -> int:
+def _check_stationarity(n, q, lam, kind="glauber", tol=1e-10) -> int:
     return _verdict("stationarity residual",
                     stationarity_residual(build_kernel(kind, n, q, lam)), tol)
 
 
-def _check_detailed_balance(n, q, lam, kind, tol) -> int:
+def _check_detailed_balance(n, q, lam, kind="glauber", tol=1e-12) -> int:
     return _verdict("detailed balance violation",
                     detailed_balance_violation(build_kernel(kind, n, q, lam)), tol)
 
 
-def _check_gap(n, q, lam, kind) -> int:
+def _check_gap(n, q, lam, kind="glauber") -> int:
     print(f"spectral gap = {spectral_gap(build_kernel(kind, n, q, lam))!r}")
     return 0
 
 
-def _check_mixing(n, q, lam, kind) -> int:
+def _check_mixing(n, q, lam, kind="glauber") -> int:
     kernel = build_kernel(kind, n, q, lam)
     gap = spectral_gap(kernel)
     tmix = mixing_time_exact(kernel)
@@ -395,7 +385,7 @@ def _check_mixing(n, q, lam, kind) -> int:
     return 0 if ok else 2
 
 
-def _check_cheeger(n, q, lam, kind) -> int:
+def _check_cheeger(n, q, lam, kind="glauber") -> int:
     kernel = build_kernel(kind, n, q, lam)
     gap = spectral_gap(kernel)
     phi, label = min_conductance(kernel)
@@ -408,70 +398,60 @@ def _check_cheeger(n, q, lam, kind) -> int:
     return 0 if ok else 2
 
 
-def _check_dump(n, q, lam, kind, out) -> int:
+def _check_dump(n, q, lam, kind="glauber", out=None) -> int:
     out = out or f"mcd_kernel_{kind}_n{n}.csv"
     dump_kernel_csv(build_kernel(kind, n, q, lam), out)
     print(out)
     return 0
 
 
-def _check_bgj(n, q, lam, alpha, tol) -> int:
+def _check_bgj(n, q, lam, alpha=1.0 / 3.0, tol=1e-10) -> int:
     return _verdict("bgj restriction total variation",
                     bgj_coloring_check(n, lam, q, alpha), tol)
 
 
-def _check_iterated_coloring(n, q, lam, tol) -> int:
+def _check_iterated_coloring(n, q, lam, tol=1e-10) -> int:
     return _verdict("iterated coloring deviation",
                     iterated_coloring_check(n, lam, q), tol)
 
 
-def _check_es_coupling(n, q, lam, tol) -> int:
-    dev = max(es_coupling_check(n, lam, _require_integer_q(q, "es-coupling")))
+def _check_es_coupling(n, q, lam, tol=1e-10) -> int:
+    dev = max(es_coupling_check(n, lam, q))
     return _verdict("edge/spin coupling deviation", dev, tol)
 
 
-@dataclasses.dataclass(frozen=True)
-class OracleCheck:
-    """How `mcd oracle CHECK` runs: run(n, q, lam, **options) returns the
-    exit code. options are the check's own, by option dest, with their CLI
-    defaults; every check also takes --n, --q, --lambda/--beta, --config."""
-
-    run: Callable
-    options: dict
-
-
 ORACLE_CHECKS = {
-    "stationarity": OracleCheck(_check_stationarity,
-                                dict(kind="glauber", tol=1e-10)),
-    "detailed-balance": OracleCheck(_check_detailed_balance,
-                                    dict(kind="glauber", tol=1e-12)),
-    "gap": OracleCheck(_check_gap, dict(kind="glauber")),
-    "mixing": OracleCheck(_check_mixing, dict(kind="glauber")),
-    "cheeger": OracleCheck(_check_cheeger, dict(kind="glauber")),
-    "dump": OracleCheck(_check_dump, dict(kind="glauber", out=None)),
-    "bgj": OracleCheck(_check_bgj, dict(alpha=1.0 / 3.0, tol=1e-10)),
-    "iterated-coloring": OracleCheck(_check_iterated_coloring,
-                                     dict(tol=1e-10)),
-    "es-coupling": OracleCheck(_check_es_coupling, dict(tol=1e-10)),
+    "stationarity": _check_stationarity,
+    "detailed-balance": _check_detailed_balance,
+    "gap": _check_gap,
+    "mixing": _check_mixing,
+    "cheeger": _check_cheeger,
+    "dump": _check_dump,
+    "bgj": _check_bgj,
+    "iterated-coloring": _check_iterated_coloring,
+    "es-coupling": _check_es_coupling,
 }
+_CHECK_OPTIONS = {name: _options(check, 3, {})
+                  for name, check in ORACLE_CHECKS.items()}
 
 
 def _cmd_oracle(ns) -> int:
-    spec = ORACLE_CHECKS.get(ns.check)
-    if spec is None:
+    check = ORACLE_CHECKS.get(ns.check)
+    if check is None:
         raise CliError(1, f"unknown oracle check {ns.check!r}; choose from "
                           + ", ".join(ORACLE_CHECKS))
-    opts = _merged_options(ns, {"n", "q", "lam", "beta", *spec.options})
+    options = _CHECK_OPTIONS[ns.check]
+    opts = _merged_options(ns, {"n", "q", "lam", "beta", *options})
     n = _opt(opts, "n", conv=int)
     q = _opt(opts, "q", conv=float)
     if n is None or q is None:
         raise CliError(1, "--n and --q are required")
     lam = _resolve_lambda(opts, [n])
     args = {}
-    for key, default in spec.options.items():
+    for key, default in options.items():
         value = opts.get(key, default)
         args[key] = None if value is None else _OPTIONS[key].get("type", str)(value)
-    return spec.run(n, q, lam, **args)
+    return check(n, q, lam, **args)
 
 
 def _verdict(label: str, value: float, tol: float) -> int:
@@ -536,8 +516,8 @@ def _options_help(table: dict, what: str, common: str) -> str:
     return (f"options per {what}, with defaults (* required), besides "
             f"{common}:\n"
             + "\n".join(f"  {name}: " + " ".join(
-                shown(k, d) for k, d in e.options.items())
-                for name, e in table.items()))
+                shown(k, d) for k, d in options.items())
+                for name, options in table.items()))
 
 
 def build_parser() -> _Parser:
@@ -566,24 +546,24 @@ def build_parser() -> _Parser:
     p = sub.add_parser(
         "experiment", help="run a replicated experiment",
         formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog=_options_help(EXPERIMENTS, "experiment",
+        epilog=_options_help(_EXPERIMENT_OPTIONS, "experiment",
                              "--n, --lambda/--beta, --out and --config"))
     p.add_argument("name", type=lambda s: s.replace("-", "_"),
                    help="one of " + ", ".join(EXPERIMENTS))
     _add_common(p, "n", "lam", "beta",
-                *dict.fromkeys(k for e in EXPERIMENTS.values()
-                               for k in e.options), "out", "config")
+                *dict.fromkeys(k for o in _EXPERIMENT_OPTIONS.values()
+                               for k in o), "out", "config")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser(
         "oracle", help="exact small-system checks",
         formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog=_options_help(ORACLE_CHECKS, "check",
+        epilog=_options_help(_CHECK_OPTIONS, "check",
                              "--n, --q, --lambda/--beta and --config"))
     p.add_argument("check", help="one of " + ", ".join(ORACLE_CHECKS))
     _add_common(p, "n", "q", "lam", "beta",
-                *dict.fromkeys(k for c in ORACLE_CHECKS.values()
-                               for k in c.options), "config")
+                *dict.fromkeys(k for o in _CHECK_OPTIONS.values()
+                               for k in o), "config")
     p.set_defaults(func=_cmd_oracle)
     return parser
 

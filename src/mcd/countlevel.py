@@ -40,7 +40,7 @@ from functools import reduce
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .model import balanced_counts, is_balanced, majority_counts
+from .model import balanced_counts, integer_q, is_balanced, majority_counts
 
 _STATES_MAX = 4 * 10 ** 6
 _TAIL_TOL = 1e-12  # truncation bound on E[L1]
@@ -182,17 +182,10 @@ def sw_drift_mean(n: int, lam: float, q: int, z: float) -> float:
 # ---------------------------------------------------------------------------
 # the count-vector chain
 
-def _integer_q(q) -> int:
-    """q as an int; count vectors need an integral q >= 2 (3.0 is 3)."""
-    if not (float(q).is_integer() and q >= 2):
-        raise ValueError(f"need integer q >= 2, got {q!r}")
-    return int(q)
-
-
 def count_grid(total: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Full count vectors for the (q-1)-dimensional layout with the given
     total: (counts of shape (total+1,)*(q-1) + (q,), mask of valid ones)."""
-    d = _integer_q(q) - 1
+    d = integer_q(q, 2, "count_grid") - 1
     if (total + 1) ** d > _STATES_MAX:
         raise ValueError(f"count grid {(total + 1) ** d} exceeds {_STATES_MAX}")
     head = np.stack(np.indices((total + 1,) * d), axis=-1)
@@ -203,7 +196,7 @@ def count_grid(total: int, q: int) -> tuple[np.ndarray, np.ndarray]:
 def _class_color_laws(sizes, p: float, q: int) -> dict[int, np.ndarray]:
     """{m: class_color_laws' law at m} for m in sizes, normalised by the
     identity; sum_{i<j} k_i k_j = (m^2 - sum_i k_i^2)/2 is exact in ints."""
-    q = _integer_q(q)
+    q = integer_q(q, 2, "class_color_laws")
     lf = _log_factorials(max(sizes))
     b = log_cluster_weight(max(sizes), p, 1.0 / q) - lf  # log Z_k(1/q) - log k!
     laws = {}
@@ -233,7 +226,7 @@ def one_step_law(counts, lam: float, q: int,
     are set to 0. laws, if given, is class_color_laws(mmax, lam/n, q) for
     some mmax >= max(counts); if not, only the sizes in counts are built.
     """
-    q = _integer_q(q)
+    q = integer_q(q, 2, "one_step_law")
     counts = [int(c) for c in counts]
     if len(counts) != q:
         raise ValueError(f"need {q} counts, got {len(counts)}")

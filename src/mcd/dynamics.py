@@ -62,6 +62,7 @@ from .model import (
     _adjacency,
     _edge_config_presorted,
     cluster_decompose,
+    integer_q,
     s_m_vertices,
 )
 
@@ -255,9 +256,7 @@ def recolor_clusters(clusters: ClusterPartition, q: int,
 
 
 def _sw_q(spins: SpinConfig, params: ModelParams) -> int:
-    q = params.q_int
-    if q < 2:
-        raise ValueError(f"Swendsen-Wang needs integer q >= 2, got q={params.q!r}")
+    q = integer_q(params.q, 2, "Swendsen-Wang")
     if spins.n != params.n or spins.q != q:
         raise ValueError("spin configuration does not match params")
     return q

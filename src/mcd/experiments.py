@@ -46,6 +46,7 @@ from .model import (
     ModelParams,
     SpinConfig,
     balanced_counts,
+    integer_q,
     is_balanced,
     is_ordered,
     majority_counts,
@@ -184,10 +185,11 @@ def one_step_exit(n_grid, lam: float, q: int, rho: float, start: str,
                   replicas: int, master_seed: int,
                   threads: int = 1) -> ExperimentReport:
     """P(X_1 leaves the start's stability set) for one SW step, per n."""
+    q = integer_q(q, 2, "one_step_exit")
     if start not in ("balanced", "ordered"):
         raise ValueError(f"start must be balanced or ordered, got {start!r}")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    if not rho > 0:
+        raise ValueError(f"rho must be positive, got {rho!r}")
     a_lam = a_fixed_point(lam, q) if start == "ordered" else 0.0
     report = ExperimentReport("one_step_exit", float(q), lam, master_seed)
     cells = [(f"one_step_exit:{start}:n={n}", n,
@@ -234,10 +236,11 @@ def escape_time(n_grid, lam: float, q: int, rho: float, start: str,
     probability is 0.847/0.800/0.727 (mcd.countlevel.escape_time_law), so
     there the slowdown shows in P(T > t), not in the median.
     """
+    q = integer_q(q, 2, "escape_time")
     if start not in ("balanced", "ordered"):
         raise ValueError(f"start must be balanced or ordered, got {start!r}")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    if not rho > 0:
+        raise ValueError(f"rho must be positive, got {rho!r}")
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap!r}")
     a_lam = a_fixed_point(lam, q) if start == "ordered" else 0.0
@@ -291,6 +294,7 @@ def sw_drift_map(n: int, lam: float, q: int, z_grid, replicas: int,
     z = 1/3 and lambda_c(3), E[L1] = 156.60 puts the mean 0.0104 above
     F = 1/3.
     """
+    q = integer_q(q, 2, "sw_drift_map")
     report = ExperimentReport("sw_drift_map", float(q), lam, master_seed)
     for z in z_grid:
         if not (1.0 / q <= z <= 1.0):
@@ -383,6 +387,8 @@ def sm_tail(n_grid, lam: float, m_threshold: int, rho: float, replicas: int,
         raise RegimeError(f"S_M tail probes subcritical graphs; lam={lam!r} >= 1")
     if m_threshold < 0:
         raise ValueError("M must be >= 0")
+    if not rho > 0:
+        raise ValueError(f"rho must be positive, got {rho!r}")
     report = ExperimentReport("sm_tail", 1.0, lam, master_seed)
     cells = [(f"sm_tail:n={n}", n, (n, lam, m_threshold, rho)) for n in n_grid]
     hit_lists = _run_replicas(_sm_tail_worker, master_seed, cells, replicas,
@@ -454,6 +460,8 @@ def giant_concentration(n: int, lam: float, epsilon: float, replicas: int,
     """P(|L_1/n - theta_lam| >= epsilon) in supercritical G(n, lam/n)."""
     if lam <= 1.0:
         raise RegimeError(f"giant concentration needs lam > 1, got {lam!r}")
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     cells = [(f"giant_concentration:n={n}", n, (n, lam))]
     fracs = np.array(_run_replicas(_giant_worker, master_seed, cells,
                                    replicas, threads)[0])
@@ -503,13 +511,11 @@ def bimodality_scan(n: int, lam: float, q: int, burn: int, samples: int,
     the chains cross between the phases (use batch means to compare with
     mcd.countlevel.majority_law).
     """
-    if int(q) != q or q < 3:
-        raise ValueError(f"bimodality scan needs integer q >= 3, got {q!r}")
+    q = integer_q(q, 3, "bimodality scan")
     if burn < 0:
         raise ValueError(f"burn must be at least 0, got {burn!r}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples!r}")
-    q = int(q)
     a_ord = _ordered_a(lam, q)
     valley = (1.0 / q + 0.05, a_ord - 0.05)
     series = {}

@@ -22,6 +22,14 @@ from scipy.sparse.csgraph import connected_components
 from .indexing import lex_order, pair_indices_of
 
 
+def integer_q(q, least: int, what: str) -> int:
+    """q as an int, for the paths defined only at integer q >= least: 3.0
+    is 3, and anything else, inf and nan included, raises ValueError."""
+    if not (least <= q < math.inf and q == int(q)):
+        raise ValueError(f"{what} needs integer q >= {least}, got {q!r}")
+    return int(q)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Parameters (n, q, lambda) with the derived edge probability and
@@ -37,8 +45,8 @@ class ModelParams:
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if self.q < 1:
-            raise ValueError(f"q must be >= 1, got {self.q!r}")
+        if not 1 <= self.q < math.inf:
+            raise ValueError(f"q must be finite and >= 1, got {self.q!r}")
         if not (0.0 < self.lam < self.n):
             raise ValueError(f"lam must lie in (0, n), got {self.lam!r}")
 
@@ -61,10 +69,7 @@ class ModelParams:
     @property
     def q_int(self) -> int:
         """Integer q, for operations defined only at integer cluster weight."""
-        qi = round(self.q)
-        if abs(self.q - qi) > 1e-12:
-            raise ValueError(f"operation requires integer q, got q={self.q!r}")
-        return int(qi)
+        return integer_q(self.q, 1, "this operation")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -84,11 +89,11 @@ class SpinConfig:
         colors = np.ascontiguousarray(self.colors, dtype=np.int64)
         if colors.ndim != 1 or colors.size == 0:
             raise ValueError("colors must be a non-empty 1-d sequence")
-        if self.q < 1 or int(self.q) != self.q:
-            raise ValueError(f"q must be a positive integer, got {self.q!r}")
-        if colors.min() < 1 or colors.max() > self.q:
+        q = integer_q(self.q, 1, "a coloring")
+        if colors.min() < 1 or colors.max() > q:
             raise ValueError("colors must take values in 1..q")
-        counts = np.bincount(colors, minlength=self.q + 1)[1:]
+        counts = np.bincount(colors, minlength=q + 1)[1:]
+        object.__setattr__(self, "q", q)
         object.__setattr__(self, "colors", _readonly(colors))
         object.__setattr__(self, "counts", _readonly(counts))
 

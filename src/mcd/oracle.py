@@ -47,7 +47,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
 from .indexing import all_pairs, num_pairs, pair_indices_of
-from .model import EdgeConfig, _edge_config_presorted
+from .model import EdgeConfig, _edge_config_presorted, integer_q
 from .report import atomic_write_text
 
 _FK_N_MAX = 7
@@ -174,8 +174,8 @@ def enumerate_fk_measure(n: int, lam: float, q: float) -> MeasureTable:
         raise ValueError(f"exact enumeration limited to 0 <= n <= {_FK_N_MAX}, got {n}")
     if n == 0:
         return MeasureTable("fk", 0, q, lam, np.array([1.0]), 0.0)
-    if q <= 0:
-        raise ValueError(f"cluster weight must be positive, got {q!r}")
+    if not 0 < q < math.inf:
+        raise ValueError(f"cluster weight must be positive and finite, got {q!r}")
     if not (0.0 <= lam < n):
         raise ValueError(f"need 0 <= lam < n for p = lam/n in [0,1), got lam={lam!r}")
     p = lam / n
@@ -195,9 +195,7 @@ def enumerate_fk_measure(n: int, lam: float, q: float) -> MeasureTable:
 def enumerate_potts_measure(n: int, q: int, lam: float) -> MeasureTable:
     """The mean-field Potts measure over all q^n colorings: weight
     exp((beta/n) * #{monochromatic pairs}) with beta = -n*log(1 - lam/n)."""
-    if int(q) != q or q < 1:
-        raise ValueError(f"Potts needs integer q >= 1, got {q!r}")
-    q = int(q)
+    q = integer_q(q, 1, "Potts")
     if q ** n > _POTTS_STATES_MAX:
         raise ValueError(f"q^n = {q ** n} exceeds {_POTTS_STATES_MAX}")
     if not (0.0 <= lam < n):
@@ -351,9 +349,7 @@ def _recolor_factor(n: int, q: int) -> sp.csr_matrix:
 
 
 def _sw_kernel(n: int, q: int, lam: float) -> KernelTable:
-    if int(q) != q or q < 2:
-        raise ValueError(f"sw kernel needs integer q >= 2, got {q!r}")
-    q = int(q)
+    q = integer_q(q, 2, "sw kernel")
     if q ** n > 10 ** 4:
         raise ValueError(f"sw kernel limited to q^n <= 10^4, got {q ** n}")
     if num_pairs(n) > 15:
@@ -384,8 +380,8 @@ _SCATTER_ENTRIES = 1 << 18
 def _cm_kernel(n: int, q: float, lam: float) -> KernelTable:
     if n > 5:
         raise ValueError(f"cm kernel limited to n <= 5, got {n}")
-    if q < 1:
-        raise ValueError(f"cm kernel needs q >= 1, got {q!r}")
+    if not 1 <= q < math.inf:
+        raise ValueError(f"cm kernel needs finite q >= 1, got {q!r}")
     p = lam / n
     c = num_pairs(n)
     size = 1 << c
@@ -420,8 +416,8 @@ def _cm_kernel(n: int, q: float, lam: float) -> KernelTable:
 def _glauber_kernel(n: int, q: float, lam: float) -> KernelTable:
     if n > 6:
         raise ValueError(f"glauber kernel limited to n <= 6, got {n}")
-    if q <= 0:
-        raise ValueError(f"glauber kernel needs q > 0, got {q!r}")
+    if not 0 < q < math.inf:
+        raise ValueError(f"glauber kernel needs finite q > 0, got {q!r}")
     p = lam / n
     c = num_pairs(n)
     size = 1 << c
@@ -473,9 +469,7 @@ def build_kernel(kind: str, n: int, q: float, lam: float) -> KernelTable:
     if not (0.0 <= lam < n):
         raise ValueError(f"need 0 <= lam < n, got lam={lam!r}, n={n}")
     if kind == "sw":
-        if q != int(q):
-            raise ValueError(f"sw requires integer q, got {q!r}")
-        return _sw_kernel(n, int(q), lam)
+        return _sw_kernel(n, q, lam)
     if kind == "cm":
         return _cm_kernel(n, q, lam)
     if kind == "glauber":
@@ -797,9 +791,7 @@ def es_coupling_check(n: int, lam: float, q: int) -> tuple[float, float]:
     recoloring equals the Potts measure. Returns the two L1 deviations."""
     if n > 5:
         raise ValueError(f"coupling check limited to n <= 5, got {n}")
-    if int(q) != q or q < 1:
-        raise ValueError(f"needs integer q >= 1, got {q!r}")
-    q = int(q)
+    q = integer_q(q, 1, "es_coupling_check")
     potts = enumerate_potts_measure(n, q, lam)
     fk = enumerate_fk_measure(n, lam, q)
     push_fk = potts.probs @ _percolation_factor(_mono_masks(n, q), n, lam / n)

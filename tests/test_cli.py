@@ -1,5 +1,4 @@
 import hashlib
-import inspect
 import json
 import math
 from pathlib import Path
@@ -99,6 +98,36 @@ def test_sw_requires_integer_q(capsys):
                        "--q", "2.5", "--lambda", "1", "--grid", "0.5",
                        "--replicas", "2")
     assert code == 1 and "integer q" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--kind", "sw", "--n", "20", "--lambda", "1"],
+    ["experiment", "one_step_exit", "--n", "30", "--lambda", "2",
+     "--replicas", "2"],
+    ["oracle", "stationarity", "--kind", "sw", "--n", "3", "--lambda", "1"],
+    ["oracle", "es-coupling", "--n", "3", "--lambda", "1"],
+], ids=lambda a: a[1])
+def test_integer_q_paths_refuse_infinite_q(argv, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code, stdout, err = run(capsys, *argv, "--q", "inf",
+                            *(["--out", str(out)] if argv[0] != "oracle" else []))
+    assert code == 1 and "integer q" in err and "Traceback" not in err
+    assert stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["critical-points", "--q", "nan"],
+    ["critical-points", "--q", "inf"],
+    ["simulate", "--kind", "cm", "--n", "20", "--q", "nan", "--lambda", "1"],
+    ["oracle", "gap", "--kind", "cm", "--n", "3", "--q", "nan",
+     "--lambda", "1"],
+    ["drift", "--q", "3", "--lambda", "inf", "--grid", "0.5"],
+    ["drift", "--q", "3", "--lambda", "nan", "--grid", "0.5"],
+], ids=lambda a: "-".join(a[:2] + a[-3:]))
+def test_non_finite_q_and_lambda_are_refused(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and "finite" in err and "Traceback" not in err
+    assert out == ""
 
 
 def test_simulate_trajectory_csv(capsys):
@@ -257,13 +286,52 @@ def test_simulate_bytes_are_pinned(argv, capsys):
         == SIMULATE_SHA256[argv]
 
 
-def test_registry_options_follow_function_parameters():
-    # options are passed positionally after (n, lam)
-    for entry in EXPERIMENTS.values():
-        params = list(inspect.signature(entry.run).parameters)[2:]
-        dests = ["seed" if p == "master_seed" else
-                 "grid" if p.endswith("_grid") else p for p in params]
-        assert list(entry.options) == dests
+# the option tables of `mcd experiment --help` and `mcd oracle --help`:
+# each experiment's and check's options, in the order they are passed
+# after (n, lambda) or (n, q, lambda), with their defaults
+EXPERIMENT_EPILOG = """\
+options per experiment, with defaults (* required), besides --n, --lambda/--beta, --out and --config:
+  one_step_exit: --q * --rho 0.08 --start balanced --replicas 500 --seed --threads 1
+  escape_time: --q * --rho 0.08 --start balanced --replicas 200 --seed --cap 1000000 --threads 1
+  sw_drift_map: --q * --grid * --replicas 200 --seed --threads 1
+  cm_drift_map: --q 1.0 --grid * --replicas 200 --seed --threads 1
+  sm_tail: --m-threshold 20 --rho 0.2 --replicas 50000 --seed --threads 1
+  cluster_tail_bound: --grid 20:60:20 --replicas 100000 --seed --threads 1
+  giant_concentration: --epsilon 0.01 --replicas 100 --seed --threads 1
+  bimodality_scan: --q * --burn 200 --samples 1000 --seed
+"""
+
+ORACLE_EPILOG = """\
+options per check, with defaults (* required), besides --n, --q, --lambda/--beta and --config:
+  stationarity: --kind glauber --tol 1e-10
+  detailed-balance: --kind glauber --tol 1e-12
+  gap: --kind glauber
+  mixing: --kind glauber
+  cheeger: --kind glauber
+  dump: --kind glauber --out
+  bgj: --alpha 0.3333333333333333 --tol 1e-10
+  iterated-coloring: --tol 1e-10
+  es-coupling: --tol 1e-10
+"""
+
+
+def pinned_options(epilog: str) -> dict:
+    """{name: its option dests in order} from a pinned epilog."""
+    return {name: [t[2:].replace("-", "_") for t in rest.split()
+                   if t.startswith("--")]
+            for name, rest in (line.strip().split(": ", 1)
+                               for line in epilog.splitlines()[1:])}
+
+
+def test_registry_options_follow_function_parameters(capsys):
+    for command, epilog, table in (("experiment", EXPERIMENT_EPILOG, EXPERIMENTS),
+                                   ("oracle", ORACLE_EPILOG, ORACLE_CHECKS)):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == 0
+        help_text = capsys.readouterr().out
+        assert help_text[help_text.index("options per"):] == epilog
+        assert list(pinned_options(epilog)) == list(table)
 
 
 @pytest.mark.parametrize("name", list(EXPERIMENTS))
@@ -272,7 +340,8 @@ def test_experiment_bytes_hold_across_threads_and_sidecar_rerun(
     n_vals, opts = TINY[name]
     argv = ["experiment", name, *opts, "--seed", "5"]
     first = tmp_path / "t1.csv"
-    if "threads" in EXPERIMENTS[name].options:
+    options = pinned_options(EXPERIMENT_EPILOG)[name]
+    if "threads" in options:
         assert run(capsys, *argv, "--threads", "1", "--out", str(first))[0] == 0
         other = tmp_path / "t2.csv"
         assert run(capsys, *argv, "--threads", "2", "--out", str(other))[0] == 0
@@ -286,7 +355,7 @@ def test_experiment_bytes_hold_across_threads_and_sidecar_rerun(
 
     side = json.loads((tmp_path / "t1.json").read_text())["config"]
     assert set(side) == {"command", "experiment", "n", "lambda", "out",
-                         *EXPERIMENTS[name].options}
+                         *options}
     assert side["command"] == "experiment" and side["experiment"] == name
     assert side["n"] == n_vals
     if name == "sm_tail":
@@ -337,6 +406,13 @@ def test_replica_range_edges_keep_bytes_across_threads(argv, tmp_path, capsys):
     ("escape_time", "--cap", "-2"),
     ("escape_time", "--rho", "-0.1"),
     ("escape_time", "--rho", "0"),
+    ("escape_time", "--rho", "nan"),
+    ("one_step_exit", "--rho", "nan"),
+    ("sm_tail", "--rho", "0"),
+    ("sm_tail", "--rho", "-1"),
+    ("sm_tail", "--rho", "nan"),
+    ("giant_concentration", "--epsilon", "nan"),
+    ("giant_concentration", "--epsilon", "0"),
     ("bimodality_scan", "--burn", "-5"),
     ("bimodality_scan", "--samples", "0"),
 ])

@@ -1,11 +1,18 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from mcd.dynamics import sample_gnp
+from mcd.analytic import a_fixed_point
+from mcd.countlevel import class_color_laws, one_step_law
+from mcd.dynamics import sample_gnp, sw_step
+from mcd.experiments import bimodality_scan, escape_time, one_step_exit, sw_drift_map
 from mcd.indexing import (
     all_pairs,
     num_pairs,
@@ -25,6 +32,7 @@ from mcd.model import (
     is_ordered,
     s_m_vertices,
 )
+from mcd.oracle import build_kernel, enumerate_potts_measure, es_coupling_check
 from mcd.rng import RngStream, fnv1a64, replica_seed, replica_seeds, splitmix64
 
 
@@ -199,6 +207,75 @@ def test_model_params_beta_lambda_roundtrip():
     assert params.p == pytest.approx(params.lam / 100)
     with pytest.raises(ValueError):
         ModelParams(n=10, q=2.5, lam=1.0).q_int
+
+
+@pytest.mark.parametrize("q", [math.nan, math.inf, 0.5])
+def test_model_params_refuse_q_outside_one_to_inf(q):
+    with pytest.raises(ValueError, match="finite and >= 1"):
+        ModelParams(n=10, q=q, lam=1.0)
+
+
+# ---------------------------------------------------------------------------
+# the integer-q rule: every path defined only at integer q takes 3.0 and
+# np.int64(3) as 3 and refuses anything else
+
+_LAM3 = 2.772588722239781  # lambda_c(3)
+
+
+def _sw_step(q):
+    spins = SpinConfig(colors=np.array([1, 2, 3, 1, 2, 3]), q=3)
+    return sw_step(spins, ModelParams(n=6, q=q, lam=1.0),
+                   np.random.Generator(np.random.PCG64(7)))
+
+
+INTEGER_Q_PATHS = {  # name: (least q, the path run at q)
+    "SpinConfig": (1, lambda q: SpinConfig(colors=np.array([1, 3, 3]), q=q)),
+    "sw_step": (2, _sw_step),
+    "class_color_laws": (2, lambda q: class_color_laws(4, 0.3, q)),
+    "one_step_law": (2, lambda q: one_step_law([2, 1, 2], 1.5, q)),
+    "build_kernel_sw": (2, lambda q: build_kernel("sw", 3, q, 1.0)),
+    "enumerate_potts_measure": (1, lambda q: enumerate_potts_measure(3, q, 1.0)),
+    "es_coupling_check": (1, lambda q: es_coupling_check(3, 1.0, q)),
+    "a_fixed_point": (3, lambda q: a_fixed_point(_LAM3, q)),
+    "one_step_exit": (2, lambda q: one_step_exit(
+        [30], _LAM3, q, 0.08, "balanced", 5, 1)),
+    "escape_time": (2, lambda q: escape_time(
+        [30], _LAM3, q, 0.08, "balanced", 5, 1, cap=20)),
+    "sw_drift_map": (2, lambda q: sw_drift_map(60, _LAM3, q, [0.5], 5, 1)),
+    "bimodality_scan": (3, lambda q: bimodality_scan(30, _LAM3, q, 2, 5, 1)),
+}
+
+
+def _canonical(x):
+    """x as nested tuples of typed plain values, for exact comparison; a
+    report's wall-clock time is left out."""
+    if dataclasses.is_dataclass(x):
+        return (type(x).__name__,) + tuple(
+            (f.name, _canonical(getattr(x, f.name)))
+            for f in dataclasses.fields(x) if f.name != "wall_clock_s")
+    if sp.issparse(x):
+        x = x.toarray()
+    if isinstance(x, np.ndarray):
+        return (x.dtype.str, x.shape, x.tobytes())
+    if isinstance(x, dict):
+        return tuple((k, _canonical(v)) for k, v in sorted(x.items()))
+    if isinstance(x, (list, tuple)):
+        return tuple(_canonical(v) for v in x)
+    return (type(x).__name__, repr(x))
+
+
+@pytest.mark.parametrize("name", list(INTEGER_Q_PATHS))
+def test_integer_q_paths_take_integral_floats_and_refuse_the_rest(name):
+    least, path = INTEGER_Q_PATHS[name]
+    want = _canonical(path(3))
+    assert _canonical(path(3.0)) == want
+    assert _canonical(path(np.int64(3))) == want
+    bad = [2.5, least - 1]
+    if name != "sw_step":  # ModelParams refuses inf and nan first
+        bad += [math.inf, math.nan]
+    for q in bad:
+        with pytest.raises(ValueError, match=f"integer q >= {least}, got"):
+            path(q)
 
 
 # ---------------------------------------------------------------------------

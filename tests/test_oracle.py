@@ -304,6 +304,15 @@ def test_kernel_guards():
         build_kernel("nope", 3, 2.0, 1.0)
 
 
+@pytest.mark.parametrize("q", [math.nan, math.inf])
+def test_real_q_paths_refuse_non_finite_q(q):
+    with pytest.raises(ValueError, match="finite"):
+        enumerate_fk_measure(3, 1.0, q)
+    for kind in ("cm", "glauber"):
+        with pytest.raises(ValueError, match="finite"):
+            build_kernel(kind, 3, q, 1.0)
+
+
 def test_glauber_satisfies_detailed_balance_quickly():
     kernel = build_kernel("glauber", 3, 2.0, 1.0)
     assert detailed_balance_violation(kernel) < 1e-15

@@ -24,6 +24,7 @@ import argparse
 import sys
 
 from mcd.cli import _parse_grid
+from mcd.model import integer_q
 from mcd.oracle import build_kernel, min_conductance, mixing_time_exact, spectral_gap
 
 KINDS = ("sw", "cm", "glauber")
@@ -53,9 +54,12 @@ def main(argv=None) -> int:
             ap.error(f"unknown kind {kind!r}")
 
     for kind in kinds:
-        if kind == "sw" and args.q != int(args.q):
-            print(f"# {kind}: skipped (needs integer q, got {args.q})")
-            continue
+        if kind == "sw":
+            try:
+                integer_q(args.q, 2, "sw")
+            except ValueError:
+                print(f"# {kind}: skipped (needs integer q, got {args.q})")
+                continue
         print(f"# {kind}  n={args.n}  q={args.q}")
         print(f"{'lambda':>8} {'gap':>12} {'phi_min':>12} {'cut':>7} "
               f"{'phi^2/2':>12} {'t_mix':>6}")

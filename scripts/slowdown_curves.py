@@ -56,7 +56,9 @@ def main(argv=None) -> int:
         report = one_step_exit(n_grid, lam, args.q, args.rho, "balanced",
                                args.replicas, args.seed, threads=args.threads)
         row = " ".join(f"{c.estimate:10.4f}" for c in report.cells)
-        slope = report.summary.get("log_slope", float("nan"))
+        slope = report.summary["log_slope"]  # None for a single n
+        if slope is None:
+            slope = float("nan")
         print(f"{lam:8.4f} {row} {slope:12.6f}")
         if args.out_dir:
             path = os.path.join(args.out_dir, f"exit_lam{lam:g}.csv")

@@ -22,7 +22,10 @@ sequence in turn. Either way every stream sees the draws it would see
 alone, so results are reproducible bit-for-bit for a fixed master seed
 whatever the range sizes. All cells' tasks run on one pool per experiment
 call, and values are reduced in replica order after it completes, so they
-do not depend on the thread count either.
+do not depend on the thread count either. Intervals are chosen in two
+places only: _proportion_cell gives a proportion its Wilson interval and
+_mean_cell a mean its percentile bootstrap interval (escape_time's
+censored median is the one cell built by hand).
 
 Regime notes. The ordered start needs the ordered drift fixed point, so
 it raises RegimeError below lambda_s. The balanced start is built for any
@@ -33,9 +36,7 @@ stability statements, but the estimator itself is well defined everywhere
 
 from __future__ import annotations
 
-import functools
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -130,23 +131,42 @@ def _run_replicas(worker, master_seed: int, cells, replicas: int,
             for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def _timed(experiment):
-    """Record the run's wall-clock time on the report it returns."""
-    @functools.wraps(experiment)
-    def run(*args, **kwargs):
-        t0 = time.perf_counter()
-        report = experiment(*args, **kwargs)
-        report.wall_clock_s = time.perf_counter() - t0
-        return report
-    return run
+def _ls_slope(xs, ys) -> float:
+    return float(np.polyfit(np.asarray(xs, float), np.asarray(ys, float), 1)[0])
 
+
+# ---------------------------------------------------------------------------
+# report cells
 
 def _boot_seed(master_seed: int, tag: str) -> int:
     return replica_seed(master_seed, "bootstrap:" + tag, 0)
 
 
-def _ls_slope(xs, ys) -> float:
-    return float(np.polyfit(np.asarray(xs, float), np.asarray(ys, float), 1)[0])
+def _proportion_cell(n, param, successes, replicas, estimate=None, **extra):
+    """A cell with the Wilson interval of successes out of replicas; the
+    estimate is their ratio unless given."""
+    lo, hi = wilson_ci(successes, replicas)
+    return ReportCell(
+        n=n, param=param, ci_lo=lo, ci_hi=hi, replicas=replicas, extra=extra,
+        estimate=successes / replicas if estimate is None else estimate)
+
+
+def _mean_cell(n, param, values, seed, **extra):
+    """A cell with the mean of values (one per replica) and its percentile
+    bootstrap interval, resampled from seed."""
+    lo, hi = bootstrap_ci(values, "mean", seed=seed)
+    return ReportCell(n=n, param=param, estimate=float(np.mean(values)),
+                      ci_lo=lo, ci_hi=hi, replicas=len(values), extra=extra)
+
+
+def _drift_cell(n, x, values, seed, predicted, **extra):
+    """A drift map's cell: the mean next-step fraction from x, its error
+    against the predicted drift, then extra, then its standard error."""
+    cell = _mean_cell(n, float(x), values, seed, predicted=predicted)
+    stderr = float(np.std(values, ddof=1) / math.sqrt(cell.replicas))
+    cell.extra.update(abs_error=abs(cell.estimate - predicted), **extra,
+                      stderr=stderr)
+    return cell
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +200,6 @@ def _exit_worker(rngs, n, q, lam, rho, start, a_lam) -> list:
     return [int(e) for e in _exited(counts, rho, start, a_lam)]
 
 
-@_timed
 def one_step_exit(n_grid, lam: float, q: int, rho: float, start: str,
                   replicas: int, master_seed: int,
                   threads: int = 1) -> ExperimentReport:
@@ -197,10 +216,8 @@ def one_step_exit(n_grid, lam: float, q: int, rho: float, start: str,
     exits = _run_replicas(_exit_worker, master_seed, cells, replicas, threads)
     for n, cell_exits in zip(n_grid, exits):
         hits = sum(cell_exits)
-        lo, hi = wilson_ci(hits, replicas)
-        report.cells.append(ReportCell(
-            n=n, param=rho, estimate=hits / replicas, ci_lo=lo, ci_hi=hi,
-            replicas=replicas, extra={"start": start, "exits": hits}))
+        report.cells.append(_proportion_cell(n, rho, hits, replicas,
+                                             start=start, exits=hits))
     report.summary["log_slope"] = _ls_slope(
         list(n_grid), [math.log(max(c.estimate, 0.5 / replicas))
                        for c in report.cells]) if len(report.cells) >= 2 else None
@@ -223,7 +240,6 @@ def _escape_worker(rngs, n, q, lam, rho, start, a_lam, cap) -> list:
     return times
 
 
-@_timed
 def escape_time(n_grid, lam: float, q: int, rho: float, start: str,
                 replicas: int, master_seed: int, cap: int = 10 ** 6,
                 threads: int = 1) -> ExperimentReport:
@@ -280,7 +296,6 @@ def _sw_drift_worker(rngs, n, q, lam, z) -> list:
     return (counts / n).tolist()
 
 
-@_timed
 def sw_drift_map(n: int, lam: float, q: int, z_grid, replicas: int,
                  master_seed: int, threads: int = 1) -> ExperimentReport:
     """Mean next-step fraction of the color class that receives the largest
@@ -304,16 +319,8 @@ def sw_drift_map(n: int, lam: float, q: int, z_grid, replicas: int,
     results = _run_replicas(_sw_drift_worker, master_seed, cells, replicas,
                             threads)
     for z, name, cell_vals in zip(z_grid, names, results):
-        vals = np.array(cell_vals)
-        mean = float(vals.mean())
-        lo, hi = bootstrap_ci(vals, "mean", seed=_boot_seed(master_seed, name))
-        predicted = sw_drift(z, lam, q)
-        report.cells.append(ReportCell(
-            n=n, param=float(z), estimate=mean, ci_lo=lo, ci_hi=hi,
-            replicas=replicas,
-            extra={"predicted": predicted,
-                   "abs_error": abs(mean - predicted),
-                   "stderr": float(vals.std(ddof=1) / math.sqrt(replicas))}))
+        report.cells.append(_drift_cell(
+            n, z, cell_vals, _boot_seed(master_seed, name), sw_drift(z, lam, q)))
     return report
 
 
@@ -329,7 +336,6 @@ def _cm_drift_worker(rngs, n, q, lam, theta) -> list:
     return (np.maximum.reduceat(sizes, bounds[:-1]) / n).tolist()
 
 
-@_timed
 def cm_drift_map(n: int, lam: float, q: float, theta_grid, replicas: int,
                  master_seed: int, threads: int = 1) -> ExperimentReport:
     """Mean largest-cluster fraction after one activation-resample step
@@ -347,18 +353,10 @@ def cm_drift_map(n: int, lam: float, q: float, theta_grid, replicas: int,
     results = _run_replicas(_cm_drift_worker, master_seed, cells, replicas,
                             threads)
     for theta, name, cell_vals in zip(theta_grid, names, results):
-        vals = np.array(cell_vals)
-        mean = float(vals.mean())
-        lo, hi = bootstrap_ci(vals, "mean", seed=_boot_seed(master_seed, name))
-        predicted = cm_drift(theta, lam, q)
-        stderr = float(vals.std(ddof=1) / math.sqrt(replicas))
-        report.cells.append(ReportCell(
-            n=n, param=float(theta), estimate=mean, ci_lo=lo, ci_hi=hi,
-            replicas=replicas,
-            extra={"predicted": predicted,
-                   "abs_error": abs(mean - predicted),
-                   "empirical_drift": mean - theta,
-                   "stderr": stderr}))
+        report.cells.append(_drift_cell(
+            n, theta, cell_vals, _boot_seed(master_seed, name),
+            cm_drift(theta, lam, q),
+            empirical_drift=float(np.mean(cell_vals)) - theta))
     return report
 
 
@@ -373,7 +371,6 @@ def _sm_tail_worker(rngs, n, lam, m_thr, rho) -> list:
     return (s_m >= rho * n).astype(int).tolist()
 
 
-@_timed
 def sm_tail(n_grid, lam: float, m_threshold: int, rho: float, replicas: int,
             master_seed: int, threads: int = 1) -> ExperimentReport:
     """P(|S_M| >= rho n) under subcritical G(n, lam/n), per n.
@@ -396,12 +393,9 @@ def sm_tail(n_grid, lam: float, m_threshold: int, rho: float, replicas: int,
     for n, cell_hits in zip(n_grid, hit_lists):
         hits = sum(cell_hits)
         est = (hits + 0.5) / (replicas + 1)
-        lo, hi = wilson_ci(hits, replicas)
-        report.cells.append(ReportCell(
-            n=n, param=rho, estimate=est, ci_lo=lo, ci_hi=hi,
-            replicas=replicas,
-            extra={"hits": hits, "m_threshold": m_threshold,
-                   "log_estimate": math.log(est)}))
+        report.cells.append(_proportion_cell(
+            n, rho, hits, replicas, est, hits=hits, m_threshold=m_threshold,
+            log_estimate=math.log(est)))
     if len(report.cells) >= 2:
         report.summary["log_slope"] = _ls_slope(
             list(n_grid), [c.extra["log_estimate"] for c in report.cells])
@@ -426,7 +420,6 @@ def _cluster_tail_worker(rngs, n, lam, kmax) -> list:
     return sizes
 
 
-@_timed
 def cluster_tail_bound(n: int, lam: float, k_grid, replicas: int,
                        master_seed: int, threads: int = 1) -> ExperimentReport:
     """Empirical P(|C_0| >= k) against the subcritical tail bound
@@ -439,13 +432,11 @@ def cluster_tail_bound(n: int, lam: float, k_grid, replicas: int,
                                    replicas, threads)[0])
     report = ExperimentReport("cluster_tail_bound", 1.0, lam, master_seed)
     for k in k_grid:
-        hits = int((sizes >= k).sum())
-        lo, hi = wilson_ci(hits, replicas)
         bound = math.exp(-(1.0 - lam) ** 2 * k / 2.0)
-        report.cells.append(ReportCell(
-            n=n, param=float(k), estimate=hits / replicas, ci_lo=lo, ci_hi=hi,
-            replicas=replicas,
-            extra={"bound": bound, "upper_ci_below_bound": hi <= bound}))
+        cell = _proportion_cell(n, float(k), int((sizes >= k).sum()),
+                                replicas, bound=bound)
+        cell.extra["upper_ci_below_bound"] = cell.ci_hi <= bound
+        report.cells.append(cell)
     return report
 
 
@@ -454,7 +445,6 @@ def _giant_worker(rngs, n, lam) -> list:
     return (np.maximum.reduceat(sizes, bounds[:-1]) / n).tolist()
 
 
-@_timed
 def giant_concentration(n: int, lam: float, epsilon: float, replicas: int,
                         master_seed: int, threads: int = 1) -> ExperimentReport:
     """P(|L_1/n - theta_lam| >= epsilon) in supercritical G(n, lam/n)."""
@@ -467,13 +457,10 @@ def giant_concentration(n: int, lam: float, epsilon: float, replicas: int,
                                    replicas, threads)[0])
     theta = theta_giant(lam)
     outside = int((np.abs(fracs - theta) >= epsilon).sum())
-    lo, hi = wilson_ci(outside, replicas)
     report = ExperimentReport("giant_concentration", 1.0, lam, master_seed)
-    report.cells.append(ReportCell(
-        n=n, param=epsilon, estimate=outside / replicas, ci_lo=lo, ci_hi=hi,
-        replicas=replicas,
-        extra={"theta": theta, "mean_l1": float(fracs.mean()),
-               "outside": outside}))
+    report.cells.append(_proportion_cell(
+        n, epsilon, outside, replicas, theta=theta,
+        mean_l1=float(fracs.mean()), outside=outside))
     return report
 
 
@@ -492,7 +479,6 @@ def _majority_series(n: int, q: int, lam: float, start: SpinConfig, burn: int,
     return out
 
 
-@_timed
 def bimodality_scan(n: int, lam: float, q: int, burn: int, samples: int,
                     master_seed: int) -> ExperimentReport:
     """Largest-color-fraction statistics of two SW chains, one from the
@@ -530,23 +516,17 @@ def bimodality_scan(n: int, lam: float, q: int, burn: int, samples: int,
     report.summary["a_ordered"] = a_ord
     report.summary["burn"] = burn
     for idx, start_name in enumerate(("balanced", "ordered")):
-        vals = series[start_name]
         name = f"bimodality:{start_name}:n={n}"
-        lo, hi = bootstrap_ci(vals, "mean", seed=_boot_seed(master_seed, name))
-        report.cells.append(ReportCell(
-            n=n, param=float(idx), estimate=float(vals.mean()),
-            ci_lo=lo, ci_hi=hi, replicas=samples,
-            extra={"start": start_name, "kind": "mean"}))
+        report.cells.append(_mean_cell(
+            n, float(idx), series[start_name], _boot_seed(master_seed, name),
+            start=start_name, kind="mean"))
     for idx, start_name in enumerate(("balanced", "ordered")):
         vals = series[start_name]
         in_valley = int(((vals > valley[0]) & (vals < valley[1])).sum())
-        lo, hi = wilson_ci(in_valley, samples)
         bins = np.arange(valley[0], valley[1] + 0.02, 0.02)
         hist, _ = np.histogram(vals, bins=bins)
-        report.cells.append(ReportCell(
-            n=n, param=float(2 + idx), estimate=in_valley / samples,
-            ci_lo=lo, ci_hi=hi, replicas=samples,
-            extra={"start": start_name, "kind": "valley_mass",
-                   "min_bin_mass": float(hist.min()) / samples if hist.size
-                   else 0.0}))
+        report.cells.append(_proportion_cell(
+            n, float(2 + idx), in_valley, samples, start=start_name,
+            kind="valley_mass",
+            min_bin_mass=float(hist.min()) / samples if hist.size else 0.0))
     return report

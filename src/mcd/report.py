@@ -5,10 +5,10 @@ The CSV schema is frozen:
     experiment,n,q,lambda,param,estimate,ci_lo,ci_hi,replicas,seed
 
 Floats are written with repr() so a rerun with the same master seed is
-byte-identical. Wall-clock time lives only on the in-memory report (and
-on stderr at the CLI); it never enters the CSV or the sidecar, which must
-be deterministic. The JSON sidecar holds the configuration echo and the
-tool version; `mcd experiment NAME --config SIDECAR` reruns it.
+byte-identical. Wall-clock time goes only to stderr at the CLI; it never
+enters the report, the CSV or the sidecar, which must be deterministic.
+The JSON sidecar holds the configuration echo and the tool version;
+`mcd experiment NAME --config SIDECAR` reruns it.
 """
 
 from __future__ import annotations
@@ -83,7 +83,6 @@ class ExperimentReport:
     master_seed: int
     cells: list[ReportCell] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
-    wall_clock_s: float = 0.0
 
     def validate(self) -> None:
         for cell in self.cells:

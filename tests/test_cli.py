@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -123,6 +124,9 @@ def test_integer_q_paths_refuse_infinite_q(argv, tmp_path, capsys):
      "--lambda", "1"],
     ["drift", "--q", "3", "--lambda", "inf", "--grid", "0.5"],
     ["drift", "--q", "3", "--lambda", "nan", "--grid", "0.5"],
+    ["drift", "--lambda", "2", "--grid", "0.5", "--q", "nan"],
+    ["drift", "--lambda", "2", "--grid", "0.5", "--q", "inf"],
+    ["drift", "--lambda", "2", "--grid", "0.5", "--q", "0.5"],
 ], ids=lambda a: "-".join(a[:2] + a[-3:]))
 def test_non_finite_q_and_lambda_are_refused(argv, capsys):
     code, out, err = run(capsys, *argv)
@@ -365,6 +369,20 @@ def test_experiment_bytes_hold_across_threads_and_sidecar_rerun(
     assert run(capsys, "experiment", name, "--config", str(tmp_path / "t1.json"),
                "--out", str(rerun))[0] == 0
     assert rerun.read_bytes() == first.read_bytes()
+
+
+def test_experiment_wall_clock_goes_to_stderr_only(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    code, stdout, err = run(capsys, "experiment", "sm_tail", *TINY["sm_tail"][1],
+                            "--seed", "5", "--out", str(out))
+    assert code == 0 and stdout == f"{out}\n"
+    assert len([line for line in err.splitlines()
+                if re.fullmatch(r"wall clock: \d+\.\d\ds", line)]) == 1
+    side = json.loads((tmp_path / "t.json").read_text())
+    assert set(side) == {"config", "version"}
+    assert set(side["config"]) == {
+        "command", "experiment", "n", "lambda", "out",
+        *pinned_options(EXPERIMENT_EPILOG)["sm_tail"]}
 
 
 # replica ranges at their edges: one replica, fewer replicas than workers,

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mcd.experiments
-from mcd.analytic import RegimeError
+from mcd.analytic import RegimeError, cm_drift, sw_drift
 from mcd.dynamics import sw_size_step
 from mcd.experiments import (
     _color_counts,
@@ -192,6 +194,76 @@ def test_bimodality_scan_cells_and_fallback():
     assert kinds == ["mean", "mean", "valley_mass", "valley_mass"]
     with pytest.raises(ValueError):
         bimodality_scan(50, 2.0, 2, burn=1, samples=5, master_seed=7)
+
+
+# each experiment at a tiny size, with its cells' extras keys in order
+CELL_EXTRAS = {
+    "one_step_exit": (lambda: one_step_exit(
+        [30, 45], LAMBDA_C3, 3, 0.08, "balanced", 20, 5),
+        [["start", "exits"]] * 2),
+    "escape_time": (lambda: escape_time(
+        [30], LAMBDA_C3, 3, 0.08, "balanced", 10, 5, cap=20),
+        [["start", "censored_frac", "cap"]]),
+    "sw_drift_map": (lambda: sw_drift_map(60, LAMBDA_C3, 3, [0.4, 0.6], 10, 5),
+                     [["predicted", "abs_error", "stderr"]] * 2),
+    "cm_drift_map": (lambda: cm_drift_map(60, LAMBDA_C3, 3.0, [0.2, 0.5], 10, 5),
+                     [["predicted", "abs_error", "empirical_drift",
+                       "stderr"]] * 2),
+    "sm_tail": (lambda: sm_tail([30, 45], 0.5, 3, 0.2, 40, 5),
+                [["hits", "m_threshold", "log_estimate"]] * 2),
+    "cluster_tail_bound": (lambda: cluster_tail_bound(60, 0.5, [1, 2, 4], 40, 5),
+                           [["bound", "upper_ci_below_bound"]] * 3),
+    "giant_concentration": (lambda: giant_concentration(60, 2.0, 0.05, 10, 5),
+                            [["theta", "mean_l1", "outside"]]),
+    "bimodality_scan": (lambda: bimodality_scan(60, LAMBDA_C3, 3, 2, 20, 5),
+                        [["start", "kind"]] * 2
+                        + [["start", "kind", "min_bin_mass"]] * 2),
+}
+
+
+@pytest.mark.parametrize("name", list(CELL_EXTRAS))
+def test_report_cells_keep_their_extras(name):
+    run, keys = CELL_EXTRAS[name]
+    report = run()
+    assert [list(c.extra) for c in report.cells] == keys
+    for c in report.cells:
+        x = c.extra
+        successes = None  # set on every Wilson cell
+        if "exits" in x or "outside" in x:
+            successes = x.get("exits", x.get("outside"))
+            assert c.estimate == successes / c.replicas
+        if "hits" in x:  # anchored estimate, Wilson interval on raw hits
+            successes = x["hits"]
+            assert c.estimate == (successes + 0.5) / (c.replicas + 1)
+            assert x["log_estimate"] == math.log(c.estimate)
+        if "bound" in x or x.get("kind") == "valley_mass":
+            successes = round(c.estimate * c.replicas)
+            assert c.estimate == successes / c.replicas
+        if "bound" in x:
+            assert x["upper_ci_below_bound"] == (c.ci_hi <= x["bound"])
+        if "predicted" in x:
+            drift = sw_drift if name == "sw_drift_map" else cm_drift
+            assert x["predicted"] == drift(c.param, report.lam, report.q)
+            assert x["abs_error"] == abs(c.estimate - x["predicted"])
+            assert x["stderr"] > 0
+        if "empirical_drift" in x:
+            assert x["empirical_drift"] == c.estimate - c.param
+        if successes is not None:
+            assert (c.ci_lo, c.ci_hi) == wilson_ci(successes, c.replicas)
+        elif name != "escape_time":  # a bootstrap-mean cell
+            assert c.ci_lo <= c.estimate <= c.ci_hi
+
+
+def test_slowdown_script_runs_with_a_single_n(capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "slowdown_curves.py"
+    spec = importlib.util.spec_from_file_location("slowdown_curves", path)
+    curves = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(curves)
+    assert curves.main(["--lambdas", "2.0", "--n-grid", "60",
+                        "--replicas", "5"]) == 0
+    row = capsys.readouterr().out.splitlines()[-1].split()
+    # one n gives no slope: the column reads nan
+    assert len(row) == 3 and row[0] == "2.0000" and row[2] == "nan"
 
 
 def _replica_slices(clusters):

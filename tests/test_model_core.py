@@ -247,12 +247,11 @@ INTEGER_Q_PATHS = {  # name: (least q, the path run at q)
 
 
 def _canonical(x):
-    """x as nested tuples of typed plain values, for exact comparison; a
-    report's wall-clock time is left out."""
+    """x as nested tuples of typed plain values, for exact comparison."""
     if dataclasses.is_dataclass(x):
         return (type(x).__name__,) + tuple(
             (f.name, _canonical(getattr(x, f.name)))
-            for f in dataclasses.fields(x) if f.name != "wall_clock_s")
+            for f in dataclasses.fields(x))
     if sp.issparse(x):
         x = x.toarray()
     if isinstance(x, np.ndarray):

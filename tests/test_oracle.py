@@ -541,3 +541,9 @@ def test_gap_survey_script_runs(capsys):
     # every state space has 8 states, so every cut minimum is exhaustive
     assert len(rows) == 3
     assert all(row[3] == "exact" for row in rows)
+    # q that is not an integer skips the sw table, inf included
+    for q in ("inf", "2.5"):
+        assert survey.main(["--n", "3", "--q", q, "--lambdas", "1",
+                            "--kinds", "sw"]) == 0
+        assert capsys.readouterr().out == \
+            f"# sw: skipped (needs integer q, got {float(q)})\n"

@@ -26,6 +26,7 @@ from mcd.experiments import (
     balanced_spins,
     ordered_spins,
 )
+from mcd.model import integer_q
 from mcd.rng import RngStream
 
 BAR_WIDTH = 56
@@ -62,6 +63,11 @@ def main(argv=None) -> int:
     ap.add_argument("--samples", type=int, default=1000)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
+    try:
+        integer_q(args.q, 3, "bimodality portrait")
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
     lam = args.lam if args.lam is not None else critical_points(args.q).lambda_c
     a_ord = _ordered_a(lam, args.q)

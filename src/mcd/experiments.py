@@ -396,9 +396,9 @@ def sm_tail(n_grid, lam: float, m_threshold: int, rho: float, replicas: int,
         report.cells.append(_proportion_cell(
             n, rho, hits, replicas, est, hits=hits, m_threshold=m_threshold,
             log_estimate=math.log(est)))
-    if len(report.cells) >= 2:
-        report.summary["log_slope"] = _ls_slope(
-            list(n_grid), [c.extra["log_estimate"] for c in report.cells])
+    report.summary["log_slope"] = _ls_slope(
+        list(n_grid), [c.extra["log_estimate"] for c in report.cells]
+    ) if len(report.cells) >= 2 else None
     return report
 
 

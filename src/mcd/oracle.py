@@ -25,7 +25,8 @@ those class kernels are full and held as dense ndarrays, while a glauber
 row has one entry per pair plus the diagonal and is held in CSR.
 Stationarity, detailed balance, the spectral gap and the mixing time are
 computed on K and the class sizes, by the same operations on either
-storage; Lanczos reads a dense K through a full CSR view of its rows.
+storage; the Lanczos gap multiplies by a CSR K in scipy's own loop and by
+a dense K in einsum's, so no BLAS call runs on the long vectors.
 `KernelTable.P` expands the per-state view, always in CSR, for cuts, dumps
 and sampling checks.
 
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh
+from scipy.sparse._sparsetools import csr_matvec
 
 from .indexing import all_pairs, num_pairs, pair_indices_of
 from .model import EdgeConfig, _edge_config_presorted, integer_q
@@ -255,8 +256,9 @@ class KernelTable:
     @functools.cached_property
     def balance_violation(self) -> float:
         """max over classes of |pi_a K_ab - pi_b K_ba|; only the scalar is kept."""
-        f = _scaled(self.K, self.class_probs)
-        return float(abs(f - f.T).max())
+        d = _values(_with_transpose(_scaled(self.K, self.class_probs),
+                                    np.subtract))
+        return float(np.abs(d, out=d).max(initial=0.0))
 
     @functools.cached_property
     def P(self) -> sp.csr_matrix:
@@ -269,13 +271,11 @@ class KernelTable:
 def _scaled(K: np.ndarray | sp.csr_matrix, row: np.ndarray,
             col: np.ndarray | None = None) -> np.ndarray | sp.csr_matrix:
     """diag(row) K diag(col) in K's own storage, rows scaled first. A CSR K
-    keeps its pattern: its copy's data are scaled in place. A zero of a
-    dense K stays zero, as an entry left out of a CSR does, also against an
-    infinite col entry (1/sqrt(pi) on a class of measure zero)."""
+    keeps its pattern: its copy's data are scaled in place."""
     if not sp.issparse(K):
         m = K * row[:, None]
         if col is not None:
-            np.multiply(m, col, out=m, where=K != 0)
+            m *= col
         return m
     m = K.copy()
     m.data *= np.repeat(row, np.diff(K.indptr))
@@ -286,6 +286,28 @@ def _scaled(K: np.ndarray | sp.csr_matrix, row: np.ndarray,
 
 def _dense(K: np.ndarray | sp.csr_matrix) -> np.ndarray:
     return K.toarray() if sp.issparse(K) else K
+
+
+def _values(m: np.ndarray | sp.csr_matrix) -> np.ndarray:
+    """The stored values of m, to work on in place: a CSR's data, or a
+    dense array itself."""
+    return m.data if sp.issparse(m) else m
+
+
+def _with_transpose(m: np.ndarray | sp.csr_matrix, op) -> np.ndarray | sp.csr_matrix:
+    """op(m, m.T) for the ufunc op, written over m. A dense m, and a CSR m
+    whose pattern is symmetric (as a reversible kernel's is), are combined
+    on their stored values. Only a CSR with an asymmetric pattern goes
+    through scipy's sparse sum, whose result buffer, sized for the two
+    operands' entries together, page-faults in on every call."""
+    t = m.T
+    if sp.issparse(m):
+        t = t.tocsr()
+        if not (np.array_equal(t.indptr, m.indptr)
+                and np.array_equal(t.indices, m.indices)):
+            return op(m, t)
+    op(_values(m), _values(t), out=_values(m))
+    return m
 
 
 def _bernoulli_submasks(positions: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
@@ -498,62 +520,112 @@ def detailed_balance_violation(kernel: KernelTable) -> float:
 def _symmetrized(K: np.ndarray | sp.csr_matrix, sizes: np.ndarray,
                  pi: np.ndarray) -> np.ndarray | sp.csr_matrix:
     """The symmetric C^{1/2} D^{1/2} K D^{-1/2} C^{1/2} for C = diag(sizes)
-    and D = diag(pi), in K's storage: similar to K C, so it has the nonzero
-    spectrum of the per-state kernel. With unit sizes it is
+    and D = diag(pi), pi > 0, in K's storage: similar to K C, so it has the
+    nonzero spectrum of the per-state kernel. With unit sizes it is
     D^{1/2} P D^{-1/2}."""
     s = np.sqrt(pi)
     r = np.sqrt(sizes)
-    with np.errstate(divide="ignore"):  # inf on a class of measure zero
-        col = r / s
-    m = _scaled(K, r * s, col)
-    return (m + m.T) * 0.5
+    m = _with_transpose(_scaled(K, r * s, r / s), np.add)
+    _values(m)[...] *= 0.5
+    return m
 
 
-def _csr_view(m: np.ndarray) -> sp.csr_matrix:
-    """A full CSR over the rows of a C-contiguous square m, sharing its
-    memory. The pattern is written down, not found by a scan for nonzeros;
-    its matvec is scipy's own loop, so no BLAS call touches m."""
-    count = m.shape[0]
-    cols = np.tile(np.arange(count, dtype=np.int32), count)
-    indptr = np.arange(0, count * count + 1, count, dtype=np.int32)
-    return sp.csr_matrix((m.ravel(), cols, indptr), shape=m.shape)
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.einsum("i,i", a, b))
+
+
+_LANCZOS_TOL = 1e-10
+
+
+def _top_of_compression(m: np.ndarray | sp.csr_matrix, s: np.ndarray,
+                        v: np.ndarray) -> float:
+    """The largest eigenvalue of the symmetric m compressed to the
+    complement of its unit eigenvector s, by the plain three-term Lanczos
+    recurrence from the start vector v.
+
+    Projecting s out of every product keeps the Krylov space off s, so no
+    copy of s's eigenvalue can appear. Without reorthogonalisation,
+    converged Ritz values come back as ghost copies (Paige 1976; Parlett,
+    The Symmetric Eigenvalue Problem, ch. 13), which changes multiplicities
+    only; the largest Ritz value rises monotonically to the compression's
+    top eigenvalue and is the only one read. The recurrence stops when the
+    residual bound beta_j |y_j| of that Ritz pair falls to 1e-10 max(1,
+    |theta|); a breakdown (beta_j = 0) meets it with an exact answer.
+
+    Every operation on the long vectors stays out of BLAS: a dense m is
+    multiplied by einsum's own loop and a CSR m by scipy's, and the dot
+    products are einsum's. A BLAS call here would wake OpenBLAS's thread
+    pool, which then spins after it.
+    """
+    count = s.size
+    if sp.issparse(m):
+        def matvec(x, out):
+            out.fill(0.0)
+            csr_matvec(count, count, m.indptr, m.indices, m.data, x, out)
+    else:  # m is exactly symmetric, so x m = m x; this form adds the rows
+        # in order, as the CSR loop adds a row's entries, so that a dense
+        # and a CSR m give the same bits
+        def matvec(x, out):
+            np.einsum("ij,i->j", m, x, out=out)
+    v = v - _dot(s, v) * s
+    v /= math.sqrt(_dot(v, v))
+    prev, w = np.zeros(count), np.empty(count)
+    alpha, beta, b = [], [], 0.0
+    # in exact arithmetic the recurrence breaks down within count - 1
+    # steps; in floating point, ghosts can hold the top Ritz value back
+    for j in range(2 * count):
+        matvec(v, w)
+        w -= _dot(s, w) * s
+        w -= b * prev
+        alpha.append(_dot(v, w))
+        w -= alpha[-1] * v
+        b = math.sqrt(_dot(w, w))
+        theta, y = scipy.linalg.eigh_tridiagonal(
+            alpha, beta, select="i", select_range=(j, j))
+        if b * abs(y[-1, 0]) <= _LANCZOS_TOL * max(1.0, abs(theta[0])):
+            return float(theta[0])
+        beta.append(b)
+        w /= b
+        prev, v, w = v, w, prev
+    raise RuntimeError(f"Lanczos did not converge in {2 * count} steps")
 
 
 def spectral_gap(kernel: KernelTable) -> float:
-    """1 - lambda_2 of the reversible kernel, on its class form.
+    """1 - lambda_2 of the reversible kernel on L^2(pi), on its class form.
 
-    The symmetrization of K C (C the class sizes, see _symmetrized) carries
-    the nonzero spectrum of P; P has one zero eigenvalue more per state than
-    per class, so lambda_2 is at least 0 when there are fewer classes than
+    A reversible P maps the support of pi into itself, so the gap is that
+    of K restricted to the classes of positive measure. The symmetrization
+    of K C (C the class sizes, see _symmetrized) carries the nonzero
+    spectrum of P; P has one zero eigenvalue more per state than per
+    class, so lambda_2 is at least 0 when there are fewer classes than
     states.
 
     Below 16 classes, where an iteration has no room to work, the spectrum
-    is computed densely. From 16 on, Lanczos finds the two largest
-    eigenvalues (the top one is 1) at tolerance 1e-10 from a fixed start
-    vector, so that the result repeats exactly; lambda_2 is the smaller.
-    There is no deflation and no Python matvec: a numpy dot of length
-    >= 10^4 in the operator would wake the BLAS threads on every step. For
-    the same reason a dense K reaches eigsh as a CSR view (_csr_view): a
-    BLAS matrix-vector product on the 1024^2 cm kernel wakes the second
-    thread, which then spins after each call.
+    is computed densely. From 16 on, s = sqrt(pi C) is the exact top
+    eigenvector (eigenvalue 1: the per-state rows sum to 1 and P is
+    reversible), so by interlacing lambda_2 is the top eigenvalue of the
+    compression to the complement of s, found by _top_of_compression from
+    a fixed start vector, so that the result repeats exactly.
     """
     if kernel.balance_violation >= 1e-8:
         raise ValueError("spectral_gap requires a reversible kernel "
                          "(detailed balance violated)")
-    sizes, pi = kernel.class_sizes, kernel.class_probs
+    K, sizes, pi = kernel.K, kernel.class_sizes, kernel.class_probs
+    keep = pi > 0
+    if not keep.all():
+        K, sizes, pi = K[keep][:, keep], sizes[keep], pi[keep]
     count = sizes.size
     if count == 1:
         return 1.0
-    m = _symmetrized(kernel.K, sizes, pi)
+    m = _symmetrized(K, sizes, pi)
     if count < 16:
         lam2 = scipy.linalg.eigvalsh(_dense(m))[-2]
     else:
-        if not sp.issparse(m):
-            m = _csr_view(m)
+        s = np.sqrt(pi * sizes)
+        s /= math.sqrt(_dot(s, s))
         v0 = np.random.default_rng(0).uniform(-1.0, 1.0, count)
-        lam2 = eigsh(m, k=2, which="LA", tol=1e-10, v0=v0,
-                     return_eigenvectors=False).min()
-    if count < kernel.size:
+        lam2 = _top_of_compression(m, s, v0)
+    if count < sizes.sum():
         lam2 = max(lam2, 0.0)
     return float(1.0 - lam2)
 

@@ -266,6 +266,25 @@ def test_slowdown_script_runs_with_a_single_n(capsys):
     assert len(row) == 3 and row[0] == "2.0000" and row[2] == "nan"
 
 
+def test_portrait_script_refuses_q_below_three(capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "bimodality_portrait.py"
+    spec = importlib.util.spec_from_file_location("bimodality_portrait", path)
+    portrait = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(portrait)
+    assert portrait.main(["--n", "30", "--q", "2", "--burn", "1",
+                          "--samples", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: bimodality portrait needs integer q >= 3, got 2\n"
+
+
+@pytest.mark.parametrize("experiment,args", [
+    (one_step_exit, ([200], LAMBDA_C3, 3, 0.08, "balanced", 5, 1)),
+    (sm_tail, ([40], 0.5, 5, 0.3, 100, 5))])
+def test_a_single_n_has_no_log_slope(experiment, args):
+    assert experiment(*args).summary["log_slope"] is None
+
+
 def _replica_slices(clusters):
     bounds = np.concatenate([[0], np.cumsum(clusters)])
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]

@@ -423,12 +423,6 @@ class Trajectory:
     final_spins: SpinConfig | None = None
     final_edges: EdgeConfig | None = None
 
-    def steps(self) -> np.ndarray:
-        return np.array([r.step for r in self.records], dtype=np.int64)
-
-    def l1_series(self) -> np.ndarray:
-        return np.array([r.l1_frac for r in self.records])
-
 
 _KINDS = ("sw", "cm", "glauber")
 

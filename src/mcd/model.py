@@ -59,13 +59,6 @@ class ModelParams:
         # -n*log1p(-p) is accurate for small p
         return -self.n * math.log1p(-self.p)
 
-    @classmethod
-    def from_beta(cls, n: int, q: float, beta: float) -> "ModelParams":
-        if beta <= 0:
-            raise ValueError(f"beta must be positive, got {beta!r}")
-        lam = -n * math.expm1(-beta / n)
-        return cls(n=n, q=q, lam=lam)
-
     @property
     def q_int(self) -> int:
         """Integer q, for operations defined only at integer cluster weight."""

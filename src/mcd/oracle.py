@@ -13,22 +13,21 @@ at n = 7, the Potts side at q^n = 10^6, and the kernels at the bounds
 documented on build_kernel. Unnormalized weights are handled in log space
 against the max log, with compensated summation for the normalizer.
 
-Class-map contract: a KernelTable holds its kernel as a class map
-`classes` (state -> class) and a class kernel K, with
-P(x, y) = K[classes[x], classes[y]], and the stationary measure is constant
-on each class (checked on construction). An SW entry depends on the two
-colorings only through their monochromatic pair masks, so the sw classes
-are those masks (187 of them for the 4096 states at n = 6, q = 4); cm and
-glauber use one class per state, with K = P. K is stored in the shape it
-has: every coloring (sw) or edge set (cm) is reachable in one step, so
-those class kernels are full and held as dense ndarrays, while a glauber
-row has one entry per pair plus the diagonal and is held in CSR.
-Stationarity, detailed balance, the spectral gap and the mixing time are
-computed on K and the class sizes, by the same operations on either
-storage; the Lanczos gap multiplies by a CSR K in scipy's own loop and by
-a dense K in einsum's, so no BLAS call runs on the long vectors.
-`KernelTable.P` expands the per-state view, always in CSR, for cuts, dumps
-and sampling checks.
+Chain contract: a Chain is a chain in class form, three arrays: the class
+kernel K (dense or CSR), pi of one state of each class and the class
+sizes, with P(x, y) = K[a, b] for x in class a and y in class b.
+Stationarity, detailed balance, the spectral gap and the mixing time read
+only these, by the same operations on either storage; the Lanczos gap
+multiplies by a CSR K in scipy's own loop and by a dense K in einsum's, so
+no BLAS call runs on the long vectors. A KernelTable is the Chain of an
+enumerated kernel: it adds the class map `classes` (state -> class) and
+the measure, which must be constant on each class, and reads pi and the
+sizes off them. The sw classes are the monochromatic pair masks, on which
+an SW entry depends (187 of them for the 4096 states at n = 6, q = 4); cm
+and glauber use one class per state, with K = P. The sw and cm class
+kernels are full, so dense; a glauber row has one entry per pair plus the
+diagonal, so CSR. An sw cut can split a class, so cuts and dumps use the
+per-state CSR `KernelTable.P`, and cuts are taken on the support of pi.
 
 The cluster-coloring checks loop over the class colorings of the
 vertices: given one, the conditional law is a tensor with one axis per
@@ -40,7 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -216,49 +215,54 @@ def enumerate_potts_measure(n: int, q: int, lam: float) -> MeasureTable:
 # exact kernels
 
 @dataclass(frozen=True)
-class KernelTable:
-    """Exact transition kernel in class form (see the module docstring):
-    P(x, y) = K[classes[x], classes[y]], plus the stationary reference
-    measure, indexed per the module codec. K is a dense ndarray for the
-    full sw and cm kernels and CSR for glauber; every consumer takes both."""
+class Chain:
+    """A chain in class form (see the module docstring): the class kernel
+    K, dense or CSR, pi of one state of each class, and the number of
+    states in each class."""
 
-    kind: str
-    n: int
-    q: float
-    lam: float
-    classes: np.ndarray
     K: np.ndarray | sp.csr_matrix
+    pi: np.ndarray
+    sizes: np.ndarray
+
+    def __post_init__(self):
+        count = self.sizes.size
+        if (self.K.shape != (count, count) or self.pi.shape != (count,)
+                or not self.sizes.all()):
+            raise ValueError("pi and sizes must give every row of K a nonempty class")
+
+    @functools.cached_property
+    def balance_violation(self) -> float:
+        """max over classes of |pi_a K_ab - pi_b K_ba|; only the scalar is kept."""
+        d = _values(_with_transpose(_scaled(self.K, self.pi), np.subtract))
+        return float(np.abs(d, out=d).max(initial=0.0))
+
+
+@dataclass(frozen=True)
+class KernelTable(Chain):
+    """The Chain of an enumerated kernel (see the module docstring), its
+    states indexed per the module codec."""
+
+    pi: np.ndarray = field(init=False)
+    sizes: np.ndarray = field(init=False)
+    kind: str
+    classes: np.ndarray
     measure: MeasureTable
 
     def __post_init__(self):
-        sizes = self.class_sizes
-        if (self.classes.shape != self.measure.probs.shape
-                or self.K.shape != (sizes.size, sizes.size) or not sizes.all()):
+        if self.classes.shape != self.measure.probs.shape:
             raise ValueError("classes must map the states onto every row of K")
-        if not np.array_equal(self.class_probs[self.classes], self.measure.probs):
+        sizes = np.bincount(self.classes)
+        pi = np.zeros(sizes.size)
+        pi[self.classes] = self.measure.probs
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "pi", pi)
+        super().__post_init__()
+        if not np.array_equal(pi[self.classes], self.measure.probs):
             raise ValueError("the stationary measure is not constant on each class")
 
     @property
     def size(self) -> int:
         return self.classes.size
-
-    @functools.cached_property
-    def class_sizes(self) -> np.ndarray:
-        return np.bincount(self.classes)
-
-    @functools.cached_property
-    def class_probs(self) -> np.ndarray:
-        """The stationary probability of one state of each class."""
-        pi = np.zeros(self.class_sizes.size)
-        pi[self.classes] = self.measure.probs
-        return pi
-
-    @functools.cached_property
-    def balance_violation(self) -> float:
-        """max over classes of |pi_a K_ab - pi_b K_ba|; only the scalar is kept."""
-        d = _values(_with_transpose(_scaled(self.K, self.class_probs),
-                                    np.subtract))
-        return float(np.abs(d, out=d).max(initial=0.0))
 
     @functools.cached_property
     def P(self) -> sp.csr_matrix:
@@ -392,8 +396,7 @@ def _sw_kernel(n: int, q: int, lam: float) -> KernelTable:
         shape=perc.shape).T
     K = (perc.astype(np.longdouble) @ recolor.astype(np.longdouble)).toarray()
     K = K.astype(np.float64)
-    return KernelTable("sw", n, float(q), lam, classes, K,
-                       enumerate_potts_measure(n, q, lam))
+    return KernelTable(K, "sw", classes, enumerate_potts_measure(n, q, lam))
 
 
 _SCATTER_ENTRIES = 1 << 18
@@ -431,8 +434,7 @@ def _cm_kernel(n: int, q: float, lam: float) -> KernelTable:
         for lo in range(0, sel.size, step):
             rows = slice(lo, lo + step)
             P[sel[rows, None], kept[rows, None] | masks] += w_act[rows, None] * w_sub
-    return KernelTable("cm", n, q, lam, states, P,
-                       enumerate_fk_measure(n, lam, q))
+    return KernelTable(P, "cm", states, enumerate_fk_measure(n, lam, q))
 
 
 def _glauber_kernel(n: int, q: float, lam: float) -> KernelTable:
@@ -447,8 +449,7 @@ def _glauber_kernel(n: int, q: float, lam: float) -> KernelTable:
     labels_tbl, _, ones = mask_partition_table(n)
     states = np.arange(size, dtype=np.int64)
     if c == 0:  # one vertex, no pair to update: the chain stays put
-        return KernelTable("glauber", n, q, lam, states,
-                           sp.identity(1, format="csr"),
+        return KernelTable(sp.identity(1, format="csr"), "glauber", states,
                            enumerate_fk_measure(n, lam, q))
     # row x holds x ^ 2^b for each pair b and x itself, in column order:
     # first the set bits from the highest down (slot = set bits above b),
@@ -477,9 +478,8 @@ def _glauber_kernel(n: int, q: float, lam: float) -> KernelTable:
     indices[base + ones] = states
     data[base + ones] = diag
     indptr = np.arange(0, size * width + 1, width, dtype=np.int32)
-    return KernelTable("glauber", n, q, lam, states,
-                       sp.csr_matrix((data, indices, indptr), shape=(size, size)),
-                       enumerate_fk_measure(n, lam, q))
+    return KernelTable(sp.csr_matrix((data, indices, indptr), shape=(size, size)),
+                       "glauber", states, enumerate_fk_measure(n, lam, q))
 
 
 def build_kernel(kind: str, n: int, q: float, lam: float) -> KernelTable:
@@ -502,19 +502,19 @@ def build_kernel(kind: str, n: int, q: float, lam: float) -> KernelTable:
 # ---------------------------------------------------------------------------
 # stationarity, reversibility, spectra
 
-def stationarity_residual(kernel: KernelTable) -> float:
-    """L1 norm of pi P - pi against the enumerated measure. Class b of
-    (pi P) is sum_a c_a pi_a K[a, b] over the class sizes c. On a dense K
-    that is a column sum, which adds the rows in order, as the sparse
-    product does, and makes no BLAS call."""
-    K, w = kernel.K, kernel.class_probs * kernel.class_sizes
+def stationarity_residual(chain: Chain) -> float:
+    """L1 norm of pi P - pi over the states: sum_b c_b |(pi C K)_b - pi_b|
+    for the class sizes c. Class b of (pi C K) is sum_a c_a pi_a K[a, b];
+    on a dense K that is a column sum, which adds the rows in order, as the
+    sparse product does, and makes no BLAS call."""
+    K, w = chain.K, chain.pi * chain.sizes
     flow = w @ K if sp.issparse(K) else _scaled(K, w).sum(axis=0)
-    return float(np.abs(flow[kernel.classes] - kernel.measure.probs).sum())
+    return float((np.abs(flow - chain.pi) * chain.sizes).sum())
 
 
-def detailed_balance_violation(kernel: KernelTable) -> float:
-    """max_{x,y} |pi(x) P(x,y) - pi(y) P(y,x)|, computed once per kernel."""
-    return kernel.balance_violation
+def detailed_balance_violation(chain: Chain) -> float:
+    """max_{x,y} |pi(x) P(x,y) - pi(y) P(y,x)|, computed once per chain."""
+    return chain.balance_violation
 
 
 def _symmetrized(K: np.ndarray | sp.csr_matrix, sizes: np.ndarray,
@@ -590,7 +590,7 @@ def _top_of_compression(m: np.ndarray | sp.csr_matrix, s: np.ndarray,
     raise RuntimeError(f"Lanczos did not converge in {2 * count} steps")
 
 
-def spectral_gap(kernel: KernelTable) -> float:
+def spectral_gap(chain: Chain) -> float:
     """1 - lambda_2 of the reversible kernel on L^2(pi), on its class form.
 
     A reversible P maps the support of pi into itself, so the gap is that
@@ -607,10 +607,10 @@ def spectral_gap(kernel: KernelTable) -> float:
     compression to the complement of s, found by _top_of_compression from
     a fixed start vector, so that the result repeats exactly.
     """
-    if kernel.balance_violation >= 1e-8:
+    if chain.balance_violation >= 1e-8:
         raise ValueError("spectral_gap requires a reversible kernel "
                          "(detailed balance violated)")
-    K, sizes, pi = kernel.K, kernel.class_sizes, kernel.class_probs
+    K, sizes, pi = chain.K, chain.sizes, chain.pi
     keep = pi > 0
     if not keep.all():
         K, sizes, pi = K[keep][:, keep], sizes[keep], pi[keep]
@@ -633,17 +633,16 @@ def spectral_gap(kernel: KernelTable) -> float:
 _MIXING_THRESHOLD = 1.0 / (2.0 * math.e)
 
 
-def mixing_time_exact(kernel: KernelTable) -> int:
+def mixing_time_exact(chain: Chain) -> int:
     """Smallest t with max_x TV(P^t(x,.), pi) < 1/(2e), by repeated
-    multiplication on the class form: P^t(x, y) = M_t[classes[x],
-    classes[y]] with M_1 = K and M_{t+1} = M_t C K, so the distance from
-    class a is (1/2) sum_b c_b |M_t[a, b] - pi_b|. Guarded to modest state
-    spaces."""
-    size = kernel.size
-    if size > 4096:
-        raise ValueError(f"exact mixing time limited to 4096 states, got {size}")
-    m = k = _dense(kernel.K)
-    sizes, pi = kernel.class_sizes, kernel.class_probs
+    multiplication on the class form: P^t(x, y) = M_t[a, b] for x in class
+    a and y in class b, with M_1 = K and M_{t+1} = M_t C K, so the distance
+    from class a is (1/2) sum_b c_b |M_t[a, b] - pi_b|. The powers are
+    dense, so the class count is guarded."""
+    sizes, pi = chain.sizes, chain.pi
+    if sizes.size > 4096:
+        raise ValueError(f"exact mixing time limited to 4096 classes, got {sizes.size}")
+    m = k = _dense(chain.K)
     for t in range(1, 10 ** 6 + 1):
         if 0.5 * (np.abs(m - pi) @ sizes).max() < _MIXING_THRESHOLD:
             return t
@@ -654,68 +653,60 @@ def mixing_time_exact(kernel: KernelTable) -> int:
 # ---------------------------------------------------------------------------
 # bottleneck ratios and cut families
 
+def _support(kernel: KernelTable) -> np.ndarray:
+    """The states of positive measure, where every cut is taken: a state
+    off it carries no flow of a reversible kernel."""
+    support = np.flatnonzero(kernel.measure.probs > 0)
+    if support.size < 2:
+        raise ValueError("cuts need two states in the support of pi, "
+                         f"got {support.size}")
+    return support
+
+
+def _splits_support(pi: np.ndarray, mask: np.ndarray) -> bool:
+    """Whether both sides of the cut hold states of positive measure."""
+    return bool((pi[mask] > 0).any() and (pi[~mask] > 0).any())
+
+
 def bottleneck_ratio(kernel: KernelTable, mask: np.ndarray) -> float:
     """Q(S, S^c) / (pi(S) pi(S^c)) with Q(A,B) = sum_{x in A} pi(x) P(x, B),
     for the cut S given as a boolean mask over the states."""
-    if not mask.any() or mask.all():
-        raise ValueError("cut must be a nonempty proper subset")
     pi = kernel.measure.probs
+    if not _splits_support(pi, mask):
+        raise ValueError("cut must have 0 < pi(S) < 1")
     rows = kernel.P[mask][:, ~mask]
     q_flow = float(pi[mask] @ np.asarray(rows.sum(axis=1)).ravel())
     pis = float(pi[mask].sum())
     return q_flow / (pis * (1.0 - pis))
 
 
-def edge_count_cuts(kernel: KernelTable) -> list[np.ndarray]:
-    """Sublevel sets of the edge count (random-cluster kernels only)."""
-    if kernel.kind not in ("cm", "glauber"):
-        raise ValueError("edge-count cuts need an edge-configuration kernel")
-    _, _, ecnt = mask_partition_table(kernel.n)
-    return [ecnt <= t for t in range(num_pairs(kernel.n))]
-
-
-def s_m_cuts(kernel: KernelTable, m_threshold: int) -> list[np.ndarray]:
-    """Sublevel sets of |S_M| (vertices in clusters larger than M)."""
-    if kernel.kind not in ("cm", "glauber"):
-        raise ValueError("S_M cuts need an edge-configuration kernel")
-    labels, _, _ = mask_partition_table(kernel.n)
-    cluster_size = (labels[:, :, None] == labels[:, None, :]).sum(axis=2)
-    sm = (cluster_size > m_threshold).sum(axis=1)
-    cuts = []
-    for t in range(kernel.n):
-        mask = sm <= t
-        if mask.any() and not mask.all():
-            cuts.append(mask)
-    return cuts
-
-
 def sweep_cuts(kernel: KernelTable) -> list[np.ndarray]:
     """Prefix cuts of the second eigenvector of the symmetrized kernel in
-    the D^{-1/2} coordinates — the Cheeger-certificate family."""
+    the D^{-1/2} coordinates — the Cheeger-certificate family — on the
+    support of pi; the states off it stay in S^c."""
     if kernel.size > 4096:
         raise ValueError("sweep cuts limited to 4096 states")
-    m = _symmetrized(kernel.P, np.ones(kernel.size), kernel.measure.probs)
-    w, v = scipy.linalg.eigh(m.toarray())
-    f = v[:, -2] / np.sqrt(kernel.measure.probs)
-    order = np.argsort(f)
-    cuts = []
-    for t in range(1, kernel.size):
-        mask = np.zeros(kernel.size, dtype=bool)
-        mask[order[:t]] = True
-        cuts.append(mask)
-    return cuts
+    support = _support(kernel)
+    pi = kernel.measure.probs[support]
+    m = _symmetrized(kernel.P[support][:, support], np.ones(support.size), pi)
+    _, v = scipy.linalg.eigh(m.toarray())
+    rank = np.full(kernel.size, kernel.size)
+    rank[support[np.argsort(v[:, -2] / np.sqrt(pi))]] = np.arange(support.size)
+    return [rank < t for t in range(1, support.size)]
 
 
 def _refine_cut(kernel: KernelTable, mask: np.ndarray) -> tuple[float, np.ndarray]:
-    """Greedy single-state descent of the bottleneck ratio from a cut."""
+    """Greedy single-state descent of the bottleneck ratio from a cut, over
+    the states of positive measure."""
+    pi, support = kernel.measure.probs, _support(kernel)
     best = bottleneck_ratio(kernel, mask)
     mask = mask.copy()
     improved = True
     while improved:
         improved = False
-        for i in range(kernel.size):
+        for i in support:
             mask[i] = ~mask[i]
-            if mask.any() and not mask.all():
+            if _splits_support(pi, mask):
                 r = bottleneck_ratio(kernel, mask)
                 if r < best - 1e-15:
                     best = r
@@ -726,8 +717,9 @@ def _refine_cut(kernel: KernelTable, mask: np.ndarray) -> tuple[float, np.ndarra
 
 
 def min_bottleneck_ratio(kernel: KernelTable) -> tuple[float, np.ndarray]:
-    """Minimum ratio over the structured cut families (edge-count and S_M
-    sublevel sets where defined, eigenvector sweep cuts, singletons), then
+    """Minimum ratio over the structured cut families (sublevel sets of the
+    edge count and of |S_M|, the vertices in clusters larger than M, for
+    the random-cluster kernels; eigenvector sweep cuts; singletons), then
     greedy descent from the best cut found.
 
     This is an upper bound on the true Cheeger constant: exhausting all
@@ -735,17 +727,19 @@ def min_bottleneck_ratio(kernel: KernelTable) -> tuple[float, np.ndarray]:
     """
     cuts: list[np.ndarray] = []
     if kernel.kind in ("cm", "glauber"):
-        cuts.extend(edge_count_cuts(kernel))
-        for m_thr in range(1, kernel.n):
-            cuts.extend(s_m_cuts(kernel, m_thr))
+        n = kernel.measure.n
+        labels, _, ecnt = mask_partition_table(n)
+        cuts.extend(ecnt <= t for t in range(num_pairs(n)))
+        cluster_size = (labels[:, :, None] == labels[:, None, :]).sum(axis=2)
+        for m_thr in range(1, n):
+            sm = (cluster_size > m_thr).sum(axis=1)
+            cuts.extend(sm <= t for t in range(n))
     cuts.extend(sweep_cuts(kernel))
-    for i in range(kernel.size):
-        mask = np.zeros(kernel.size, dtype=bool)
-        mask[i] = True
-        cuts.append(mask)
+    cuts.extend(np.eye(kernel.size, dtype=bool))
+    pi = kernel.measure.probs
     best, best_mask = None, None
     for mask in cuts:
-        if not mask.any() or mask.all():
+        if not _splits_support(pi, mask):
             continue
         r = bottleneck_ratio(kernel, mask)
         if best is None or r < best:
@@ -754,22 +748,24 @@ def min_bottleneck_ratio(kernel: KernelTable) -> tuple[float, np.ndarray]:
 
 
 def exhaustive_min_ratio(kernel: KernelTable) -> tuple[float, np.ndarray]:
-    """True Cheeger constant by enumerating every bipartition. 2^(N-1)
-    cuts, so the guard is tight."""
+    """True Cheeger constant by enumerating every bipartition of the
+    support of pi; the states off it stay in S^c. 2^(N-1) cuts, so the
+    guard is tight."""
     size = kernel.size
     if size > 16:
         raise ValueError(f"exhaustive cuts limited to 16 states, got {size}")
-    pi = kernel.measure.probs
-    f = (kernel.P.multiply(pi[:, None])).toarray()
-    best, best_mask = None, None
-    for code in range(1, 1 << (size - 1)):  # state 0 always in S^c
-        mask = (code >> np.arange(size)) & 1 == 1
-        pis = pi[mask].sum()
-        q_flow = f[mask][:, ~mask].sum()
+    support = _support(kernel)
+    pi = kernel.measure.probs[support]
+    f = pi[:, None] * kernel.P[support][:, support].toarray()
+    best, best_cut = None, None
+    for code in range(1, 1 << (support.size - 1)):  # support[0] always in S^c
+        cut = (code >> np.arange(support.size)) & 1 == 1
+        pis = pi[cut].sum()
+        q_flow = f[cut][:, ~cut].sum()
         r = q_flow / (pis * (1.0 - pis))
         if best is None or r < best:
-            best, best_mask = float(r), mask
-    return best, best_mask
+            best, best_cut = float(r), cut
+    return best, np.isin(np.arange(size), support[best_cut])
 
 
 def min_conductance(kernel: KernelTable) -> tuple[float, str]:

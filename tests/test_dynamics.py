@@ -337,7 +337,7 @@ def test_run_chain_observation_cadence():
     params = ModelParams(n=40, q=3.0, lam=2.0)
     init = SpinConfig(colors=np.tile([1, 2, 3], 14)[:40], q=3)
     traj = run_chain("sw", init, params, steps=10, rng=rng, observe_every=3)
-    assert traj.steps().tolist() == [0, 3, 6, 9]
+    assert [r.step for r in traj.records] == [0, 3, 6, 9]
     assert traj.records[0].edge_count == 0  # no percolation before step 1
     assert traj.records[0].counts_sorted is not None
     assert traj.final_spins is not None
@@ -376,4 +376,4 @@ def test_chain_determinism_same_seed():
     t1 = run_chain("sw", init, params, 20, rng_for("det", 5))
     t2 = run_chain("sw", init, params, 20, rng_for("det", 5))
     assert np.array_equal(t1.final_spins.colors, t2.final_spins.colors)
-    assert t1.l1_series().tolist() == t2.l1_series().tolist()
+    assert [r.l1_frac for r in t1.records] == [r.l1_frac for r in t2.records]

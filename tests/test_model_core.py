@@ -202,7 +202,7 @@ def test_spin_config_counts():
 
 
 def test_model_params_beta_lambda_roundtrip():
-    params = ModelParams.from_beta(n=100, q=3.0, beta=2.5)
+    params = ModelParams(n=100, q=3.0, lam=-100 * math.expm1(-2.5 / 100))
     assert params.beta == pytest.approx(2.5, abs=1e-12)
     assert params.p == pytest.approx(params.lam / 100)
     with pytest.raises(ValueError):

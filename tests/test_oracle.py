@@ -14,6 +14,7 @@ from mcd import oracle
 from mcd.indexing import all_pairs, num_pairs
 from mcd.model import EdgeConfig, cluster_decompose
 from mcd.oracle import (
+    Chain,
     KernelTable,
     MeasureTable,
     _mono_masks,
@@ -33,6 +34,7 @@ from mcd.oracle import (
     iterated_coloring_check,
     mask_partition_table,
     min_bottleneck_ratio,
+    min_conductance,
     mixing_time_exact,
     spectral_gap,
     spin_code,
@@ -279,11 +281,12 @@ def test_sw_gap_at_n6_q4():
 def test_gap_counts_the_zero_eigenvalues_of_the_expansion():
     # P = [[0, 1/2, 1/2], [1, 0, 0], [1, 0, 0]] has spectrum {1, 0, -1};
     # its class kernel K C = [[0, 1], [1, 0]] alone has {1, -1}
-    measure = MeasureTable("toy", 0, 1.0, 0.0, np.array([0.5, 0.25, 0.25]), 0.0)
     K = sp.csr_matrix(np.array([[0.0, 0.5], [1.0, 0.0]]))
-    kernel = KernelTable("toy", 0, 1.0, 0.0, np.array([0, 1, 1]), K, measure)
-    assert spectral_gap(kernel) == 1.0
-    assert 1.0 - np.linalg.eigvalsh(_dense_symmetrized(kernel))[-2] == pytest.approx(1.0)
+    chain = Chain(K, np.array([0.5, 0.25]), np.array([1, 2]))
+    assert spectral_gap(chain) == 1.0
+    P = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    s = np.sqrt([0.5, 0.25, 0.25])
+    assert 1.0 - np.linalg.eigvalsh(s[:, None] * P / s)[-2] == pytest.approx(1.0)
 
 
 def test_class_map_needs_a_constant_measure_on_each_class():
@@ -293,6 +296,12 @@ def test_class_map_needs_a_constant_measure_on_each_class():
                             K=sp.csr_matrix(np.ones((1, 1))))
     with pytest.raises(ValueError, match="every row"):
         dataclasses.replace(kernel, classes=kernel.classes[:-1])
+    with pytest.raises(ValueError, match="every row"):
+        dataclasses.replace(kernel, K=kernel.K[:-1, :-1])
+    with pytest.raises(ValueError, match="every row"):
+        Chain(kernel.K, kernel.pi[:-1], kernel.sizes)
+    with pytest.raises(ValueError, match="every row"):
+        Chain(kernel.K, kernel.pi, np.zeros_like(kernel.sizes))
 
 
 def test_kernel_guards():
@@ -337,6 +346,17 @@ def test_mixing_time_is_minimal_threshold_time():
     kernel = build_kernel("glauber", 3, 2.0, 1.0)
     t = mixing_time_exact(kernel)
     assert isinstance(t, int) and t >= 1
+
+
+def test_mixing_time_guards_the_classes_not_the_states():
+    # 10^4 colorings lump to 15 classes; only a dense class power is taken
+    kernel = build_kernel("sw", 4, 10, 1.0)
+    assert kernel.size == 10 ** 4 and kernel.K.shape == (15, 15)
+    assert mixing_time_exact(kernel) == 2
+    big = Chain(sp.identity(4097, format="csr"), np.full(4097, 1 / 4097),
+                np.ones(4097, dtype=np.int64))
+    with pytest.raises(ValueError, match="4096 classes"):
+        mixing_time_exact(big)
 
 
 @pytest.mark.parametrize("kind,n,q", [("sw", 3, 3.0), ("sw", 4, 3.0),
@@ -453,12 +473,24 @@ def test_oracle_values_are_pinned(case):
     assert _outputs(build_kernel(*case)) == ORACLE_PINS[case]
 
 
+@pytest.mark.parametrize("case", list(ORACLE_PINS), ids=lambda c: f"{c[0]}-{c[1]}")
+def test_the_checks_read_only_the_chain(case):
+    # the class kernel, pi and the sizes alone, with no class map or
+    # enumerated measure, give the same values
+    k = build_kernel(*case)
+    assert _outputs(Chain(k.K, k.pi, k.sizes)) == ORACLE_PINS[case]
+
+
+def _uniform_chain(K):
+    count = K.shape[0]
+    return Chain(K, np.full(count, 1.0 / count), np.ones(count, dtype=np.int64))
+
+
 def _cycle_kernel(count):
     # a lazy walk one step around a cycle: the uniform law is stationary,
     # but every forward flow 1/(2 count) has no backward flow
-    K = sp.csr_matrix(0.5 * (np.eye(count) + np.roll(np.eye(count), 1, axis=1)))
-    measure = MeasureTable("toy", 0, 1.0, 0.0, np.full(count, 1.0 / count), 0.0)
-    return KernelTable("toy", 0, 1.0, 0.0, np.arange(count), K, measure)
+    return _uniform_chain(sp.csr_matrix(
+        0.5 * (np.eye(count) + np.roll(np.eye(count), 1, axis=1))))
 
 
 def test_gap_refuses_a_kernel_without_detailed_balance():
@@ -486,8 +518,7 @@ def test_gap_of_a_reducible_kernel_is_zero():
     cycle = np.roll(np.eye(16), 1, axis=1)
     block = 0.5 * np.eye(16) + 0.25 * (cycle + cycle.T)
     K = sp.csr_matrix(sp.block_diag([block, block]))
-    measure = MeasureTable("toy", 0, 1.0, 0.0, np.full(32, 1.0 / 32), 0.0)
-    kernel = KernelTable("toy", 0, 1.0, 0.0, np.arange(32), K, measure)
+    kernel = _uniform_chain(K)
     assert detailed_balance_violation(kernel) == 0.0
     assert abs(spectral_gap(kernel)) <= 1e-12
     dense = dataclasses.replace(kernel, K=K.toarray())
@@ -501,7 +532,7 @@ def test_gap_is_taken_on_the_support_of_pi(kind, n):
     # keeps; classes of measure zero would put 0 * inf into the
     # symmetrization, in both the dense (n = 3) and Lanczos (n = 4) sizes
     kernel = build_kernel(kind, n, 2.0, 0.0)
-    assert (kernel.class_probs > 0).sum() == 1
+    assert (kernel.pi > 0).sum() == 1
     assert spectral_gap(kernel) == 1.0
 
 
@@ -538,6 +569,38 @@ def test_sweep_cuts_are_proper_subsets():
     kernel = build_kernel("glauber", 3, 2.0, 1.0)
     for cut in sweep_cuts(kernel):
         assert 0 < cut.sum() < kernel.size
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_cuts_need_two_states_in_the_support_of_pi(n):
+    # at lam = 0 the measure sits on the empty graph alone: no cut has
+    # 0 < pi(S) < 1, in the exhaustive (n = 3) and family (n = 4) sizes
+    kernel = build_kernel("glauber", n, 2.0, 0.0)
+    routines = [sweep_cuts, min_bottleneck_ratio, min_conductance]
+    if n == 3:
+        routines.append(exhaustive_min_ratio)
+    for routine in routines:
+        with pytest.raises(ValueError, match="support of pi"):
+            routine(kernel)
+    cut = np.zeros(kernel.size, dtype=bool)
+    cut[1:] = True
+    with pytest.raises(ValueError, match="0 < pi"):
+        bottleneck_ratio(kernel, cut)
+
+
+def test_cuts_are_taken_on_the_support_of_pi():
+    # state 2 has measure zero and carries no flow; the one cut of the
+    # support {0, 1} has Q = 1/4 and pi(S) pi(S^c) = 1/4
+    K = sp.csr_matrix(np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0],
+                                [0.5, 0.0, 0.5]]))
+    measure = MeasureTable("toy", 3, 1.0, 0.0, np.array([0.5, 0.5, 0.0]), 0.0)
+    kernel = KernelTable(K, "toy", np.arange(3), measure)
+    cuts = sweep_cuts(kernel)
+    assert len(cuts) == 1 and not cuts[0][2]
+    for ratio, cut in (exhaustive_min_ratio(kernel), min_bottleneck_ratio(kernel)):
+        assert ratio == 1.0
+        assert cut.tolist() in ([False, True, False], [True, False, False])
+    assert min_conductance(kernel) == (1.0, "exact")
 
 
 def test_tv_distance_basics():

@@ -8,9 +8,11 @@ Five subcommands:
   mcd experiment one_step_exit --n 200:800:200 --q 3 --lambda 2.7725887 ...
   mcd oracle stationarity --kind glauber --n 4 --q 2 --lambda 1
 
-Conventions shared by all subcommands: exactly one of --lambda/--beta fixes
-the edge intensity (beta is converted through lam = n(1 - exp(-beta/n)) and
-therefore needs a single n); grids are written start:stop:step, a comma
+Each subcommand, experiment and oracle check reads its options, their
+order and their defaults from its function's signature; an option without
+a default is required. Conventions shared by all subcommands: exactly one
+of --lambda/--beta fixes the edge intensity (beta is converted through
+lam = n(1 - exp(-beta/n)) and therefore needs a single n); grids are written start:stop:step, a comma
 list, or a single number; --config names a flat JSON object whose keys are
 the long flag names, or the JSON sidecar of an experiment result, with
 explicit flags taking precedence; an option the subcommand, experiment or
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import inspect
 import json
 import math
@@ -147,16 +150,15 @@ def _load_config(ns: argparse.Namespace) -> dict:
 _POSITIONALS = ("func", "config", "command", "name", "check")
 
 
-def _merged_options(ns: argparse.Namespace, allowed=None) -> dict:
+def _merged_options(ns: argparse.Namespace, allowed) -> dict:
     """Config-file values overridden by anything given on the command line.
 
-    An option outside `allowed` (by default, the subcommand's own flags)
-    is an error, so a typo or an option the run would ignore never passes
-    silently."""
+    An option outside `allowed` is an error, so a typo or an option the
+    run would ignore never passes silently."""
     given = {k: v for k, v in vars(ns).items() if k not in _POSITIONALS}
     opts = _load_config(ns)
     opts.update((k, v) for k, v in given.items() if v is not None)
-    unused = sorted(set(opts) - set(given if allowed is None else allowed))
+    unused = sorted(set(opts) - set(allowed))
     if unused:
         who = getattr(ns, "name", getattr(ns, "check", ns.command))
         raise CliError(1, f"{who} does not take "
@@ -164,11 +166,15 @@ def _merged_options(ns: argparse.Namespace, allowed=None) -> dict:
     return opts
 
 
-def _opt(opts: dict, dest: str, default=None, conv=None):
-    val = opts.get(dest, default)
-    if val is None or conv is None:
-        return val
-    return conv(val)
+def _convert(key: str, value):
+    """An option's value, from a flag's text or a config file's JSON: a
+    grid is parsed, n taken as an int, a typed option converted by its
+    type; any other keeps the value as given, so a config file's false
+    stays false."""
+    if key == "grid":
+        return _parse_grid(value)
+    conv = int if key == "n" else _OPTIONS[key].get("type")
+    return value if conv is None else conv(value)
 
 
 def _master_seed(opts: dict) -> int:
@@ -193,38 +199,56 @@ def _resolve_lambda(opts: dict, n_values: list[int] | None) -> float:
     return lam
 
 
+def _dests(handler: Callable) -> list[str]:
+    """The options a handler takes: its parameters, with beta beside lam."""
+    return [dest for name in inspect.signature(handler).parameters
+            for dest in (("lam", "beta") if name == "lam" else (name,))]
+
+
+def _invoke(handler: Callable, ns: argparse.Namespace) -> int:
+    """Run handler on the options of ns, read from its signature: a
+    parameter without a default is required, lam comes from --lambda or
+    --beta, and seed falls back to MCD_SEED."""
+    opts = _merged_options(ns, _dests(handler))
+    args = {}
+    for key, par in inspect.signature(handler).parameters.items():
+        value = opts.get(key, None if par.default is par.empty else par.default)
+        if key == "lam":
+            n = opts.get("n")
+            args[key] = _resolve_lambda(
+                opts, None if n is None else _parse_grid(n, "int"))
+        elif key == "seed":
+            args[key] = _master_seed(opts)
+        elif value is not None:
+            args[key] = _convert(key, value)
+        elif par.default is par.empty:
+            raise CliError(1, f"{_flag(key)} is required")
+    return handler(**args)
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
-def _cmd_critical_points(ns) -> int:
-    opts = _merged_options(ns)
-    q = _opt(opts, "q", conv=float)
-    if q is None:
-        raise CliError(1, "--q is required")
+def _cmd_critical_points(q) -> int:
     cp = critical_points(q)
     print(json.dumps(dataclasses.asdict(cp), indent=2, sort_keys=True))
     return 0
 
 
-def _cmd_drift(ns) -> int:
-    opts = _merged_options(ns)
-    q = _opt(opts, "q", conv=float)
-    if q is None:
-        raise CliError(1, "--q is required")
+def _cmd_drift(q, lam, n=None, grid="0.0:1.0:0.02", fixed_points=None,
+               out=None) -> int:
+    """n serves only to convert --beta."""
     critical_points(q)  # refuses q < 1 and non-finite q
-    n_vals = _parse_grid(opts["n"], "int") if opts.get("n") is not None else None
-    lam = _resolve_lambda(opts, n_vals)
-    if opts.get("fixed_points"):
+    if fixed_points:
         fp = drift_fixed_points(lam, q)
         print(json.dumps(dataclasses.asdict(fp), indent=2, sort_keys=True))
         return 0
-    grid = _parse_grid(_opt(opts, "grid", default="0.0:1.0:0.02"))
     lines = ["z,F,f,g"]
     for z in grid:
         fz = sw_drift(z, lam, q) if z >= 1.0 / q else float("nan")
         cz = cm_drift(z, lam, q)
         lines.append(f"{z!r},{fz!r},{cz!r},{cz - z!r}")
-    _write_table(lines, opts.get("out"))
+    _write_table(lines, out)
     return 0
 
 
@@ -237,54 +261,46 @@ def _write_table(lines: list[str], out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_simulate(ns) -> int:
-    opts = _merged_options(ns)
-    kind = _opt(opts, "kind", default="sw")
+def _cmd_simulate(n, q, lam, kind="sw", steps=100, observe_every=1,
+                  init=None, m_threshold=None, seed=None, out=None) -> int:
     if kind not in ("sw", "cm", "glauber"):
         raise CliError(1, f"--kind must be sw, cm or glauber, got {kind!r}")
-    n = _opt(opts, "n", conv=int)
-    q = _opt(opts, "q", conv=float)
-    if n is None or q is None:
-        raise CliError(1, "--n and --q are required")
-    lam = _resolve_lambda(opts, [n])
     if kind == "sw":
         q = float(integer_q(q, 2, "sw"))
     params = ModelParams(n=n, q=q, lam=lam)
-    steps = _opt(opts, "steps", default=100, conv=int)
-    every = _opt(opts, "observe_every", default=1, conv=int)
-    seed = _master_seed(opts)
-    init_name = _opt(opts, "init", default="balanced" if kind == "sw" else "empty")
+    if init is None:
+        init = "balanced" if kind == "sw" else "empty"
     from .rng import RngStream
     rng = RngStream(seed, f"simulate:{kind}", 0).generator()
-    init: SpinConfig | EdgeConfig
+    state: SpinConfig | EdgeConfig
     if kind == "sw":
-        if init_name == "balanced":
-            init = balanced_spins(n, int(q))
-        elif init_name == "ordered":
-            init = ordered_spins(n, int(q), a_fixed_point(lam, int(q)))
-        elif init_name == "random":
-            init = SpinConfig(rng.integers(1, int(q) + 1, n), int(q))
+        if init == "balanced":
+            state = balanced_spins(n, int(q))
+        elif init == "ordered":
+            state = ordered_spins(n, int(q), a_fixed_point(lam, int(q)))
+        elif init == "random":
+            state = SpinConfig(rng.integers(1, int(q) + 1, n), int(q))
         else:
             raise CliError(1, f"sw --init must be balanced, ordered or random,"
-                              f" got {init_name!r}")
+                              f" got {init!r}")
     else:
-        if init_name == "empty":
-            init = EdgeConfig.empty(n)
-        elif init_name == "gnp":
-            init = sample_gnp(n, params.p, rng)
+        if init == "empty":
+            state = EdgeConfig.empty(n)
+        elif init == "gnp":
+            state = sample_gnp(n, params.p, rng)
         else:
             raise CliError(1, f"{kind} --init must be empty or gnp, got "
-                              f"{init_name!r}")
+                              f"{init!r}")
     t0 = time.perf_counter()
-    traj = run_chain(kind, init, params, steps, rng, observe_every=every,
-                     m_threshold=_opt(opts, "m_threshold", conv=int))
+    traj = run_chain(kind, state, params, steps, rng,
+                     observe_every=observe_every, m_threshold=m_threshold)
     lines = ["step,l1_frac,sm_frac,edge_count,counts"]
     for rec in traj.records:
         counts = "|".join(str(c) for c in rec.counts_sorted) \
             if rec.counts_sorted is not None else ""
         lines.append(f"{rec.step},{rec.l1_frac!r},{rec.sm_frac!r},"
                      f"{rec.edge_count},{counts}")
-    _write_table(lines, opts.get("out"))
+    _write_table(lines, out)
     print(f"wall clock: {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     return 0
 
@@ -347,8 +363,7 @@ def _cmd_experiment(ns) -> int:
         value = opts.get(key, default)
         if value is None:
             raise CliError(1, f"{name} needs {_flag(key)}")
-        conv = _parse_grid if key == "grid" else _OPTIONS[key].get("type", str)
-        config[key] = conv(value)
+        config[key] = _convert(key, value)
     config["out"] = opts.get("out") or f"mcd_{name}.csv"
     t0 = time.perf_counter()
     report = run(n_vals[0] if single_n else n_vals, lam,
@@ -442,18 +457,7 @@ def _cmd_oracle(ns) -> int:
     if check is None:
         raise CliError(1, f"unknown oracle check {ns.check!r}; choose from "
                           + ", ".join(ORACLE_CHECKS))
-    options = _CHECK_OPTIONS[ns.check]
-    opts = _merged_options(ns, {"n", "q", "lam", "beta", *options})
-    n = _opt(opts, "n", conv=int)
-    q = _opt(opts, "q", conv=float)
-    if n is None or q is None:
-        raise CliError(1, "--n and --q are required")
-    lam = _resolve_lambda(opts, [n])
-    args = {}
-    for key, default in options.items():
-        value = opts.get(key, default)
-        args[key] = None if value is None else _OPTIONS[key].get("type", str)(value)
-    return check(n, q, lam, **args)
+    return _invoke(check, ns)
 
 
 def _verdict(label: str, value: float, tol: float) -> int:
@@ -468,46 +472,37 @@ def _verdict(label: str, value: float, tol: float) -> int:
 # parser assembly
 
 _OPTIONS = {
-    "n": dict(flags=["--n"], help="number of vertices, or a grid"),
-    "q": dict(flags=["--q"], type=float, help="number of colors"),
-    "lam": dict(flags=["--lambda"], dest="lam", type=float,
-                help="edge intensity lambda"),
-    "beta": dict(flags=["--beta"], type=float,
-                 help="inverse temperature (converted to lambda)"),
-    "seed": dict(flags=["--seed"], type=int,
-                 help="master seed (default: MCD_SEED or 0)"),
-    "threads": dict(flags=["--threads"], type=int,
-                    help="worker processes (default 1)"),
-    "replicas": dict(flags=["--replicas"], type=int),
-    "rho": dict(flags=["--rho"], type=float,
-                help="stability-set margin"),
-    "start": dict(flags=["--start"], choices=["balanced", "ordered"]),
-    "grid": dict(flags=["--grid"], help="start:stop:step or comma list"),
-    "m_threshold": dict(flags=["--m-threshold"], dest="m_threshold",
-                        type=int, help="large-cluster size cutoff"),
-    "epsilon": dict(flags=["--epsilon"], type=float),
-    "burn": dict(flags=["--burn"], type=int),
-    "samples": dict(flags=["--samples"], type=int),
-    "cap": dict(flags=["--cap"], type=int, help="escape-time cap"),
-    "steps": dict(flags=["--steps"], type=int),
-    "observe_every": dict(flags=["--observe-every"], dest="observe_every",
-                          type=int),
-    "init": dict(flags=["--init"]),
-    "kind": dict(flags=["--kind"], choices=["sw", "cm", "glauber"]),
-    "alpha": dict(flags=["--alpha"], type=float,
-                  help="restriction density for the bgj check"),
-    "tol": dict(flags=["--tol"], type=float),
-    "out": dict(flags=["--out"], help="output path"),
-    "config": dict(flags=["--config"],
-                   help="flat JSON option file, or a result sidecar"),
+    "n": dict(help="number of vertices, or a grid"),
+    "q": dict(type=float, help="number of colors"),
+    "lam": dict(type=float, help="edge intensity lambda"),
+    "beta": dict(type=float, help="inverse temperature (converted to lambda)"),
+    "seed": dict(type=int, help="master seed (default: MCD_SEED or 0)"),
+    "threads": dict(type=int, help="worker processes (default 1)"),
+    "replicas": dict(type=int),
+    "rho": dict(type=float, help="stability-set margin"),
+    "start": dict(choices=["balanced", "ordered"]),
+    "grid": dict(help="start:stop:step or comma list"),
+    "fixed_points": dict(action="store_true",
+                         help="print the drift fixed points as JSON"),
+    "m_threshold": dict(type=int, help="large-cluster size cutoff"),
+    "epsilon": dict(type=float),
+    "burn": dict(type=int),
+    "samples": dict(type=int),
+    "cap": dict(type=int, help="escape-time cap"),
+    "steps": dict(type=int),
+    "observe_every": dict(type=int),
+    "init": dict(),
+    "kind": dict(choices=["sw", "cm", "glauber"]),
+    "alpha": dict(type=float, help="restriction density for the bgj check"),
+    "tol": dict(type=float),
+    "out": dict(help="output path"),
+    "config": dict(help="flat JSON option file, or a result sidecar"),
 }
 
 
 def _add_common(p: _Parser, *names: str) -> None:
     for name in names:
-        entry = dict(_OPTIONS[name])
-        flags = entry.pop("flags")
-        p.add_argument(*flags, default=None, **entry)
+        p.add_argument(_flag(name), dest=name, default=None, **_OPTIONS[name])
 
 
 def _options_help(table: dict, what: str, common: str) -> str:
@@ -529,21 +524,15 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    p = sub.add_parser("critical-points",
-                       help="print lambda_s, lambda_c, lambda_S for q")
-    _add_common(p, "q", "config")
-    p.set_defaults(func=_cmd_critical_points)
-
-    p = sub.add_parser("drift", help="tabulate the one-step drift functions")
-    _add_common(p, "q", "lam", "beta", "n", "grid", "out", "config")
-    p.add_argument("--fixed-points", dest="fixed_points", action="store_true",
-                   default=None, help="print the drift fixed points as JSON")
-    p.set_defaults(func=_cmd_drift)
-
-    p = sub.add_parser("simulate", help="run one chain and dump the trajectory")
-    _add_common(p, "kind", "n", "q", "lam", "beta", "steps", "observe_every",
-                "init", "m_threshold", "seed", "out", "config")
-    p.set_defaults(func=_cmd_simulate)
+    for command, handler, summary in (
+            ("critical-points", _cmd_critical_points,
+             "print lambda_s, lambda_c, lambda_S for q"),
+            ("drift", _cmd_drift, "tabulate the one-step drift functions"),
+            ("simulate", _cmd_simulate,
+             "run one chain and dump the trajectory")):
+        p = sub.add_parser(command, help=summary)
+        _add_common(p, *_dests(handler), "config")
+        p.set_defaults(func=functools.partial(_invoke, handler))
 
     p = sub.add_parser(
         "experiment", help="run a replicated experiment",
@@ -563,9 +552,8 @@ def build_parser() -> _Parser:
         epilog=_options_help(_CHECK_OPTIONS, "check",
                              "--n, --q, --lambda/--beta and --config"))
     p.add_argument("check", help="one of " + ", ".join(ORACLE_CHECKS))
-    _add_common(p, "n", "q", "lam", "beta",
-                *dict.fromkeys(k for o in _CHECK_OPTIONS.values()
-                               for k in o), "config")
+    _add_common(p, *dict.fromkeys(k for check in ORACLE_CHECKS.values()
+                                  for k in _dests(check)), "config")
     p.set_defaults(func=_cmd_oracle)
     return parser
 

@@ -121,14 +121,9 @@ def _gnp_walks(counts: list[int], rngs: list,
                p: float) -> tuple[np.ndarray, np.ndarray]:
     """_gnp_indices(counts[b], p, rngs[b]) for every block b in block
     order, 0 < p < 1, as (indices, per-block index counts), with one
-    geometric call per run of consecutive blocks on one generator.
-
-    The call draws the run's first batches back to back, which is the
-    stream _gnp_indices reads while no block needs a second batch. One
-    prefix sum, one search and one gather then recover every walk. When a
-    block's first batch falls short of its count, its generator replays
-    the sequential walk over all its blocks, the drawn gaps first (_Drawn).
-    """
+    geometric call per run of consecutive blocks on one generator and the
+    replay through _Drawn where a block needs a second batch (see the
+    module docstring)."""
     batch = [_batch_size(c, p) if c else 0 for c in counts]
     heads = [0] + [b for b in range(1, len(rngs)) if rngs[b] is not rngs[b - 1]]
     draws = [rngs[b].geometric(p, size=size) for b, size
@@ -209,11 +204,8 @@ def gnp_component_sizes(blocks, p: float) -> tuple[np.ndarray, np.ndarray]:
     (sizes, bounds): block b's sizes are sizes[bounds[b]:bounds[b+1]], in
     canonical order (the order of ClusterPartition, in which per-cluster
     randomness is drawn). Each block makes sample_gnp's draws on its
-    generator: one geometric call per generator draws all its blocks'
-    first batches, which is the same stream, as numpy buffers nothing
-    between geometric calls; a generator with a block that needs a second
-    batch replays its blocks one by one over the drawn gaps (see the
-    module docstring). One components call serves the union of all blocks.
+    generator, batched as the module docstring sets out. One components
+    call serves the union of all blocks.
     """
     u, v, offsets = _gnp_union(blocks, p)
     # the union is canonical because every block is and the blocks follow
@@ -459,41 +451,26 @@ def run_chain(kind: str, init, params: ModelParams, steps: int,
     n = params.n
     if m_threshold is None:
         m_threshold = int(round(np.log(n) ** 2))
-
+    if not isinstance(init, SpinConfig if kind == "sw" else EdgeConfig):
+        raise TypeError(f"{kind} chain starts from "
+                        + ("a SpinConfig" if kind == "sw" else "an EdgeConfig"))
     traj = Trajectory(kind=kind, params=params, m_threshold=m_threshold)
-
-    if kind == "sw":
-        if not isinstance(init, SpinConfig):
-            raise TypeError("sw chain starts from a SpinConfig")
-        spins = init
-        omega = EdgeConfig.empty(n)
-        counts = tuple(int(c) for c in spins.sorted_counts())
-        traj.records.append(_observe(0, omega, cluster_decompose(omega),
-                                     m_threshold, counts))
-        for t in range(1, steps + 1):
-            spins, omega, clusters = _sw_step(spins, params, rng)
-            if t % observe_every == 0:
-                counts = tuple(int(c) for c in spins.sorted_counts())
-                traj.records.append(_observe(t, omega, clusters, m_threshold,
-                                             counts))
-        traj.final_spins = spins
-        traj.final_edges = omega
-        return traj
-
-    if not isinstance(init, EdgeConfig):
-        raise TypeError(f"{kind} chain starts from an EdgeConfig")
-    edges = init
+    spins = init if kind == "sw" else None
+    edges = EdgeConfig.empty(n) if kind == "sw" else init
     clusters = cluster_decompose(edges)
-    traj.records.append(_observe(0, edges, clusters, m_threshold, None))
-    for t in range(1, steps + 1):
-        if kind == "cm":
-            edges = _cm_step(edges, clusters, params, rng)
-        else:
-            edges = glauber_step(edges, params, rng)
-        # the next cm step reuses them; glauber needs them only to observe
-        if kind == "cm" or t % observe_every == 0:
-            clusters = cluster_decompose(edges)
+    for t in range(steps + 1):
+        if t and kind == "sw":
+            spins, edges, clusters = _sw_step(spins, params, rng)
+        elif t:
+            edges = (_cm_step(edges, clusters, params, rng) if kind == "cm"
+                     else glauber_step(edges, params, rng))
+            # the next cm step reuses them; glauber needs them only to observe
+            if kind == "cm" or t % observe_every == 0:
+                clusters = cluster_decompose(edges)
         if t % observe_every == 0:
-            traj.records.append(_observe(t, edges, clusters, m_threshold, None))
-    traj.final_edges = edges
+            counts = None if spins is None else tuple(
+                int(c) for c in spins.sorted_counts())
+            traj.records.append(_observe(t, edges, clusters, m_threshold,
+                                         counts))
+    traj.final_spins, traj.final_edges = spins, edges
     return traj

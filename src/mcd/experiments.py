@@ -8,10 +8,8 @@ gets one generator per replica and returns one value per replica. The
 single-step workers (one_step_exit, the drift maps, sm_tail,
 giant_concentration) work on cluster sizes: each replica draws its graphs
 from its own generator (one G(m, p) per color class for SW, one graph
-otherwise) in one geometric call, which reads the same stream as one call
-per graph because numpy buffers nothing between geometric calls (a replica
-whose graph needs a second batch of gaps replays its graphs one by one
-over the drawn gaps). One components call gives the whole range's
+otherwise), reading the stream the per-graph draws would (see the
+dynamics module docstring). One components call gives the whole range's
 component sizes in one flat array (dynamics.gnp_component_sizes), and the
 SW workers then draw each replica's cluster colors from its generator
 (dynamics.sw_size_step).

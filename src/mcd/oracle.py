@@ -38,6 +38,7 @@ its axis sums and the independence test compares it with their product.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -286,10 +287,6 @@ def _scaled(K: np.ndarray | sp.csr_matrix, row: np.ndarray,
     if col is not None:
         m.data *= col[K.indices]
     return m
-
-
-def _dense(K: np.ndarray | sp.csr_matrix) -> np.ndarray:
-    return K.toarray() if sp.issparse(K) else K
 
 
 def _values(m: np.ndarray | sp.csr_matrix) -> np.ndarray:
@@ -600,12 +597,12 @@ def spectral_gap(chain: Chain) -> float:
     class, so lambda_2 is at least 0 when there are fewer classes than
     states.
 
-    Below 16 classes, where an iteration has no room to work, the spectrum
-    is computed densely. From 16 on, s = sqrt(pi C) is the exact top
-    eigenvector (eigenvalue 1: the per-state rows sum to 1 and P is
-    reversible), so by interlacing lambda_2 is the top eigenvalue of the
-    compression to the complement of s, found by _top_of_compression from
-    a fixed start vector, so that the result repeats exactly.
+    s = sqrt(pi C) is the exact top eigenvector (eigenvalue 1: the
+    per-state rows sum to 1 and P is reversible), so by interlacing
+    lambda_2 is the top eigenvalue of the compression to the complement of
+    s, found by _top_of_compression from a fixed start vector, so that the
+    result repeats exactly. On a few classes the recurrence breaks down
+    within count - 1 steps, with the exact top value.
     """
     if chain.balance_violation >= 1e-8:
         raise ValueError("spectral_gap requires a reversible kernel "
@@ -617,14 +614,10 @@ def spectral_gap(chain: Chain) -> float:
     count = sizes.size
     if count == 1:
         return 1.0
-    m = _symmetrized(K, sizes, pi)
-    if count < 16:
-        lam2 = scipy.linalg.eigvalsh(_dense(m))[-2]
-    else:
-        s = np.sqrt(pi * sizes)
-        s /= math.sqrt(_dot(s, s))
-        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, count)
-        lam2 = _top_of_compression(m, s, v0)
+    s = np.sqrt(pi * sizes)
+    s /= math.sqrt(_dot(s, s))
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, count)
+    lam2 = _top_of_compression(_symmetrized(K, sizes, pi), s, v0)
     if count < sizes.sum():
         lam2 = max(lam2, 0.0)
     return float(1.0 - lam2)
@@ -642,7 +635,7 @@ def mixing_time_exact(chain: Chain) -> int:
     sizes, pi = chain.sizes, chain.pi
     if sizes.size > 4096:
         raise ValueError(f"exact mixing time limited to 4096 classes, got {sizes.size}")
-    m = k = _dense(chain.K)
+    m = k = chain.K.toarray() if sp.issparse(chain.K) else chain.K
     for t in range(1, 10 ** 6 + 1):
         if 0.5 * (np.abs(m - pi) @ sizes).max() < _MIXING_THRESHOLD:
             return t
@@ -674,18 +667,21 @@ def bottleneck_ratio(kernel: KernelTable, mask: np.ndarray) -> float:
     pi = kernel.measure.probs
     if not _splits_support(pi, mask):
         raise ValueError("cut must have 0 < pi(S) < 1")
-    rows = kernel.P[mask][:, ~mask]
-    q_flow = float(pi[mask] @ np.asarray(rows.sum(axis=1)).ravel())
+    q_flow = float(pi[mask] @ (kernel.P @ (~mask).astype(float))[mask])
     pis = float(pi[mask].sum())
     return q_flow / (pis * (1.0 - pis))
+
+
+_SWEEP_STATES_MAX = 4096
 
 
 def sweep_cuts(kernel: KernelTable) -> list[np.ndarray]:
     """Prefix cuts of the second eigenvector of the symmetrized kernel in
     the D^{-1/2} coordinates — the Cheeger-certificate family — on the
-    support of pi; the states off it stay in S^c."""
-    if kernel.size > 4096:
-        raise ValueError("sweep cuts limited to 4096 states")
+    support of pi; the states off it stay in S^c. The eigenproblem is
+    dense, so the states are guarded."""
+    if kernel.size > _SWEEP_STATES_MAX:
+        raise ValueError(f"sweep cuts limited to {_SWEEP_STATES_MAX} states")
     support = _support(kernel)
     pi = kernel.measure.probs[support]
     m = _symmetrized(kernel.P[support][:, support], np.ones(support.size), pi)
@@ -716,15 +712,31 @@ def _refine_cut(kernel: KernelTable, mask: np.ndarray) -> tuple[float, np.ndarra
     return best, mask
 
 
+def _stored_entries(kernel: KernelTable) -> int:
+    """kernel.P.nnz, counted on the class form: class a's row stores
+    sizes[b] entries for each stored K[a, b]."""
+    K, sizes = kernel.K, kernel.sizes
+    if sp.issparse(K):
+        return int(np.repeat(sizes, np.diff(K.indptr)) @ sizes[K.indices])
+    return int(sizes @ (K != 0) @ sizes)
+
+
 def min_bottleneck_ratio(kernel: KernelTable) -> tuple[float, np.ndarray]:
     """Minimum ratio over the structured cut families (sublevel sets of the
     edge count and of |S_M|, the vertices in clusters larger than M, for
     the random-cluster kernels; eigenvector sweep cuts; singletons), then
-    greedy descent from the best cut found.
+    greedy descent from the best cut found. Above 4096 states the sweep
+    family is skipped.
 
     This is an upper bound on the true Cheeger constant: exhausting all
     bipartitions is possible only for tiny spaces (see exhaustive_min_ratio).
+    Every cut reads all of P, so P may store at most 2^24 entries, the
+    most a kernel of 4096 states stores. The count is taken on the class
+    form, so a larger (dense) sw kernel is refused before P is expanded.
     """
+    stored = _stored_entries(kernel)
+    if stored > 2 ** 24:
+        raise ValueError(f"cut search limited to 2^24 kernel entries, got {stored}")
     cuts: list[np.ndarray] = []
     if kernel.kind in ("cm", "glauber"):
         n = kernel.measure.n
@@ -734,11 +746,12 @@ def min_bottleneck_ratio(kernel: KernelTable) -> tuple[float, np.ndarray]:
         for m_thr in range(1, n):
             sm = (cluster_size > m_thr).sum(axis=1)
             cuts.extend(sm <= t for t in range(n))
-    cuts.extend(sweep_cuts(kernel))
-    cuts.extend(np.eye(kernel.size, dtype=bool))
+    if kernel.size <= _SWEEP_STATES_MAX:
+        cuts.extend(sweep_cuts(kernel))
+    singletons = (np.arange(kernel.size) == i for i in range(kernel.size))
     pi = kernel.measure.probs
     best, best_mask = None, None
-    for mask in cuts:
+    for mask in itertools.chain(cuts, singletons):
         if not _splits_support(pi, mask):
             continue
         r = bottleneck_ratio(kernel, mask)

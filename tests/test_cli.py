@@ -67,6 +67,9 @@ def test_lambda_beta_exclusivity(capsys):
     code, _, err = run(capsys, "experiment", "sm_tail", "--n", "100:200:100",
                        "--beta", "0.5")
     assert code == 1 and "single" in err
+    code, _, err = run(capsys, "drift", "--q", "3", "--beta", "0.5",
+                       "--n", "100:200:100")
+    assert code == 1 and "needs a single --n" in err
 
 
 def test_beta_conversion_matches_formula(capsys, tmp_path):
@@ -208,6 +211,51 @@ def test_oracle_check_runs_and_rejects_options_it_does_not_take(
     assert all("--" + key in err for key in foreign)
 
 
+# a tiny run of each plain subcommand, the options it requires, and
+# options it does not take
+PLAIN_TINY = {
+    "critical-points": (["--q", "3"], ["--q"], {"n": 5, "lambda": 2}),
+    "drift": (["--q", "3", "--lambda", "2", "--grid", "0.5"], ["--q"],
+              {"seed": 1, "steps": 3}),
+    "simulate": (["--kind", "cm", "--n", "20", "--q", "2", "--lambda", "1",
+                  "--steps", "2"], ["--n", "--q"], {"grid": "0.5", "tol": 1}),
+}
+
+
+@pytest.mark.parametrize("command", list(PLAIN_TINY))
+def test_plain_subcommand_requires_its_options_and_rejects_others(
+        command, tmp_path, capsys):
+    argv, required, foreign = PLAIN_TINY[command]
+    assert run(capsys, command, *argv)[0] == 0
+    for flag in required:
+        i = argv.index(flag)
+        code, out, err = run(capsys, command, *argv[:i], *argv[i + 2:])
+        assert code == 1 and out == "" and f"{flag} is required" in err
+
+    # a flag the subcommand's parser lacks is refused by argparse
+    flags = [str(x) for key, val in foreign.items()
+             for x in ("--" + key, val)]
+    code, _, err = run(capsys, command, *argv, *flags)
+    assert code == 1 and "unrecognized arguments" in err
+    assert all("--" + key in err for key in foreign)
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(foreign))
+    code, _, err = run(capsys, command, *argv, "--config", str(cfg))
+    assert code == 1 and f"{command} does not take" in err
+    assert all("--" + key in err for key in foreign)
+
+
+def test_drift_config_flag_false_prints_the_table(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for flag, first in ((False, "z,F,f,g"), (True, "{")):
+        cfg.write_text(json.dumps({"q": 3, "lambda": 2.7725887,
+                                   "grid": "0.4:0.6:0.1",
+                                   "fixed-points": flag}))
+        code, out, _ = run(capsys, "drift", "--config", str(cfg))
+        assert code == 0 and out.splitlines()[0] == first
+
+
 def test_regime_error_exit_code(capsys):
     code, _, err = run(capsys, "experiment", "one_step_exit", "--n", "30",
                        "--q", "3", "--lambda", "2.0", "--start", "ordered",
@@ -285,6 +333,19 @@ SIMULATE_SHA256 = {
 @pytest.mark.parametrize("argv", list(SIMULATE_SHA256), ids=lambda a: a[1])
 def test_simulate_bytes_are_pinned(argv, capsys):
     code, out, _ = run(capsys, "simulate", *argv, "--seed", "5")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] \
+        == SIMULATE_SHA256[argv]
+
+
+def test_simulate_config_file_gives_the_pinned_bytes(tmp_path, capsys):
+    argv = next(a for a in SIMULATE_SHA256 if "sw" in a)
+    options = {flag[2:]: value if flag in ("--kind", "--init")
+               else json.loads(value)
+               for flag, value in zip(argv[::2], argv[1::2])}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**options, "seed": 5}))
+    code, out, _ = run(capsys, "simulate", "--config", str(cfg))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] \
         == SIMULATE_SHA256[argv]
@@ -477,6 +538,16 @@ def test_cli_rerun_is_byte_identical(tmp_path, capsys):
     assert run(capsys, *argv, "--threads", "1", "--out", str(a))[0] == 0
     assert run(capsys, *argv, "--threads", "4", "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_version_is_declared_once():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    pyproject = tomllib.loads((root / "pyproject.toml").read_text())
+    assert "version" not in pyproject["project"]
+    assert "version" in pyproject["project"]["dynamic"]
+    assert pyproject["tool"]["setuptools"]["dynamic"]["version"] \
+        == {"attr": "mcd.__version__"}
 
 
 def test_readme_cheeger_example_prints_what_it_quotes(capsys):

@@ -603,6 +603,33 @@ def test_cuts_are_taken_on_the_support_of_pi():
     assert min_conductance(kernel) == (1.0, "exact")
 
 
+def test_cut_search_counts_the_stored_entries_of_p():
+    for kind, n, q in (("sw", 3, 3), ("sw", 4, 2), ("cm", 3, 2.5),
+                       ("glauber", 4, 2)):
+        kernel = build_kernel(kind, n, q, 1.0)
+        assert oracle._stored_entries(kernel) == kernel.P.nnz
+    # sw classes in CSR storage
+    kernel = build_kernel("sw", 4, 2, 1.0)
+    kernel = KernelTable(sp.csr_matrix(kernel.K), "sw", kernel.classes,
+                         kernel.measure)
+    assert oracle._stored_entries(kernel) == kernel.P.nnz
+    # 10^4 states of a dense P: refused before P is expanded
+    kernel = build_kernel("sw", 4, 10, 1.0)
+    with pytest.raises(ValueError, match="got 100000000"):
+        min_conductance(kernel)
+    assert "P" not in vars(kernel)
+
+
+def test_cut_search_skips_the_sweep_family_above_its_limit(monkeypatch):
+    kernel = build_kernel("glauber", 4, 2.0, 1.0)
+    monkeypatch.setattr(oracle, "_SWEEP_STATES_MAX", kernel.size - 1)
+    with pytest.raises(ValueError, match="sweep cuts limited"):
+        sweep_cuts(kernel)
+    ratio, cut = min_bottleneck_ratio(kernel)
+    assert ratio == bottleneck_ratio(kernel, cut)
+    assert ratio >= spectral_gap(kernel)
+
+
 def test_tv_distance_basics():
     p = np.array([0.5, 0.5, 0.0])
     q = np.array([0.0, 0.5, 0.5])

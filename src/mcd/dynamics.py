@@ -344,9 +344,11 @@ def _connected_avoiding(edges: EdgeConfig, x: int, y: int) -> bool:
         return False  # the common case at small n, decided without a graph
     # each pair in both directions, so a directed search from x sees every
     # neighbor without scipy transposing the graph (several times the cost
-    # of the search at small n)
+    # of the search at small n); a stable sort on the smallest unsigned
+    # type groups the arcs by first endpoint, which numpy does by radix sort
     arcs = np.concatenate([pairs, pairs[:, ::-1]])
-    g = _adjacency(edges.n, arcs[np.argsort(arcs[:, 0])])
+    first = arcs[:, 0].astype(np.min_scalar_type(edges.n))
+    g = _adjacency(edges.n, arcs[np.argsort(first, kind="stable")])
     reached = breadth_first_order(g, x, return_predecessors=False)
     return bool((reached == y).any())
 

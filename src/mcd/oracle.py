@@ -19,15 +19,19 @@ sizes, with P(x, y) = K[a, b] for x in class a and y in class b.
 Stationarity, detailed balance, the spectral gap and the mixing time read
 only these, by the same operations on either storage; the Lanczos gap
 multiplies by a CSR K in scipy's own loop and by a dense K in einsum's, so
-no BLAS call runs on the long vectors. A KernelTable is the Chain of an
-enumerated kernel: it adds the class map `classes` (state -> class) and
-the measure, which must be constant on each class, and reads pi and the
-sizes off them. The sw classes are the monochromatic pair masks, on which
-an SW entry depends (187 of them for the 4096 states at n = 6, q = 4); cm
-and glauber use one class per state, with K = P. The sw and cm class
-kernels are full, so dense; a glauber row has one entry per pair plus the
-diagonal, so CSR. An sw cut can split a class, so cuts and dumps use the
-per-state CSR `KernelTable.P`, and cuts are taken on the support of pi.
+no BLAS call runs on the long vectors. Detailed balance and the
+symmetrization combine a scaled K with its transpose in place: a dense K
+one square tile at a time, with no full-size copy of the transpose, and a
+CSR K of symmetric pattern on its data. A KernelTable is the
+Chain of an enumerated kernel: it adds the class map `classes` (state ->
+class) and the measure, which must be constant on each class, and reads
+pi and the sizes off them. The sw classes are the monochromatic pair
+masks, on which an SW entry depends (187 of them for the 4096 states at
+n = 6, q = 4); cm and glauber use one class per state, with K = P. The sw
+and cm class kernels are full, so dense; a glauber row has one entry per
+pair plus the diagonal, so CSR. An sw cut can split a class, so cuts and
+dumps use the per-state CSR `KernelTable.P`, and cuts are taken on the
+support of pi.
 
 The cluster-coloring checks loop over the class colorings of the
 vertices: given one, the conditional law is a tensor with one axis per
@@ -45,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec
+from scipy.sparse._sparsetools import csr_matvec, csr_scale_columns, csr_scale_rows
 
 from .indexing import all_pairs, num_pairs, pair_indices_of
 from .model import EdgeConfig, _edge_config_presorted, integer_q
@@ -276,17 +280,20 @@ class KernelTable(Chain):
 def _scaled(K: np.ndarray | sp.csr_matrix, row: np.ndarray,
             col: np.ndarray | None = None) -> np.ndarray | sp.csr_matrix:
     """diag(row) K diag(col) in K's own storage, rows scaled first. A CSR K
-    keeps its pattern: its copy's data are scaled in place."""
+    keeps its pattern: only its data are copied and scaled."""
     if not sp.issparse(K):
         m = K * row[:, None]
         if col is not None:
             m *= col
         return m
-    m = K.copy()
-    m.data *= np.repeat(row, np.diff(K.indptr))
+    # scipy's own loops scale the copied data in place, with no
+    # per-entry temporary; the pattern arrays are shared with K, and
+    # nothing writes to them
+    data = K.data.astype(np.float64)
+    csr_scale_rows(*K.shape, K.indptr, K.indices, data, row)
     if col is not None:
-        m.data *= col[K.indices]
-    return m
+        csr_scale_columns(*K.shape, K.indptr, K.indices, data, col)
+    return type(K)((data, K.indices, K.indptr), shape=K.shape)
 
 
 def _values(m: np.ndarray | sp.csr_matrix) -> np.ndarray:
@@ -295,19 +302,38 @@ def _values(m: np.ndarray | sp.csr_matrix) -> np.ndarray:
     return m.data if sp.issparse(m) else m
 
 
+_TILE = 128
+
+
 def _with_transpose(m: np.ndarray | sp.csr_matrix, op) -> np.ndarray | sp.csr_matrix:
     """op(m, m.T) for the ufunc op, written over m. A dense m, and a CSR m
     whose pattern is symmetric (as a reversible kernel's is), are combined
     on their stored values. Only a CSR with an asymmetric pattern goes
     through scipy's sparse sum, whose result buffer, sized for the two
-    operands' entries together, page-faults in on every call."""
-    t = m.T
-    if sp.issparse(m):
-        t = t.tocsr()
-        if not (np.array_equal(t.indptr, m.indptr)
-                and np.array_equal(t.indices, m.indices)):
-            return op(m, t)
-    op(_values(m), _values(t), out=_values(m))
+    operands' entries together, page-faults in on every call.
+
+    A dense m is combined one square tile at a time: the tiles (I, J) and
+    (J, I) are read through copies of the two tiles' transposes, so no
+    full-size copy of m.T is made, and each entry still gets one op on the
+    same two operands."""
+    if not sp.issparse(m):
+        count = m.shape[0]
+        for lo in range(0, count, _TILE):
+            rows = slice(lo, lo + _TILE)
+            a = m[rows, rows]
+            op(a, a.T.copy(), out=a)
+            for lo2 in range(lo + _TILE, count, _TILE):
+                cols = slice(lo2, lo2 + _TILE)
+                a, b = m[rows, cols], m[cols, rows]
+                at = a.T.copy()
+                op(a, b.T.copy(), out=a)
+                op(b, at, out=b)
+        return m
+    t = m.T.tocsr()
+    if not (np.array_equal(t.indptr, m.indptr)
+            and np.array_equal(t.indices, m.indices)):
+        return op(m, t)
+    op(m.data, t.data, out=m.data)
     return m
 
 
@@ -416,7 +442,8 @@ def _cm_kernel(n: int, q: float, lam: float) -> KernelTable:
     # pairs outside the active vertex set V and resamples the pairs inside
     # it; V is reachable from a state iff no open pair leaves it
     P = np.zeros((size, size))
-    for vs in range(1 << n):
+    every = (1 << n) - 1
+    for vs in range(every + 1):
         in_v = (vs >> np.arange(n)) & 1
         inside = in_v[pu] & in_v[pv]
         cut = (in_v[pu] ^ in_v[pv]) @ pair_bits
@@ -425,12 +452,20 @@ def _cm_kernel(n: int, q: float, lam: float) -> KernelTable:
         w_act = (1.0 / q) ** a * (1.0 - 1.0 / q) ** (kcnt[sel] - a)
         masks, w_sub = _bernoulli_submasks(np.flatnonzero(inside), p)
         kept = sel & ~(inside @ pair_bits)
-        # one V sends a row to distinct targets, so each chunk's += is a
-        # plain scatter; chunks bound the temporaries to _SCATTER_ENTRIES
+        # chunks bound the temporaries to _SCATTER_ENTRIES
         step = max(1, _SCATTER_ENTRIES // masks.size)
         for lo in range(0, sel.size, step):
             rows = slice(lo, lo + step)
-            P[sel[rows, None], kept[rows, None] | masks] += w_act[rows, None] * w_sub
+            w = np.multiply.outer(w_act[rows], w_sub)
+            if vs == every:
+                # V = all vertices resamples every pair and keeps none: every
+                # state reaches every mask, in state order, so the block of
+                # rows is dense and the += needs no index arrays
+                P[rows] += w
+            else:
+                # one V sends a row to distinct targets, so the += is a
+                # plain scatter
+                P[sel[rows, None], kept[rows, None] | masks] += w
     return KernelTable(P, "cm", states, enumerate_fk_measure(n, lam, q))
 
 
@@ -534,6 +569,29 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 _LANCZOS_TOL = 1e-10
 
 
+_STEBZ, _STEIN = scipy.linalg.get_lapack_funcs(("stebz", "stein"), (np.empty(0),))
+
+
+def _top_ritz(alpha: np.ndarray, beta: np.ndarray) -> tuple[float, float]:
+    """The largest eigenvalue of the symmetric tridiagonal matrix with
+    diagonal alpha and off-diagonal beta, and the last component of its unit
+    eigenvector: what scipy.linalg.eigh_tridiagonal(alpha, beta, select="i",
+    select_range=(j, j)) gives for j = alpha.size - 1, by the same LAPACK
+    calls with the same arguments (bisection, then inverse iteration),
+    without the wrapper's argument handling on every Lanczos step."""
+    if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
+        raise ValueError("Lanczos coefficients must be finite")
+    j = alpha.size
+    if j == 1:
+        return float(alpha[0]), 1.0
+    m, w, iblock, isplit, info = _STEBZ(alpha, beta, 2, 0.0, 1.0, j, j, 0.0, "B")
+    if info == 0:
+        y, info = _STEIN(alpha, beta, w[:m], iblock, isplit)
+    if info != 0:
+        raise scipy.linalg.LinAlgError(f"tridiagonal eigensolver failed (info={info})")
+    return float(w[0]), float(y[-1, 0])
+
+
 def _top_of_compression(m: np.ndarray | sp.csr_matrix, s: np.ndarray,
                         v: np.ndarray) -> float:
     """The largest eigenvalue of the symmetric m compressed to the
@@ -552,7 +610,8 @@ def _top_of_compression(m: np.ndarray | sp.csr_matrix, s: np.ndarray,
     Every operation on the long vectors stays out of BLAS: a dense m is
     multiplied by einsum's own loop and a CSR m by scipy's, and the dot
     products are einsum's. A BLAS call here would wake OpenBLAS's thread
-    pool, which then spins after it.
+    pool, which then spins after it. The vector updates go through one
+    preallocated buffer.
     """
     count = s.size
     if sp.issparse(m):
@@ -566,25 +625,25 @@ def _top_of_compression(m: np.ndarray | sp.csr_matrix, s: np.ndarray,
             np.einsum("ij,i->j", m, x, out=out)
     v = v - _dot(s, v) * s
     v /= math.sqrt(_dot(v, v))
-    prev, w = np.zeros(count), np.empty(count)
-    alpha, beta, b = [], [], 0.0
+    prev, w, tmp = np.zeros(count), np.empty(count), np.empty(count)
     # in exact arithmetic the recurrence breaks down within count - 1
     # steps; in floating point, ghosts can hold the top Ritz value back
-    for j in range(2 * count):
+    steps = 2 * count
+    alpha, beta, b = np.empty(steps), np.empty(steps), 0.0
+    for j in range(steps):
         matvec(v, w)
-        w -= _dot(s, w) * s
-        w -= b * prev
-        alpha.append(_dot(v, w))
-        w -= alpha[-1] * v
+        w -= np.multiply(s, _dot(s, w), out=tmp)
+        w -= np.multiply(prev, b, out=tmp)
+        alpha[j] = _dot(v, w)
+        w -= np.multiply(v, alpha[j], out=tmp)
         b = math.sqrt(_dot(w, w))
-        theta, y = scipy.linalg.eigh_tridiagonal(
-            alpha, beta, select="i", select_range=(j, j))
-        if b * abs(y[-1, 0]) <= _LANCZOS_TOL * max(1.0, abs(theta[0])):
-            return float(theta[0])
-        beta.append(b)
+        theta, y = _top_ritz(alpha[:j + 1], beta[:j])
+        if b * abs(y) <= _LANCZOS_TOL * max(1.0, abs(theta)):
+            return theta
+        beta[j] = b
         w /= b
         prev, v, w = v, w, prev
-    raise RuntimeError(f"Lanczos did not converge in {2 * count} steps")
+    raise RuntimeError(f"Lanczos did not converge in {steps} steps")
 
 
 def spectral_gap(chain: Chain) -> float:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -540,6 +541,58 @@ def test_lanczos_refuses_to_return_an_unconverged_value(monkeypatch):
     monkeypatch.setattr(oracle, "_LANCZOS_TOL", -1.0)
     with pytest.raises(RuntimeError, match="did not converge"):
         spectral_gap(build_kernel("glauber", 4, 2.0, 1.0))
+
+
+def test_top_ritz_matches_the_scipy_wrapper_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for j in range(81):
+        alpha, beta = rng.uniform(-1.0, 1.0, j + 1), rng.uniform(0.0, 1.0, j)
+        theta, y = scipy.linalg.eigh_tridiagonal(alpha, beta, select="i",
+                                                 select_range=(j, j))
+        assert oracle._top_ritz(alpha, beta) == (theta[0], y[-1, 0])
+
+
+@pytest.mark.parametrize("where", ["alpha", "beta"])
+def test_top_ritz_refuses_non_finite_coefficients(where):
+    alpha, beta = np.full(4, 0.5), np.full(3, 0.25)
+    {"alpha": alpha, "beta": beta}[where][1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        oracle._top_ritz(alpha, beta)
+    with pytest.raises(ValueError, match="finite"):
+        oracle._top_ritz(np.array([np.nan]), np.empty(0))
+
+
+@pytest.mark.parametrize("count", [1, oracle._TILE - 1, oracle._TILE, oracle._TILE + 1,
+                                   2 * oracle._TILE + 3, 1024])
+@pytest.mark.parametrize("op", [np.add, np.subtract])
+def test_tiled_transpose_matches_the_full_copy(count, op):
+    m = np.random.default_rng(count).uniform(-1.0, 1.0, (count, count))
+    ref = op(m, m.T.copy())
+    out = oracle._with_transpose(m, op)
+    assert out is m
+    assert np.array_equal(out, ref)
+
+
+def test_asymmetric_csr_takes_the_sparse_sum():
+    m = sp.csr_matrix(np.triu(np.arange(1.0, 17.0).reshape(4, 4)))
+    ref = (m - m.T).toarray()
+    out = oracle._with_transpose(m.copy(), np.subtract)
+    assert sp.issparse(out)
+    assert np.array_equal(out.toarray(), ref)
+
+
+@pytest.mark.parametrize("n,lam", [(4, 1.0), (3, 0.0)])
+def test_checks_leave_a_csr_kernel_unchanged(n, lam):
+    # _scaled shares K's pattern arrays with its result, so nothing
+    # downstream may write to them; at lam = 0 the gap cuts K to the
+    # support of pi first
+    kernel = build_kernel("glauber", n, 2.0, lam)
+    K = kernel.K
+    before = [a.copy() for a in (K.data, K.indices, K.indptr)]
+    detailed_balance_violation(kernel)
+    spectral_gap(kernel)
+    for a, b in zip((K.data, K.indices, K.indptr), before):
+        assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------

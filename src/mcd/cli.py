@@ -9,15 +9,18 @@ Five subcommands:
   mcd oracle stationarity --kind glauber --n 4 --q 2 --lambda 1
 
 Each subcommand, experiment and oracle check reads its options, their
-order and their defaults from its function's signature; an option without
-a default is required. Conventions shared by all subcommands: exactly one
-of --lambda/--beta fixes the edge intensity (beta is converted through
-lam = n(1 - exp(-beta/n)) and therefore needs a single n); grids are written start:stop:step, a comma
-list, or a single number; --config names a flat JSON object whose keys are
-the long flag names, or the JSON sidecar of an experiment result, with
-explicit flags taking precedence; an option the subcommand, experiment or
-oracle check does not take is an error, whether given as a flag or a
-config key; the master seed defaults to the MCD_SEED environment variable.
+order and their defaults from its function's signature, by one set of
+rules; an option without a default is required. Conventions shared by all
+subcommands: exactly one of --lambda/--beta fixes the edge intensity (beta
+is converted through lam = n(1 - exp(-beta/n)) and therefore needs a
+single n); grids are written start:stop:step, a comma list, or a single
+number; --n is a grid only where the function takes n_grid, else one value
+(a one-element list counts as one); --config names a flat JSON object
+whose keys are the long flag names, or the JSON sidecar of an experiment
+result, with explicit flags taking precedence; an option the subcommand,
+experiment or oracle check does not take is an error, whether given as a
+flag or a config key; the master seed defaults to the MCD_SEED environment
+variable.
 Exit codes: 0 success or check passed, 1 usage error, 2 oracle check
 failed, 3 parameter regime unsupported. Wall-clock timings go to stderr,
 never into result files.
@@ -150,8 +153,9 @@ def _load_config(ns: argparse.Namespace) -> dict:
 _POSITIONALS = ("func", "config", "command", "name", "check")
 
 
-def _merged_options(ns: argparse.Namespace, allowed) -> dict:
-    """Config-file values overridden by anything given on the command line.
+def _merged_options(ns: argparse.Namespace, allowed, who: str) -> dict:
+    """Config-file values overridden by anything given on the command line,
+    without the ones left null.
 
     An option outside `allowed` is an error, so a typo or an option the
     run would ignore never passes silently."""
@@ -160,70 +164,94 @@ def _merged_options(ns: argparse.Namespace, allowed) -> dict:
     opts.update((k, v) for k, v in given.items() if v is not None)
     unused = sorted(set(opts) - set(allowed))
     if unused:
-        who = getattr(ns, "name", getattr(ns, "check", ns.command))
         raise CliError(1, f"{who} does not take "
                           + ", ".join(_flag(k) for k in unused))
-    return opts
+    return {k: v for k, v in opts.items() if v is not None}
 
 
 def _convert(key: str, value):
     """An option's value, from a flag's text or a config file's JSON: a
-    grid is parsed, n taken as an int, a typed option converted by its
-    type; any other keeps the value as given, so a config file's false
-    stays false."""
+    grid is parsed, a typed option converted by its type; any other keeps
+    the value as given, so a config file's false stays false."""
     if key == "grid":
         return _parse_grid(value)
-    conv = int if key == "n" else _OPTIONS[key].get("type")
+    conv = _OPTIONS[key].get("type")
     return value if conv is None else conv(value)
-
-
-def _master_seed(opts: dict) -> int:
-    if opts.get("seed") is not None:
-        return int(opts["seed"])
-    return int(os.environ.get("MCD_SEED", "0"))
 
 
 def _resolve_lambda(opts: dict, n_values: list[int] | None) -> float:
     lam, beta = opts.get("lam"), opts.get("beta")
     if (lam is None) == (beta is None):
         raise CliError(1, "exactly one of --lambda / --beta is required")
-    if lam is not None:
-        lam = float(lam)
-    else:
+    if beta is not None:
         if not n_values or len(n_values) != 1:
             raise CliError(1, "--beta conversion needs a single --n")
-        n = n_values[0]
-        lam = -n * math.expm1(-float(beta) / n)
+        lam = -n_values[0] * math.expm1(-float(beta) / n_values[0])
+    lam = float(lam)
     if not 0 < lam < math.inf:
         raise CliError(1, f"edge intensity must be finite and > 0, got {lam!r}")
     return lam
 
 
-def _dests(handler: Callable) -> list[str]:
-    """The options a handler takes: its parameters, with beta beside lam."""
-    return [dest for name in inspect.signature(handler).parameters
-            for dest in (("lam", "beta") if name == "lam" else (name,))]
+_REQUIRED = inspect.Parameter.empty
+
+
+def _options(func: Callable, defaults: dict | None = None) -> dict:
+    """func's parameters, each mapped to (its option's dest, its default):
+    master_seed is seed, n_grid is n and any other *_grid is grid; the
+    default comes from defaults, else the signature, else it is _REQUIRED."""
+    defaults = defaults or {}
+    options = {}
+    for name, par in inspect.signature(func).parameters.items():
+        dest = ("seed" if name == "master_seed" else "n" if name == "n_grid"
+                else "grid" if name.endswith("_grid") else name)
+        options[name] = (dest, defaults.get(dest, par.default))
+    return options
+
+
+def _dests(func: Callable) -> list[str]:
+    """The options a function takes, with beta beside lam."""
+    return [d for dest, _ in _options(func).values()
+            for d in (("lam", "beta") if dest == "lam" else (dest,))]
+
+
+def _arguments(func: Callable, ns: argparse.Namespace,
+               defaults: dict | None = None, extra=()) -> dict:
+    """func's keyword arguments from the options of ns, read by _options:
+    an option not given takes its default or is required; --n is an
+    integer grid for n_grid and a single integer for any other parameter;
+    lam comes from --lambda or --beta; seed falls back to MCD_SEED. The
+    options in extra are allowed too, and returned as given. A value that
+    does not convert is a usage error that names its option."""
+    who = getattr(ns, "name", getattr(ns, "check", ns.command))
+    opts = _merged_options(ns, [*_dests(func), *extra], who)
+    args = {key: opts.get(key) for key in extra}
+    dest = "n"
+    try:
+        n = None if opts.get("n") is None else _parse_grid(opts["n"], "int")
+        for name, (dest, default) in _options(func, defaults).items():
+            if dest == "seed":
+                default = os.environ.get("MCD_SEED", "0")
+            value = opts.get(dest, default)
+            if dest == "lam":
+                value = _resolve_lambda(opts, n)
+            elif value is _REQUIRED:
+                raise CliError(1, f"{_flag(dest)} is required")
+            elif dest == "n" and value is not None:
+                if name != "n_grid" and len(n) != 1:
+                    raise CliError(1, f"{who} takes a single --n")
+                value = n if name == "n_grid" else n[0]
+            elif value is not None:
+                value = _convert(dest, value)
+            args[name] = value
+    except (TypeError, ValueError) as err:
+        flag = "--lambda/--beta" if dest == "lam" else _flag(dest)
+        raise CliError(1, f"{flag}: {err}") from None
+    return args
 
 
 def _invoke(handler: Callable, ns: argparse.Namespace) -> int:
-    """Run handler on the options of ns, read from its signature: a
-    parameter without a default is required, lam comes from --lambda or
-    --beta, and seed falls back to MCD_SEED."""
-    opts = _merged_options(ns, _dests(handler))
-    args = {}
-    for key, par in inspect.signature(handler).parameters.items():
-        value = opts.get(key, None if par.default is par.empty else par.default)
-        if key == "lam":
-            n = opts.get("n")
-            args[key] = _resolve_lambda(
-                opts, None if n is None else _parse_grid(n, "int"))
-        elif key == "seed":
-            args[key] = _master_seed(opts)
-        elif value is not None:
-            args[key] = _convert(key, value)
-        elif par.default is par.empty:
-            raise CliError(1, f"{_flag(key)} is required")
-    return handler(**args)
+    return handler(**_arguments(handler, ns))
 
 
 # ---------------------------------------------------------------------------
@@ -305,25 +333,12 @@ def _cmd_simulate(n, q, lam, kind="sw", steps=100, observe_every=1,
     return 0
 
 
-def _options(func: Callable, skip: int, defaults: dict) -> dict:
-    """func's parameters after the first skip, by option dest (master_seed
-    is seed, any *_grid is grid) in signature order, each with its default:
-    from defaults, else the signature's, else None (required)."""
-    options = {}
-    for name, par in list(inspect.signature(func).parameters.items())[skip:]:
-        dest = ("seed" if name == "master_seed" else
-                "grid" if name.endswith("_grid") else name)
-        options[dest] = defaults.get(
-            dest, None if par.default is par.empty else par.default)
-    return options
-
-
 # The registries. `mcd experiment NAME` runs a function of mcd.experiments
-# on (n or the n grid, lambda, options) and `mcd oracle CHECK` a _check_*
-# function below on (n, q, lambda, options). The options, their order and
-# their defaults are read from the function's signature; an experiment
-# whose first parameter is n takes a single --n. An experiment's entry
-# holds only the defaults the library leaves to its caller.
+# and `mcd oracle CHECK` a _check_* function below, on the options read
+# from the function's signature by the rules of _arguments; an experiment
+# that takes n_grid takes an --n grid, any other a single --n. An
+# experiment's entry holds only the defaults the library leaves to its
+# caller.
 EXPERIMENTS = {
     "one_step_exit": (one_step_exit,
                       dict(rho=0.08, start="balanced", replicas=500)),
@@ -338,38 +353,28 @@ EXPERIMENTS = {
                             dict(epsilon=0.01, replicas=100)),
     "bimodality_scan": (bimodality_scan, dict(burn=200, samples=1000)),
 }
-_EXPERIMENT_OPTIONS = {name: _options(run, 2, defaults)
-                       for name, (run, defaults) in EXPERIMENTS.items()}
+
+
+def _registered(table: dict, key: str, what: str):
+    if key not in table:
+        raise CliError(1, f"unknown {what} {key!r}; choose from "
+                          + ", ".join(table))
+    return table[key]
 
 
 def _cmd_experiment(ns) -> int:
-    name = ns.name
-    if name not in EXPERIMENTS:
-        raise CliError(1, f"unknown experiment {name!r}; choose from "
-                          + ", ".join(EXPERIMENTS))
-    run, options = EXPERIMENTS[name][0], _EXPERIMENT_OPTIONS[name]
-    opts = _merged_options(ns, {"n", "lam", "beta", "out", *options})
-    if opts.get("n") is None:
-        raise CliError(1, "--n is required")
-    n_vals = _parse_grid(opts["n"], "int")
-    single_n = next(iter(inspect.signature(run).parameters)) == "n"
-    if single_n and len(n_vals) != 1:
-        raise CliError(1, f"{name} takes a single --n")
-    lam = _resolve_lambda(opts, n_vals)
-    opts["seed"] = _master_seed(opts)
-    config = {"command": "experiment", "experiment": name, "n": n_vals,
-              "lambda": lam}
-    for key, default in options.items():
-        value = opts.get(key, default)
-        if value is None:
-            raise CliError(1, f"{name} needs {_flag(key)}")
-        config[key] = _convert(key, value)
-    config["out"] = opts.get("out") or f"mcd_{name}.csv"
+    run, defaults = _registered(EXPERIMENTS, ns.name, "experiment")
+    args = _arguments(run, ns, defaults, ("out",))
+    out = args.pop("out") or f"mcd_{ns.name}.csv"
+    config = {"command": "experiment", "experiment": ns.name, "out": out}
+    for name, (dest, _) in _options(run, defaults).items():
+        config["lambda" if dest == "lam" else dest] = args[name]
+    if "n_grid" not in args:
+        config["n"] = [config["n"]]
     t0 = time.perf_counter()
-    report = run(n_vals[0] if single_n else n_vals, lam,
-                 *(config[key] for key in options))
-    write_report(report, config["out"], config, __version__)
-    print(config["out"])
+    report = run(**args)
+    write_report(report, out, config, __version__)
+    print(out)
     print(f"wall clock: {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     return 0
 
@@ -448,16 +453,10 @@ ORACLE_CHECKS = {
     "iterated-coloring": _check_iterated_coloring,
     "es-coupling": _check_es_coupling,
 }
-_CHECK_OPTIONS = {name: _options(check, 3, {})
-                  for name, check in ORACLE_CHECKS.items()}
 
 
 def _cmd_oracle(ns) -> int:
-    check = ORACLE_CHECKS.get(ns.check)
-    if check is None:
-        raise CliError(1, f"unknown oracle check {ns.check!r}; choose from "
-                          + ", ".join(ORACLE_CHECKS))
-    return _invoke(check, ns)
+    return _invoke(_registered(ORACLE_CHECKS, ns.check, "oracle check"), ns)
 
 
 def _verdict(label: str, value: float, tol: float) -> int:
@@ -505,15 +504,15 @@ def _add_common(p: _Parser, *names: str) -> None:
         p.add_argument(_flag(name), dest=name, default=None, **_OPTIONS[name])
 
 
-def _options_help(table: dict, what: str, common: str) -> str:
+def _options_help(table: dict, what: str, common: str, hidden) -> str:
     def shown(key, default):
         if key in ("seed", "out"):
             return _flag(key)
-        return f"{_flag(key)} {'*' if default is None else default}"
+        return f"{_flag(key)} {'*' if default is _REQUIRED else default}"
     return (f"options per {what}, with defaults (* required), besides "
             f"{common}:\n"
             + "\n".join(f"  {name}: " + " ".join(
-                shown(k, d) for k, d in options.items())
+                shown(k, d) for k, d in options.values() if k not in hidden)
                 for name, options in table.items()))
 
 
@@ -537,20 +536,24 @@ def build_parser() -> _Parser:
     p = sub.add_parser(
         "experiment", help="run a replicated experiment",
         formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog=_options_help(_EXPERIMENT_OPTIONS, "experiment",
-                             "--n, --lambda/--beta, --out and --config"))
+        epilog=_options_help({name: _options(*entry)
+                              for name, entry in EXPERIMENTS.items()},
+                             "experiment",
+                             "--n, --lambda/--beta, --out and --config",
+                             ("n", "lam")))
     p.add_argument("name", type=lambda s: s.replace("-", "_"),
                    help="one of " + ", ".join(EXPERIMENTS))
-    _add_common(p, "n", "lam", "beta",
-                *dict.fromkeys(k for o in _EXPERIMENT_OPTIONS.values()
-                               for k in o), "out", "config")
+    _add_common(p, *dict.fromkeys(k for run, _ in EXPERIMENTS.values()
+                                  for k in _dests(run)), "out", "config")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser(
         "oracle", help="exact small-system checks",
         formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog=_options_help(_CHECK_OPTIONS, "check",
-                             "--n, --q, --lambda/--beta and --config"))
+        epilog=_options_help({name: _options(check)
+                              for name, check in ORACLE_CHECKS.items()},
+                             "check", "--n, --q, --lambda/--beta and --config",
+                             ("n", "q", "lam")))
     p.add_argument("check", help="one of " + ", ".join(ORACLE_CHECKS))
     _add_common(p, *dict.fromkeys(k for check in ORACLE_CHECKS.values()
                                   for k in _dests(check)), "config")

@@ -720,6 +720,14 @@ def _splits_support(pi: np.ndarray, mask: np.ndarray) -> bool:
     return bool((pi[mask] > 0).any() and (pi[~mask] > 0).any())
 
 
+def _cut_mass(pi: np.ndarray, mask: np.ndarray) -> float:
+    """pi(S) pi(S^c), with the lighter side summed over its own states and
+    the heavier taken as 1 minus that: 1 - pi(S) would cancel to 0 when
+    pi(S^c) is below the rounding of 1."""
+    light = min(pi[mask].sum(), pi[~mask].sum())
+    return float(light * (1.0 - light))
+
+
 def bottleneck_ratio(kernel: KernelTable, mask: np.ndarray) -> float:
     """Q(S, S^c) / (pi(S) pi(S^c)) with Q(A,B) = sum_{x in A} pi(x) P(x, B),
     for the cut S given as a boolean mask over the states."""
@@ -727,8 +735,7 @@ def bottleneck_ratio(kernel: KernelTable, mask: np.ndarray) -> float:
     if not _splits_support(pi, mask):
         raise ValueError("cut must have 0 < pi(S) < 1")
     q_flow = float(pi[mask] @ (kernel.P @ (~mask).astype(float))[mask])
-    pis = float(pi[mask].sum())
-    return q_flow / (pis * (1.0 - pis))
+    return q_flow / _cut_mass(pi, mask)
 
 
 _SWEEP_STATES_MAX = 4096
@@ -832,9 +839,7 @@ def exhaustive_min_ratio(kernel: KernelTable) -> tuple[float, np.ndarray]:
     best, best_cut = None, None
     for code in range(1, 1 << (support.size - 1)):  # support[0] always in S^c
         cut = (code >> np.arange(support.size)) & 1 == 1
-        pis = pi[cut].sum()
-        q_flow = f[cut][:, ~cut].sum()
-        r = q_flow / (pis * (1.0 - pis))
+        r = f[cut][:, ~cut].sum() / _cut_mass(pi, cut)
         if best is None or r < best:
             best, best_cut = float(r), cut
     return best, np.isin(np.arange(size), support[best_cut])

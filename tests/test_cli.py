@@ -246,6 +246,95 @@ def test_plain_subcommand_requires_its_options_and_rejects_others(
     assert all("--" + key in err for key in foreign)
 
 
+# every subcommand takes its arguments by one set of rules; each probe is
+# an argv, a --config object or None, and the error it must give
+ONE_PATH = {
+    "critical-points": [
+        ([], None, "--q is required"),
+        ([], {"q": {"a": 1}}, "--q: "),
+    ],
+    "drift": [
+        (["--lambda", "2"], None, "--q is required"),
+        (["--q", "3", "--lambda", "2", "--n", "10,20"], None,
+         "drift takes a single --n"),
+        (["--q", "3"], {"lambda": [1]}, "--lambda/--beta: "),
+        (["--q", "3", "--lambda", "2"], {"grid": [[0.5]]}, "--grid: "),
+    ],
+    "simulate": [
+        (["--q", "2", "--lambda", "1"], None, "--n is required"),
+        (["--n", "10,20", "--q", "2", "--lambda", "1"], None,
+         "simulate takes a single --n"),
+        (["--n", "10", "--q", "2", "--lambda", "1"], {"seed": [1]},
+         "--seed: "),
+    ],
+    "experiment": [
+        (["sw_drift_map", "--n", "50", "--q", "3", "--lambda", "1"], None,
+         "--grid is required"),
+        (["bimodality_scan", "--n", "10,20", "--q", "3", "--lambda", "1"],
+         None, "bimodality_scan takes a single --n"),
+        (["sm_tail", "--n", "40", "--lambda", "0.5"], {"replicas": [5]},
+         "--replicas: "),
+        (["sm_tail", "--n", "40", "--lambda", "0.5"], {"seed": [1]},
+         "--seed: "),
+    ],
+    "oracle": [
+        (["gap", "--n", "3", "--lambda", "1"], None, "--q is required"),
+        (["gap", "--n", "3,4", "--q", "2", "--lambda", "1"], None,
+         "gap takes a single --n"),
+        (["gap", "--n", "3", "--q", "2"], {"lambda": [1]},
+         "--lambda/--beta: "),
+    ],
+}
+
+
+@pytest.mark.parametrize("command", list(ONE_PATH))
+def test_every_subcommand_reads_its_options_by_one_set_of_rules(
+        command, tmp_path, capsys):
+    cfg, csv = tmp_path / "cfg.json", tmp_path / "x.csv"
+    for argv, config, message in ONE_PATH[command]:
+        extra = []
+        if config is not None:
+            cfg.write_text(json.dumps(config))
+            extra = ["--config", str(cfg)]
+        if command == "experiment":
+            extra += ["--out", str(csv)]
+        code, out, err = run(capsys, command, *argv, *extra)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: ") and message in err, (argv, err)
+        assert not csv.exists()
+
+    # a one-element n list, as experiment sidecars write it, is one --n
+    if command == "simulate":
+        argv = next(a for a in SIMULATE_SHA256 if "sw" in a)
+        i = argv.index("--n")
+        cfg.write_text(json.dumps({"n": [int(argv[i + 1])], "seed": 5}))
+        code, out, _ = run(capsys, command, *argv[:i], *argv[i + 2:],
+                           "--config", str(cfg))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] \
+            == SIMULATE_SHA256[argv]
+    elif command == "oracle":
+        argv = ["gap", "--kind", "glauber", "--q", "2", "--lambda", "1"]
+        code, expected, _ = run(capsys, command, *argv, "--n", "3")
+        cfg.write_text(json.dumps({"n": [3]}))
+        assert run(capsys, command, *argv, "--config", str(cfg)) \
+            == (code, expected, "")
+
+
+# cheeger on kernels whose best cuts leave less mass on one side than the
+# rounding of 1
+@pytest.mark.parametrize("argv", [
+    ["--kind", "glauber", "--n", "4", "--q", "2", "--lambda", "0.01"],
+    ["--kind", "cm", "--n", "4", "--q", "2", "--lambda", "0.01"],
+    ["--kind", "glauber", "--n", "5", "--q", "2", "--lambda", "0.1"],
+    ["--kind", "glauber", "--n", "3", "--q", "2", "--lambda", "1e-6"],
+], ids=lambda a: f"{a[1]}-{a[3]}-{a[-1]}")
+def test_cheeger_takes_cuts_with_a_tiny_side(argv, capsys):
+    code, out, err = run(capsys, "oracle", "cheeger", *argv)
+    assert code in (0, 2) and "Traceback" not in err
+    assert re.search(r"phi = \d\.\d+(e-\d+)?, ", out)
+
+
 def test_drift_config_flag_false_prints_the_table(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     for flag, first in ((False, "z,F,f,g"), (True, "{")):

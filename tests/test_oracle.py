@@ -656,6 +656,25 @@ def test_cuts_are_taken_on_the_support_of_pi():
     assert min_conductance(kernel) == (1.0, "exact")
 
 
+def test_cut_masses_keep_a_side_below_the_rounding_of_one():
+    # pi(0) = 1e-18, so 1 - pi({1, 2}) is exactly 0; the lighter side's
+    # own mass gives Q/(pi(S) pi(S^c)) = (0.5 * 1e-18)/1e-18 = 0.5 for the
+    # cut {0} | {1, 2}, and the other two cuts have ratio 1
+    K = np.array([[0.5, 0.5, 0.0], [1e-18, 0.5, 0.5], [0.0, 0.5, 0.5]])
+    measure = MeasureTable("toy", 3, 1.0, 0.0,
+                           np.array([1e-18, 0.5, 0.5]), 0.0)
+    kernel = KernelTable(sp.csr_matrix(K), "toy", np.arange(3), measure)
+    assert measure.probs[1:].sum() == 1.0
+    light = np.array([True, False, False])
+    assert bottleneck_ratio(kernel, light) == 0.5
+    assert bottleneck_ratio(kernel, ~light) == 0.5
+    for ratio, cut in (exhaustive_min_ratio(kernel),
+                       min_bottleneck_ratio(kernel)):
+        assert ratio == 0.5
+        assert cut.tolist() in ([True, False, False], [False, True, True])
+    assert min_conductance(kernel) == (0.5, "exact")
+
+
 def test_cut_search_counts_the_stored_entries_of_p():
     for kind, n, q in (("sw", 3, 3), ("sw", 4, 2), ("cm", 3, 2.5),
                        ("glauber", 4, 2)):
@@ -706,6 +725,15 @@ def test_gap_survey_script_runs(capsys):
     spec = importlib.util.spec_from_file_location("gap_survey", path)
     survey = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(survey)
+    # at lambda = 0.01 the best cuts leave less mass on one side than the
+    # rounding of 1
+    assert survey.main(["--n", "4", "--q", "2", "--lambdas", "0.01",
+                        "--kinds", "glauber,cm"]) == 0
+    out = capsys.readouterr().out
+    for kind in ("glauber", "cm"):
+        assert f"# {kind}  n=4" in out
+    assert len([line for line in out.splitlines()
+                if line.split()[:1] == ["0.010"]]) == 2
     assert survey.main(["--n", "3", "--q", "2", "--lambdas", "1.0"]) == 0
     out = capsys.readouterr().out
     for kind in ("sw", "cm", "glauber"):

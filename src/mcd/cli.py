@@ -171,12 +171,14 @@ def _merged_options(ns: argparse.Namespace, allowed, who: str) -> dict:
 
 def _convert(key: str, value):
     """An option's value, from a flag's text or a config file's JSON: a
-    grid is parsed, a typed option converted by its type; any other keeps
-    the value as given, so a config file's false stays false."""
+    grid is parsed, a typed option converted by its type, and a switch
+    must be a bool and any other option a str, so "false" is refused."""
     if key == "grid":
         return _parse_grid(value)
-    conv = _OPTIONS[key].get("type")
-    return value if conv is None else conv(value)
+    conv = _OPTIONS[key].get("type", bool if "action" in _OPTIONS[key] else str)
+    if conv in (bool, str) and not isinstance(value, conv):
+        raise TypeError(f"expected a {conv.__name__}, got {value!r}")
+    return conv(value)
 
 
 def _resolve_lambda(opts: dict, n_values: list[int] | None) -> float:
@@ -221,15 +223,15 @@ def _arguments(func: Callable, ns: argparse.Namespace,
     an option not given takes its default or is required; --n is an
     integer grid for n_grid and a single integer for any other parameter;
     lam comes from --lambda or --beta; seed falls back to MCD_SEED. The
-    options in extra are allowed too, and returned as given. A value that
-    does not convert is a usage error that names its option."""
+    options in extra are allowed and converted too, with no default. A
+    value that does not convert is a usage error naming its option."""
     who = getattr(ns, "name", getattr(ns, "check", ns.command))
     opts = _merged_options(ns, [*_dests(func), *extra], who)
-    args = {key: opts.get(key) for key in extra}
-    dest = "n"
+    args, dest = {}, "n"
     try:
         n = None if opts.get("n") is None else _parse_grid(opts["n"], "int")
-        for name, (dest, default) in _options(func, defaults).items():
+        for name, (dest, default) in [*_options(func, defaults).items(),
+                                      *((key, (key, None)) for key in extra)]:
             if dest == "seed":
                 default = os.environ.get("MCD_SEED", "0")
             value = opts.get(dest, default)

@@ -29,9 +29,10 @@ pi and the sizes off them. The sw classes are the monochromatic pair
 masks, on which an SW entry depends (187 of them for the 4096 states at
 n = 6, q = 4); cm and glauber use one class per state, with K = P. The sw
 and cm class kernels are full, so dense; a glauber row has one entry per
-pair plus the diagonal, so CSR. An sw cut can split a class, so cuts and
-dumps use the per-state CSR `KernelTable.P`, and cuts are taken on the
-support of pi.
+pair plus the diagonal, so CSR. Dumps use the per-state CSR
+`KernelTable.P`. A cut S counts its states in each class, on the support
+of pi; P depends only on classes, so every cut, one that splits an sw
+class included, is scored exactly on the class form.
 
 The cluster-coloring checks loop over the class colorings of the
 vertices: given one, the conditional law is a tensor with one axis per
@@ -705,154 +706,146 @@ def mixing_time_exact(chain: Chain) -> int:
 # ---------------------------------------------------------------------------
 # bottleneck ratios and cut families
 
-def _support(kernel: KernelTable) -> np.ndarray:
-    """The states of positive measure, where every cut is taken: a state
-    off it carries no flow of a reversible kernel."""
-    support = np.flatnonzero(kernel.measure.probs > 0)
-    if support.size < 2:
-        raise ValueError("cuts need two states in the support of pi, "
-                         f"got {support.size}")
+def _support(chain: Chain) -> np.ndarray:
+    """The classes of positive measure, where every cut is taken: a state
+    off them carries no flow of a reversible kernel."""
+    support = np.flatnonzero(chain.pi > 0)
+    states = int(chain.sizes[support].sum())
+    if states < 2:
+        raise ValueError(f"cuts need two states in the support of pi, got {states}")
     return support
 
 
-def _splits_support(pi: np.ndarray, mask: np.ndarray) -> bool:
-    """Whether both sides of the cut hold states of positive measure."""
-    return bool((pi[mask] > 0).any() and (pi[~mask] > 0).any())
+def _cut_ratio(chain: Chain, inside: np.ndarray) -> float | None:
+    """Q(S, S^c) / (pi(S) pi(S^c)) for the class counts `inside`, with
+    Q = sum_a inside_a pi_a (K (sizes - inside))_a, or None if a side has no
+    mass. The lighter side's own mass m gives pi(S) pi(S^c) = m (1 - m):
+    1 - pi(S) would cancel to 0 when pi(S^c) is below the rounding of 1."""
+    inside = np.asarray(inside, dtype=np.float64)
+    outside = chain.sizes - inside
+    held, left = inside > 0, outside > 0
+    w = inside[held] * chain.pi[held]
+    light = min(w.sum(), (outside[left] * chain.pi[left]).sum())
+    if light == 0.0:
+        return None
+    return float(w @ (chain.K @ outside)[held]) / float(light * (1.0 - light))
 
 
-def _cut_mass(pi: np.ndarray, mask: np.ndarray) -> float:
-    """pi(S) pi(S^c), with the lighter side summed over its own states and
-    the heavier taken as 1 minus that: 1 - pi(S) would cancel to 0 when
-    pi(S^c) is below the rounding of 1."""
-    light = min(pi[mask].sum(), pi[~mask].sum())
-    return float(light * (1.0 - light))
-
-
-def bottleneck_ratio(kernel: KernelTable, mask: np.ndarray) -> float:
+def bottleneck_ratio(chain: Chain, cut: np.ndarray) -> float:
     """Q(S, S^c) / (pi(S) pi(S^c)) with Q(A,B) = sum_{x in A} pi(x) P(x, B),
-    for the cut S given as a boolean mask over the states."""
-    pi = kernel.measure.probs
-    if not _splits_support(pi, mask):
+    for the cut S given as the number of its states in each class."""
+    ratio = _cut_ratio(chain, cut)
+    if ratio is None:
         raise ValueError("cut must have 0 < pi(S) < 1")
-    q_flow = float(pi[mask] @ (kernel.P @ (~mask).astype(float))[mask])
-    return q_flow / _cut_mass(pi, mask)
+    return ratio
 
 
-_SWEEP_STATES_MAX = 4096
+def _first_least(chain: Chain, cuts) -> tuple[float, np.ndarray]:
+    """The least ratio over the cuts with mass on both sides, and its first cut."""
+    best, best_cut = math.inf, None
+    for cut in cuts:
+        r = _cut_ratio(chain, cut)
+        if r is not None and r < best:
+            best, best_cut = r, cut
+    return best, best_cut
 
 
-def sweep_cuts(kernel: KernelTable) -> list[np.ndarray]:
-    """Prefix cuts of the second eigenvector of the symmetrized kernel in
-    the D^{-1/2} coordinates — the Cheeger-certificate family — on the
-    support of pi; the states off it stay in S^c. The eigenproblem is
-    dense, so the states are guarded."""
-    if kernel.size > _SWEEP_STATES_MAX:
-        raise ValueError(f"sweep cuts limited to {_SWEEP_STATES_MAX} states")
-    support = _support(kernel)
-    pi = kernel.measure.probs[support]
-    m = _symmetrized(kernel.P[support][:, support], np.ones(support.size), pi)
-    _, v = scipy.linalg.eigh(m.toarray())
-    rank = np.full(kernel.size, kernel.size)
-    rank[support[np.argsort(v[:, -2] / np.sqrt(pi))]] = np.arange(support.size)
-    return [rank < t for t in range(1, support.size)]
+_SWEEP_CLASSES_MAX = 4096
 
 
-def _refine_cut(kernel: KernelTable, mask: np.ndarray) -> tuple[float, np.ndarray]:
-    """Greedy single-state descent of the bottleneck ratio from a cut, over
-    the states of positive measure."""
-    pi, support = kernel.measure.probs, _support(kernel)
-    best = bottleneck_ratio(kernel, mask)
-    mask = mask.copy()
+def sweep_cuts(chain: Chain) -> list[np.ndarray]:
+    """Prefix cuts of the second eigenvector of P in the D^{-1/2}
+    coordinates, the Cheeger-certificate family, on the classes of positive
+    measure; the others stay in S^c. A nonzero eigenvalue's eigenvector is
+    constant on classes, so it is read off _symmetrized and each prefix
+    takes whole classes. The eigenproblem is dense, so classes are guarded."""
+    count = chain.sizes.size
+    if count > _SWEEP_CLASSES_MAX:
+        raise ValueError(f"sweep cuts limited to {_SWEEP_CLASSES_MAX} classes")
+    support = _support(chain)
+    if support.size < 2:
+        return []
+    pi, sizes = chain.pi[support], chain.sizes[support]
+    m = _symmetrized(chain.K[support][:, support], sizes, pi)
+    _, v = scipy.linalg.eigh(m.toarray() if sp.issparse(m) else m)
+    rank = np.full(count, count)
+    rank[support[np.argsort(v[:, -2] / np.sqrt(pi * sizes))]] = np.arange(support.size)
+    return [np.where(rank < t, chain.sizes, 0) for t in range(1, support.size)]
+
+
+def _refine_cut(chain: Chain, cut: np.ndarray) -> tuple[float, np.ndarray]:
+    """Greedy descent of the bottleneck ratio from a cut, moving one state
+    of a class of positive measure into S or out of it at a time."""
+    support, inside = _support(chain), np.array(cut, dtype=np.float64)
+    best = _cut_ratio(chain, inside)
     improved = True
     while improved:
         improved = False
-        for i in support:
-            mask[i] = ~mask[i]
-            if _splits_support(pi, mask):
-                r = bottleneck_ratio(kernel, mask)
-                if r < best - 1e-15:
-                    best = r
-                    improved = True
-                    continue
-            mask[i] = ~mask[i]
-    return best, mask
+        for a in support:
+            for step in (1.0, -1.0):
+                inside[a] += step
+                if 0 <= inside[a] <= chain.sizes[a]:
+                    r = _cut_ratio(chain, inside)
+                    if r is not None and r < best - 1e-15:
+                        best, improved = r, True
+                        break
+                inside[a] -= step
+    return best, inside
 
 
-def _stored_entries(kernel: KernelTable) -> int:
-    """kernel.P.nnz, counted on the class form: class a's row stores
-    sizes[b] entries for each stored K[a, b]."""
-    K, sizes = kernel.K, kernel.sizes
-    if sp.issparse(K):
-        return int(np.repeat(sizes, np.diff(K.indptr)) @ sizes[K.indices])
-    return int(sizes @ (K != 0) @ sizes)
-
-
-def min_bottleneck_ratio(kernel: KernelTable) -> tuple[float, np.ndarray]:
+def min_bottleneck_ratio(chain: Chain) -> tuple[float, np.ndarray]:
     """Minimum ratio over the structured cut families (sublevel sets of the
     edge count and of |S_M|, the vertices in clusters larger than M, for
-    the random-cluster kernels; eigenvector sweep cuts; singletons), then
-    greedy descent from the best cut found. Above 4096 states the sweep
-    family is skipped.
+    the random-cluster kernels; eigenvector sweep cuts; one state of a
+    class), then greedy descent from the best cut found. Above 4096
+    classes the sweep family is skipped.
 
     This is an upper bound on the true Cheeger constant: exhausting all
     bipartitions is possible only for tiny spaces (see exhaustive_min_ratio).
-    Every cut reads all of P, so P may store at most 2^24 entries, the
-    most a kernel of 4096 states stores. The count is taken on the class
-    form, so a larger (dense) sw kernel is refused before P is expanded.
     """
-    stored = _stored_entries(kernel)
-    if stored > 2 ** 24:
-        raise ValueError(f"cut search limited to 2^24 kernel entries, got {stored}")
+    count = chain.sizes.size
     cuts: list[np.ndarray] = []
-    if kernel.kind in ("cm", "glauber"):
-        n = kernel.measure.n
+    if isinstance(chain, KernelTable) and chain.kind in ("cm", "glauber"):
+        n = chain.measure.n
         labels, _, ecnt = mask_partition_table(n)
         cuts.extend(ecnt <= t for t in range(num_pairs(n)))
         cluster_size = (labels[:, :, None] == labels[:, None, :]).sum(axis=2)
         for m_thr in range(1, n):
             sm = (cluster_size > m_thr).sum(axis=1)
             cuts.extend(sm <= t for t in range(n))
-    if kernel.size <= _SWEEP_STATES_MAX:
-        cuts.extend(sweep_cuts(kernel))
-    singletons = (np.arange(kernel.size) == i for i in range(kernel.size))
-    pi = kernel.measure.probs
-    best, best_mask = None, None
-    for mask in itertools.chain(cuts, singletons):
-        if not _splits_support(pi, mask):
-            continue
-        r = bottleneck_ratio(kernel, mask)
-        if best is None or r < best:
-            best, best_mask = r, mask
-    return _refine_cut(kernel, best_mask)
+    if count <= _SWEEP_CLASSES_MAX:
+        cuts.extend(sweep_cuts(chain))
+    singletons = (np.arange(count) == a for a in range(count))
+    _, best = _first_least(chain, itertools.chain(cuts, singletons))
+    return _refine_cut(chain, best)
 
 
-def exhaustive_min_ratio(kernel: KernelTable) -> tuple[float, np.ndarray]:
-    """True Cheeger constant by enumerating every bipartition of the
-    support of pi; the states off it stay in S^c. 2^(N-1) cuts, so the
-    guard is tight."""
-    size = kernel.size
-    if size > 16:
-        raise ValueError(f"exhaustive cuts limited to 16 states, got {size}")
-    support = _support(kernel)
-    pi = kernel.measure.probs[support]
-    f = pi[:, None] * kernel.P[support][:, support].toarray()
-    best, best_cut = None, None
-    for code in range(1, 1 << (support.size - 1)):  # support[0] always in S^c
-        cut = (code >> np.arange(support.size)) & 1 == 1
-        r = f[cut][:, ~cut].sum() / _cut_mass(pi, cut)
-        if best is None or r < best:
-            best, best_cut = float(r), cut
-    return best, np.isin(np.arange(size), support[best_cut])
+def exhaustive_min_ratio(chain: Chain) -> tuple[float, np.ndarray]:
+    """True Cheeger constant. A cut's ratio depends only on its class
+    counts, so every count vector on the support of pi is scored, once
+    with its complement; the classes off it stay in S^c. That is at most
+    2^(N-1) cuts for N states, so the guard is tight."""
+    states = int(chain.sizes.sum())
+    if states > 16:
+        raise ValueError(f"exhaustive cuts limited to 16 states, got {states}")
+    lead = _support(chain)[::-1]
+    # of a cut and its complement, the one less from the last class is scored
+    full = chain.sizes[lead].tolist()
+    digits = [d for d in itertools.product(*(range(s + 1) for s in full))
+              if list(d) <= [s - c for s, c in zip(full, d)]]
+    cuts = np.zeros((len(digits), chain.sizes.size))
+    cuts[:, lead] = digits
+    return _first_least(chain, cuts)
 
 
-def min_conductance(kernel: KernelTable) -> tuple[float, str]:
+def min_conductance(chain: Chain) -> tuple[float, str]:
     """Min bottleneck ratio phi of Q(S, S^c)/(pi(S) pi(S^c)): exhaustive ("exact")
     to 16 states, cut families ("family", an upper bound) beyond. gap <= phi for
     every cut; Cheeger gives only phi^2/8 <= gap here, so phi^2/2 <= gap (held
     on every kernel scanned) is stronger than the theorem, not certified."""
-    if kernel.size <= 16:
-        return exhaustive_min_ratio(kernel)[0], "exact"
-    return min_bottleneck_ratio(kernel)[0], "family"
+    if chain.sizes.sum() <= 16:
+        return exhaustive_min_ratio(chain)[0], "exact"
+    return min_bottleneck_ratio(chain)[0], "family"
 
 
 # ---------------------------------------------------------------------------

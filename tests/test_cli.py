@@ -335,6 +335,14 @@ def test_cheeger_takes_cuts_with_a_tiny_side(argv, capsys):
     assert re.search(r"phi = \d\.\d+(e-\d+)?, ", out)
 
 
+def test_cheeger_searches_sw_cuts_on_the_classes(capsys):
+    # 4096 states in 187 classes: every cut is scored on the class kernel
+    code, out, _ = run(capsys, "oracle", "cheeger", "--kind", "sw", "--n", "6",
+                       "--q", "4", "--lambda", "1")
+    assert code == 0 and out.startswith("cheeger (family): ")
+    assert out.endswith(": PASS\n")
+
+
 def test_drift_config_flag_false_prints_the_table(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     for flag, first in ((False, "z,F,f,g"), (True, "{")):
@@ -343,6 +351,31 @@ def test_drift_config_flag_false_prints_the_table(tmp_path, capsys):
                                    "fixed-points": flag}))
         code, out, _ = run(capsys, "drift", "--config", str(cfg))
         assert code == 0 and out.splitlines()[0] == first
+    # a switch must be a JSON boolean
+    for flag in ("false", "true", 0, 1, []):
+        cfg.write_text(json.dumps({"fixed-points": flag}))
+        code, out, err = run(capsys, "drift", "--q", "3", "--lambda", "2",
+                             "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --fixed-points: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "dump", "--kind", "glauber", "--n", "3", "--q", "2",
+     "--lambda", "1"],
+    ["experiment", "sm_tail", "--n", "40", "--lambda", "0.5",
+     "--replicas", "5"],
+], ids=lambda a: a[1])
+def test_config_out_of_the_wrong_type_names_out(argv, tmp_path, capsys,
+                                                monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    for out in ([1], 5, {"path": "x.csv"}, True):
+        cfg.write_text(json.dumps({"out": out}))
+        code, stdout, err = run(capsys, *argv, "--config", str(cfg))
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: --out: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_regime_error_exit_code(capsys):

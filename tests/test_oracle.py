@@ -675,26 +675,70 @@ def test_cut_masses_keep_a_side_below_the_rounding_of_one():
     assert min_conductance(kernel) == (0.5, "exact")
 
 
-def test_cut_search_counts_the_stored_entries_of_p():
-    for kind, n, q in (("sw", 3, 3), ("sw", 4, 2), ("cm", 3, 2.5),
-                       ("glauber", 4, 2)):
-        kernel = build_kernel(kind, n, q, 1.0)
-        assert oracle._stored_entries(kernel) == kernel.P.nnz
-    # sw classes in CSR storage
-    kernel = build_kernel("sw", 4, 2, 1.0)
-    kernel = KernelTable(sp.csr_matrix(kernel.K), "sw", kernel.classes,
-                         kernel.measure)
-    assert oracle._stored_entries(kernel) == kernel.P.nnz
-    # 10^4 states of a dense P: refused before P is expanded
-    kernel = build_kernel("sw", 4, 10, 1.0)
-    with pytest.raises(ValueError, match="got 100000000"):
-        min_conductance(kernel)
+def _state_flow(kernel, mask):
+    """Q(S, S^c) and pi(S) pi(S^c) of a state mask, summed from the
+    per-state kernel."""
+    pi, P = kernel.measure.probs, kernel.P.toarray()
+    return pi[mask] @ P[mask][:, ~mask].sum(axis=1), pi[mask].sum() * pi[~mask].sum()
+
+
+@pytest.mark.parametrize("kind,n,q", [("sw", 3, 2), ("sw", 3, 3), ("sw", 4, 2),
+                                      ("sw", 4, 3), ("cm", 4, 2.0),
+                                      ("glauber", 4, 2.0)])
+def test_class_form_cut_equals_the_per_state_flow(kind, n, q):
+    kernel = build_kernel(kind, n, q, 1.5)
+    rng = np.random.default_rng(7)
+    split = 0
+    for _ in range(20):
+        mask = rng.random(kernel.size) < rng.uniform(0.1, 0.9)
+        if mask.all() or not mask.any():
+            continue
+        inside = np.bincount(kernel.classes, weights=mask,
+                             minlength=kernel.sizes.size)
+        split += ((0 < inside) & (inside < kernel.sizes)).any()
+        flow, mass = _state_flow(kernel, mask)
+        # the class form of Q that the cut scorer sums
+        q_class = (inside * kernel.pi) @ (kernel.K @ (kernel.sizes - inside))
+        assert q_class == pytest.approx(flow, rel=1e-14)
+        assert bottleneck_ratio(kernel, inside) == pytest.approx(flow / mass,
+                                                                 rel=1e-14)
+    assert split > 0 if kind == "sw" else split == 0
+
+
+@pytest.mark.parametrize("kind,n,q", [("sw", 4, 2), ("glauber", 3, 2.0)])
+def test_exhaustive_count_vectors_equal_every_state_subset(kind, n, q):
+    kernel = build_kernel(kind, n, q, 1.0)
+    assert kernel.size <= 16
+    pi, P = kernel.measure.probs, kernel.P.toarray()
+    masks = (np.arange(1, 2 ** kernel.size - 1)[:, None]
+             >> np.arange(kernel.size)) & 1 == 1
+    flows = ((masks * pi) @ P * ~masks).sum(axis=1)
+    masses = (masks * pi).sum(axis=1) * (~masks * pi).sum(axis=1)
+    brute = (flows / masses).min()
+    phi, cut = exhaustive_min_ratio(kernel)
+    assert phi == pytest.approx(brute, rel=1e-14)
+    assert phi == bottleneck_ratio(kernel, cut)
+    chain = Chain(kernel.K, kernel.pi, kernel.sizes)
+    assert min_conductance(chain) == min_conductance(kernel) == (phi, "exact")
+    # the family search, on the class form alone, stays above the minimum
+    family = min_bottleneck_ratio(chain)[0]
+    assert family >= phi - 1e-14
+    if kind == "sw":  # the random-cluster families are for cm and glauber
+        assert family == min_bottleneck_ratio(kernel)[0]
+
+
+@pytest.mark.parametrize("n,q", [(4, 10), (6, 4)])
+def test_cut_search_never_expands_p(n, q):
+    # 10^4 and 4096 states in 15 and 187 classes
+    kernel = build_kernel("sw", n, q, 1.0)
+    phi, label = min_conductance(kernel)
     assert "P" not in vars(kernel)
+    assert label == "family" and spectral_gap(kernel) <= phi
 
 
 def test_cut_search_skips_the_sweep_family_above_its_limit(monkeypatch):
     kernel = build_kernel("glauber", 4, 2.0, 1.0)
-    monkeypatch.setattr(oracle, "_SWEEP_STATES_MAX", kernel.size - 1)
+    monkeypatch.setattr(oracle, "_SWEEP_CLASSES_MAX", kernel.size - 1)
     with pytest.raises(ValueError, match="sweep cuts limited"):
         sweep_cuts(kernel)
     ratio, cut = min_bottleneck_ratio(kernel)

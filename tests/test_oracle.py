@@ -727,13 +727,13 @@ def test_exhaustive_count_vectors_equal_every_state_subset(kind, n, q):
         assert family == min_bottleneck_ratio(kernel)[0]
 
 
-@pytest.mark.parametrize("n,q", [(4, 10), (6, 4)])
-def test_cut_search_never_expands_p(n, q):
+def test_cut_search_never_expands_p():
     # 10^4 and 4096 states in 15 and 187 classes
-    kernel = build_kernel("sw", n, q, 1.0)
-    phi, label = min_conductance(kernel)
-    assert "P" not in vars(kernel)
-    assert label == "family" and spectral_gap(kernel) <= phi
+    for n, q in ((4, 10), (6, 4)):
+        kernel = build_kernel("sw", n, q, 1.0)
+        phi, label = min_conductance(kernel)
+        assert "P" not in vars(kernel)
+        assert label == "family" and spectral_gap(kernel) <= phi
 
 
 def test_cut_search_skips_the_sweep_family_above_its_limit(monkeypatch):

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Text histogram of the SW majority fraction from both metastable starts.
 
-Runs the same two chains as the bimodality_scan experiment (identical
-named streams, so the portrait shows exactly the draws the experiment
-summarizes) and prints one histogram per start over [1/q, 1], with the
-valley interval marked. At the q = 3 critical coupling the balanced chain
-should pile up near 1/q and the ordered chain near the drift fixed point
-a; how cleanly they separate depends strongly on n.
+Runs the two chains of the bimodality_scan experiment through
+mcd.experiments.bimodality_chains (the same named streams, so the portrait
+shows exactly the draws the experiment summarizes) and prints one
+histogram per start over [1/q, 1], with the valley interval marked. At
+the q = 3 critical coupling the balanced chain should pile up near 1/q
+and the ordered chain near the drift fixed point a; how cleanly they
+separate depends strongly on n.
 
 Example:
     python scripts/bimodality_portrait.py --n 30000 --burn 200 --samples 1000
@@ -20,14 +21,8 @@ import sys
 import numpy as np
 
 from mcd.analytic import critical_points
-from mcd.experiments import (
-    _majority_series,
-    _ordered_a,
-    balanced_spins,
-    ordered_spins,
-)
+from mcd.experiments import bimodality_chains
 from mcd.model import integer_q
-from mcd.rng import RngStream
 
 BAR_WIDTH = 56
 
@@ -65,22 +60,17 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         integer_q(args.q, 3, "bimodality portrait")
+        lam = args.lam if args.lam is not None \
+            else critical_points(args.q).lambda_c
+        a_ord, valley, series = bimodality_chains(
+            args.n, lam, args.q, args.burn, args.samples, args.seed)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 
-    lam = args.lam if args.lam is not None else critical_points(args.q).lambda_c
-    a_ord = _ordered_a(lam, args.q)
-    valley = (1.0 / args.q + 0.05, a_ord - 0.05)
     print(f"# n={args.n} q={args.q} lambda={lam:.6f} a={a_ord:.6f} "
           f"valley=({valley[0]:.4f}, {valley[1]:.4f}) seed={args.seed}")
-
-    starts = (("balanced", balanced_spins(args.n, args.q)),
-              ("ordered", ordered_spins(args.n, args.q, a_ord)))
-    for name, start in starts:
-        rng = RngStream(args.seed, f"bimodality:{name}:n={args.n}", 0).generator()
-        vals = _majority_series(args.n, args.q, lam, start, args.burn,
-                                args.samples, rng)
+    for name, vals in series.items():
         print_portrait(name, vals, args.q, valley)
     return 0
 

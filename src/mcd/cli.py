@@ -17,10 +17,11 @@ single n); grids are written start:stop:step, a comma list, or a single
 number; --n is a grid only where the function takes n_grid, else one value
 (a one-element list counts as one); --config names a flat JSON object
 whose keys are the long flag names, or the JSON sidecar of an experiment
-result, with explicit flags taking precedence; an option the subcommand,
-experiment or oracle check does not take is an error, whether given as a
-flag or a config key; the master seed defaults to the MCD_SEED environment
-variable.
+result, with explicit flags taking precedence; a number option's value is
+a JSON number, never a bool or a string, and an integer option's is
+integral (5.0, not 5.7); an option the subcommand, experiment or oracle
+check does not take is an error, whether given as a flag or a config key;
+the master seed defaults to the MCD_SEED environment variable.
 Exit codes: 0 success or check passed, 1 usage error, 2 oracle check
 failed, 3 parameter regime unsupported. Wall-clock timings go to stderr,
 never into result files.
@@ -75,6 +76,7 @@ from .oracle import (
     stationarity_residual,
 )
 from .report import atomic_write_text, write_report
+from .rng import RngStream
 
 
 class CliError(Exception):
@@ -93,34 +95,37 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # option plumbing
 
+def _number(value, integral: bool = False):
+    """The one rule for a number option: a JSON number, not a bool, and
+    integral for an integer option (5.0 passes as 5, 5.7 fails)."""
+    want = "an integer" if integral else "a number"
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected {want}, got {value!r}")
+    if integral and not (isinstance(value, int) or value.is_integer()):
+        raise ValueError(f"expected {want}, got {value!r}")
+    return int(value) if integral else float(value)
+
+
 def _parse_grid(value, kind: str = "float") -> list:
-    conv = int if kind == "int" else float
-    if isinstance(value, (int, float)):
-        vals = [value]
-    elif isinstance(value, list):
+    """A grid of _number values, from text, a number or a list."""
+    if isinstance(value, list):
         vals = value
-    else:
-        s = str(value).strip()
+    elif isinstance(value, str):
+        s = value.strip()
         if ":" in s:
             parts = s.split(":")
             if len(parts) != 3:
-                raise CliError(1, f"bad grid {s!r}, expected start:stop:step")
+                raise ValueError(f"bad grid {s!r}, expected start:stop:step")
             a, b, h = (float(x) for x in parts)
             if h <= 0 or b < a:
-                raise CliError(1, f"bad grid {s!r}: need step > 0, stop >= start")
+                raise ValueError(f"bad grid {s!r}: need step > 0, stop >= start")
             count = int(math.floor((b - a) / h + 1e-9)) + 1
             vals = [a + i * h for i in range(count)]
-        elif "," in s:
-            vals = [float(x) for x in s.split(",")]
         else:
-            vals = [float(s)]
-    out = []
-    for v in vals:
-        c = conv(round(float(v))) if kind == "int" else float(v)
-        if kind == "int" and abs(c - float(v)) > 1e-6:
-            raise CliError(1, f"grid value {v!r} is not an integer")
-        out.append(c)
-    return out
+            vals = [float(x) for x in s.split(",")]
+    else:
+        vals = [value]
+    return [_number(v, kind == "int") for v in vals]
 
 
 def _flag(dest: str) -> str:
@@ -171,14 +176,14 @@ def _merged_options(ns: argparse.Namespace, allowed, who: str) -> dict:
 
 def _convert(key: str, value):
     """An option's value, from a flag's text or a config file's JSON: a
-    grid is parsed, a typed option converted by its type, and a switch
-    must be a bool and any other option a str, so "false" is refused."""
+    grid is parsed, a typed option must pass _number, and a switch must be
+    a bool and any other option a str, so "false" and "5" are refused."""
     if key == "grid":
         return _parse_grid(value)
     conv = _OPTIONS[key].get("type", bool if "action" in _OPTIONS[key] else str)
     if conv in (bool, str) and not isinstance(value, conv):
         raise TypeError(f"expected a {conv.__name__}, got {value!r}")
-    return conv(value)
+    return _number(value, conv is int) if conv in (int, float) else value
 
 
 def _resolve_lambda(opts: dict, n_values: list[int] | None) -> float:
@@ -188,8 +193,8 @@ def _resolve_lambda(opts: dict, n_values: list[int] | None) -> float:
     if beta is not None:
         if not n_values or len(n_values) != 1:
             raise CliError(1, "--beta conversion needs a single --n")
-        lam = -n_values[0] * math.expm1(-float(beta) / n_values[0])
-    lam = float(lam)
+        lam = -n_values[0] * math.expm1(-_number(beta) / n_values[0])
+    lam = _number(lam)
     if not 0 < lam < math.inf:
         raise CliError(1, f"edge intensity must be finite and > 0, got {lam!r}")
     return lam
@@ -232,9 +237,9 @@ def _arguments(func: Callable, ns: argparse.Namespace,
         n = None if opts.get("n") is None else _parse_grid(opts["n"], "int")
         for name, (dest, default) in [*_options(func, defaults).items(),
                                       *((key, (key, None)) for key in extra)]:
-            if dest == "seed":
-                default = os.environ.get("MCD_SEED", "0")
             value = opts.get(dest, default)
+            if dest == "seed" and dest not in opts:
+                value = int(os.environ.get("MCD_SEED", "0"))
             if dest == "lam":
                 value = _resolve_lambda(opts, n)
             elif value is _REQUIRED:
@@ -246,7 +251,7 @@ def _arguments(func: Callable, ns: argparse.Namespace,
             elif value is not None:
                 value = _convert(dest, value)
             args[name] = value
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         flag = "--lambda/--beta" if dest == "lam" else _flag(dest)
         raise CliError(1, f"{flag}: {err}") from None
     return args
@@ -291,36 +296,34 @@ def _write_table(lines: list[str], out: str | None) -> None:
         sys.stdout.write(text)
 
 
+# The starts of `mcd simulate`: kind -> init -> the state it builds from
+# (n, q, lam, rng), where q is an int for sw. A kind's first init is its
+# default.
+SIMULATE_STARTS = {
+    "sw": {
+        "balanced": lambda n, q, lam, rng: balanced_spins(n, q),
+        "ordered": lambda n, q, lam, rng: ordered_spins(
+            n, q, a_fixed_point(lam, q)),
+        "random": lambda n, q, lam, rng: SpinConfig(
+            rng.integers(1, q + 1, n), q),
+    },
+    **dict.fromkeys(("cm", "glauber"), {
+        "empty": lambda n, q, lam, rng: EdgeConfig.empty(n),
+        "gnp": lambda n, q, lam, rng: sample_gnp(n, lam / n, rng),
+    }),
+}
+
+
 def _cmd_simulate(n, q, lam, kind="sw", steps=100, observe_every=1,
                   init=None, m_threshold=None, seed=None, out=None) -> int:
-    if kind not in ("sw", "cm", "glauber"):
-        raise CliError(1, f"--kind must be sw, cm or glauber, got {kind!r}")
-    if kind == "sw":
-        q = float(integer_q(q, 2, "sw"))
-    params = ModelParams(n=n, q=q, lam=lam)
+    starts = _registered(SIMULATE_STARTS, kind, "--kind")
+    q = integer_q(q, 2, "sw") if kind == "sw" else q
+    params = ModelParams(n=n, q=float(q), lam=lam)
     if init is None:
-        init = "balanced" if kind == "sw" else "empty"
-    from .rng import RngStream
+        init = next(iter(starts))
+    start = _registered(starts, init, f"{kind} --init")
     rng = RngStream(seed, f"simulate:{kind}", 0).generator()
-    state: SpinConfig | EdgeConfig
-    if kind == "sw":
-        if init == "balanced":
-            state = balanced_spins(n, int(q))
-        elif init == "ordered":
-            state = ordered_spins(n, int(q), a_fixed_point(lam, int(q)))
-        elif init == "random":
-            state = SpinConfig(rng.integers(1, int(q) + 1, n), int(q))
-        else:
-            raise CliError(1, f"sw --init must be balanced, ordered or random,"
-                              f" got {init!r}")
-    else:
-        if init == "empty":
-            state = EdgeConfig.empty(n)
-        elif init == "gnp":
-            state = sample_gnp(n, params.p, rng)
-        else:
-            raise CliError(1, f"{kind} --init must be empty or gnp, got "
-                              f"{init!r}")
+    state = start(n, q, lam, rng)
     t0 = time.perf_counter()
     traj = run_chain(kind, state, params, steps, rng,
                      observe_every=observe_every, m_threshold=m_threshold)

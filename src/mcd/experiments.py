@@ -13,17 +13,20 @@ dynamics module docstring). One components call gives the whole range's
 component sizes in one flat array (dynamics.gnp_component_sizes), and the
 SW workers then draw each replica's cluster colors from its generator
 (dynamics.sw_size_step).
-They reduce sizes and counts and never build a per-vertex coloring. The chain
-workers (escape_time, bimodality_scan) run per-vertex sw_step, and
-cluster_tail_bound explores one cluster, each replica's whole draw
-sequence in turn. Either way every stream sees the draws it would see
-alone, so results are reproducible bit-for-bit for a fixed master seed
-whatever the range sizes. All cells' tasks run on one pool per experiment
-call, and values are reduced in replica order after it completes, so they
-do not depend on the thread count either. Intervals are chosen in two
-places only: _proportion_cell gives a proportion its Wilson interval and
-_mean_cell a mean its percentile bootstrap interval (escape_time's
-censored median is the one cell built by hand).
+They reduce sizes and counts and never build a per-vertex coloring. The
+escape_time worker runs per-vertex sw_step, and cluster_tail_bound's
+explores one cluster, each replica's whole draw sequence in turn.
+bimodality_scan runs its two chains in the calling process, through
+bimodality_chains: the chain from start s at n draws per-vertex sw_step
+from replica 0 of the stream "bimodality:{s}:n={n}". Either way every
+stream sees the draws it would see alone, so results are reproducible
+bit-for-bit for a fixed master seed whatever the range sizes. All cells'
+tasks run on one pool per experiment call, and values are reduced in
+replica order after it completes, so they do not depend on the thread
+count either. Intervals are chosen in two places only: _proportion_cell
+gives a proportion its Wilson interval and _mean_cell a mean its
+percentile bootstrap interval (escape_time's censored median is the one
+cell built by hand).
 
 Regime notes. The ordered start needs the ordered drift fixed point, so
 it raises RegimeError below lambda_s. The balanced start is built for any
@@ -75,15 +78,6 @@ def spins_with_majority(n: int, q: int, v1: int) -> SpinConfig:
 
 def ordered_spins(n: int, q: int, a_lam: float) -> SpinConfig:
     return spins_with_majority(n, q, round(a_lam * n))
-
-
-def _ordered_a(lam: float, q: int) -> float:
-    """Fixed point of the ordered phase when it exists, else the majority
-    benchmark 1 - 1/q (used by the scan experiment below lambda_s)."""
-    try:
-        return a_fixed_point(lam, q)
-    except RegimeError:
-        return 1.0 - 1.0 / q
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +171,16 @@ def _exited(counts, rho: float, start: str, a_lam: float):
     return ~is_ordered(counts, rho, a_lam)
 
 
+def _exit_start(who: str, lam: float, q, rho: float, start: str):
+    """An exit experiment's checked q and a_lam (0 from the balanced start)."""
+    q = integer_q(q, 2, who)
+    if start not in ("balanced", "ordered"):
+        raise ValueError(f"start must be balanced or ordered, got {start!r}")
+    if not rho > 0:
+        raise ValueError(f"rho must be positive, got {rho!r}")
+    return q, a_fixed_point(lam, q) if start == "ordered" else 0.0
+
+
 def _start_counts(n, q, start, a_lam) -> list[int]:
     return balanced_counts(n, q) if start == "balanced" \
         else majority_counts(n, q, round(a_lam * n))
@@ -202,12 +206,7 @@ def one_step_exit(n_grid, lam: float, q: int, rho: float, start: str,
                   replicas: int, master_seed: int,
                   threads: int = 1) -> ExperimentReport:
     """P(X_1 leaves the start's stability set) for one SW step, per n."""
-    q = integer_q(q, 2, "one_step_exit")
-    if start not in ("balanced", "ordered"):
-        raise ValueError(f"start must be balanced or ordered, got {start!r}")
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho!r}")
-    a_lam = a_fixed_point(lam, q) if start == "ordered" else 0.0
+    q, a_lam = _exit_start("one_step_exit", lam, q, rho, start)
     report = ExperimentReport("one_step_exit", float(q), lam, master_seed)
     cells = [(f"one_step_exit:{start}:n={n}", n,
               (n, q, lam, rho, start, a_lam)) for n in n_grid]
@@ -250,14 +249,9 @@ def escape_time(n_grid, lam: float, q: int, rho: float, start: str,
     probability is 0.847/0.800/0.727 (mcd.countlevel.escape_time_law), so
     there the slowdown shows in P(T > t), not in the median.
     """
-    q = integer_q(q, 2, "escape_time")
-    if start not in ("balanced", "ordered"):
-        raise ValueError(f"start must be balanced or ordered, got {start!r}")
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho!r}")
+    q, a_lam = _exit_start("escape_time", lam, q, rho, start)
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap!r}")
-    a_lam = a_fixed_point(lam, q) if start == "ordered" else 0.0
     report = ExperimentReport("escape_time", float(q), lam, master_seed)
     names = [f"escape_time:{start}:n={n}" for n in n_grid]
     cells = [(name, n, (n, q, lam, rho, start, a_lam, cap))
@@ -477,16 +471,39 @@ def _majority_series(n: int, q: int, lam: float, start: SpinConfig, burn: int,
     return out
 
 
+def bimodality_chains(n: int, lam: float, q: int, burn: int, samples: int,
+                      master_seed: int):
+    """The bimodality scan's two SW chains, as (a, valley, series): a is the
+    ordered drift fixed point (1 - 1/q below lambda_s), valley the open
+    interval (1/q + 0.05, a - 0.05), and series maps each start, balanced
+    then ordered (majority fraction a), to its post-burn majority fractions,
+    drawn from the stream "bimodality:{start}:n={n}" of master_seed."""
+    q = integer_q(q, 3, "bimodality scan")
+    if burn < 0:
+        raise ValueError(f"burn must be at least 0, got {burn!r}")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples!r}")
+    try:
+        a = a_fixed_point(lam, q)
+    except RegimeError:
+        a = 1.0 - 1.0 / q
+    series = {}
+    for start, spins in (("balanced", balanced_spins(n, q)),
+                         ("ordered", ordered_spins(n, q, a))):
+        rng = RngStream(master_seed, f"bimodality:{start}:n={n}").generator()
+        series[start] = _majority_series(n, q, lam, spins, burn, samples, rng)
+    return a, (1.0 / q + 0.05, a - 0.05), series
+
+
 def bimodality_scan(n: int, lam: float, q: int, burn: int, samples: int,
                     master_seed: int) -> ExperimentReport:
-    """Largest-color-fraction statistics of two SW chains, one from the
-    balanced start and one from the ordered start.
+    """Largest-color-fraction statistics of the two bimodality_chains.
 
     Cells (all at this n): param 0 and 1 are the balanced/ordered post-burn
-    sample means; param 2 and 3 are the fractions of samples falling in the
-    open valley (1/q + 0.05, a - 0.05), where a is the ordered fixed point
-    (or the majority benchmark 1 - 1/q below lambda_s). Cell extras carry
-    the minimum 0.02-wide histogram bin mass inside the valley.
+    sample means, bootstrapped from seeds named after their chains'
+    streams; param 2 and 3 are the fractions of samples in the open valley,
+    with the minimum 0.02-wide histogram bin mass inside it in the extras.
+    The summary holds the valley, a (as a_ordered) and burn.
 
     The bootstrap (means) and Wilson (valley masses) intervals treat each
     chain's samples as independent. They are not: with integrated
@@ -495,36 +512,20 @@ def bimodality_scan(n: int, lam: float, q: int, burn: int, samples: int,
     the chains cross between the phases (use batch means to compare with
     mcd.countlevel.majority_law).
     """
-    q = integer_q(q, 3, "bimodality scan")
-    if burn < 0:
-        raise ValueError(f"burn must be at least 0, got {burn!r}")
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples!r}")
-    a_ord = _ordered_a(lam, q)
-    valley = (1.0 / q + 0.05, a_ord - 0.05)
-    series = {}
-    for start_name, start in (("balanced", balanced_spins(n, q)),
-                              ("ordered", ordered_spins(n, q, a_ord))):
-        rng = RngStream(master_seed, f"bimodality:{start_name}:n={n}", 0).generator()
-        series[start_name] = _majority_series(n, q, lam, start, burn, samples,
-                                              rng)
-
+    a, valley, series = bimodality_chains(n, lam, q, burn, samples,
+                                          master_seed)
     report = ExperimentReport("bimodality_scan", float(q), lam, master_seed)
-    report.summary["valley"] = list(valley)
-    report.summary["a_ordered"] = a_ord
-    report.summary["burn"] = burn
-    for idx, start_name in enumerate(("balanced", "ordered")):
-        name = f"bimodality:{start_name}:n={n}"
-        report.cells.append(_mean_cell(
-            n, float(idx), series[start_name], _boot_seed(master_seed, name),
-            start=start_name, kind="mean"))
-    for idx, start_name in enumerate(("balanced", "ordered")):
-        vals = series[start_name]
+    report.summary.update(valley=list(valley), a_ordered=a, burn=burn)
+    bins = np.arange(valley[0], valley[1] + 0.02, 0.02)
+    for idx, (start, vals) in enumerate(series.items()):
+        tag = f"bimodality:{start}:n={n}"
+        report.cells.insert(idx, _mean_cell(  # the means come first
+            n, float(idx), vals, _boot_seed(master_seed, tag), start=start,
+            kind="mean"))
         in_valley = int(((vals > valley[0]) & (vals < valley[1])).sum())
-        bins = np.arange(valley[0], valley[1] + 0.02, 0.02)
         hist, _ = np.histogram(vals, bins=bins)
         report.cells.append(_proportion_cell(
-            n, float(2 + idx), in_valley, samples, start=start_name,
+            n, float(2 + idx), in_valley, samples, start=start,
             kind="valley_mass",
             min_bin_mass=float(hist.min()) / samples if hist.size else 0.0))
     return report

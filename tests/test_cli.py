@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from mcd.cli import EXPERIMENTS, ORACLE_CHECKS, CliError, _parse_grid, main
+from mcd.cli import EXPERIMENTS, ORACLE_CHECKS, _parse_grid, main
 
 
 def run(capsys, *argv):
@@ -25,12 +25,15 @@ def test_grid_parser_forms():
     assert _parse_grid("7") == [7.0]
     assert _parse_grid(7) == [7.0]
     assert _parse_grid("200:800:200", "int") == [200, 400, 600, 800]
-    with pytest.raises(CliError):
+    # a bad grid is a ValueError, which the CLI prefixes with its option
+    with pytest.raises(ValueError, match="expected start:stop:step"):
         _parse_grid("1:2")
-    with pytest.raises(CliError):
+    with pytest.raises(ValueError, match="need step > 0"):
         _parse_grid("5:1:1")
-    with pytest.raises(CliError):
+    with pytest.raises(ValueError, match="expected an integer, got 0.5"):
         _parse_grid("0.5:1:0.25", "int")
+    with pytest.raises(TypeError, match="expected a number, got False"):
+        _parse_grid([0.5, False])
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +255,8 @@ ONE_PATH = {
     "critical-points": [
         ([], None, "--q is required"),
         ([], {"q": {"a": 1}}, "--q: "),
+        ([], {"q": True}, "--q: "),
+        ([], {"q": 10 ** 400}, "--q: "),
     ],
     "drift": [
         (["--lambda", "2"], None, "--q is required"),
@@ -259,6 +264,9 @@ ONE_PATH = {
          "drift takes a single --n"),
         (["--q", "3"], {"lambda": [1]}, "--lambda/--beta: "),
         (["--q", "3", "--lambda", "2"], {"grid": [[0.5]]}, "--grid: "),
+        (["--q", "3"], {"lambda": True}, "--lambda/--beta: "),
+        (["--q", "3", "--lambda", "2"], {"grid": True}, "--grid: "),
+        (["--q", "3", "--lambda", "2"], {"grid": [0.5, False]}, "--grid: "),
     ],
     "simulate": [
         (["--q", "2", "--lambda", "1"], None, "--n is required"),
@@ -266,6 +274,12 @@ ONE_PATH = {
          "simulate takes a single --n"),
         (["--n", "10", "--q", "2", "--lambda", "1"], {"seed": [1]},
          "--seed: "),
+        (["--n", "10", "--q", "2", "--lambda", "1"], {"seed": 1.9},
+         "--seed: "),
+        (["--n", "10", "--q", "2", "--lambda", "1"], {"kind": "x"},
+         "unknown --kind 'x'"),
+        (["--n", "10", "--q", "2", "--lambda", "1"], {"init": "gnp"},
+         "unknown sw --init 'gnp'"),
     ],
     "experiment": [
         (["sw_drift_map", "--n", "50", "--q", "3", "--lambda", "1"], None,
@@ -276,6 +290,8 @@ ONE_PATH = {
          "--replicas: "),
         (["sm_tail", "--n", "40", "--lambda", "0.5"], {"seed": [1]},
          "--seed: "),
+        *((["sm_tail", "--n", "40", "--lambda", "0.5"], {"replicas": value},
+           "--replicas: ") for value in (True, 5.7, "5")),
     ],
     "oracle": [
         (["gap", "--n", "3", "--lambda", "1"], None, "--q is required"),
@@ -283,6 +299,7 @@ ONE_PATH = {
          "gap takes a single --n"),
         (["gap", "--n", "3", "--q", "2"], {"lambda": [1]},
          "--lambda/--beta: "),
+        (["gap", "--q", "2", "--lambda", "0.5"], {"n": True}, "--n: "),
     ],
 }
 
@@ -301,7 +318,7 @@ def test_every_subcommand_reads_its_options_by_one_set_of_rules(
         code, out, err = run(capsys, command, *argv, *extra)
         assert (code, out) == (1, ""), argv
         assert err.startswith("error: ") and message in err, (argv, err)
-        assert not csv.exists()
+        assert err.count("\n") == 1 and not csv.exists()
 
     # a one-element n list, as experiment sidecars write it, is one --n
     if command == "simulate":
@@ -471,6 +488,30 @@ def test_simulate_config_file_gives_the_pinned_bytes(tmp_path, capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] \
         == SIMULATE_SHA256[argv]
+
+
+def test_simulate_seed_defaults_to_mcd_seed(monkeypatch, capsys):
+    argv = next(a for a in SIMULATE_SHA256 if "sw" in a)
+    monkeypatch.setenv("MCD_SEED", "5")
+    code, out, _ = run(capsys, "simulate", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] \
+        == SIMULATE_SHA256[argv]
+    monkeypatch.setenv("MCD_SEED", "5.0")
+    code, out, err = run(capsys, "simulate", *argv)
+    assert (code, out) == (1, "") and err.startswith("error: --seed: ")
+
+
+def test_integral_numbers_pass_for_integer_options(tmp_path, capsys):
+    # 5.0 is the integer 5: the same CSV bytes as --replicas 5
+    argv = ["experiment", "sm_tail", "--n", "40", "--lambda", "0.5"]
+    cfg, out = tmp_path / "cfg.json", []
+    for i, config in enumerate(({"replicas": 5}, {"replicas": 5.0})):
+        cfg.write_text(json.dumps(config))
+        csv = tmp_path / f"{i}.csv"
+        assert run(capsys, *argv, "--config", str(cfg), "--out", str(csv))[0] == 0
+        out.append(csv.read_text())
+    assert out[0] == out[1] and ",5," in out[0]
 
 
 # the option tables of `mcd experiment --help` and `mcd oracle --help`:

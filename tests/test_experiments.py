@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 import math
@@ -15,6 +16,7 @@ from mcd.experiments import (
     _color_counts,
     _sw_drift_worker,
     balanced_spins,
+    bimodality_chains,
     bimodality_scan,
     cluster_tail_bound,
     cm_drift_map,
@@ -254,11 +256,16 @@ def test_report_cells_keep_their_extras(name):
             assert c.ci_lo <= c.estimate <= c.ci_hi
 
 
+def _script(name: str):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_slowdown_script_runs_with_a_single_n(capsys):
-    path = Path(__file__).resolve().parents[1] / "scripts" / "slowdown_curves.py"
-    spec = importlib.util.spec_from_file_location("slowdown_curves", path)
-    curves = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(curves)
+    curves = _script("slowdown_curves")
     assert curves.main(["--lambdas", "2.0", "--n-grid", "60",
                         "--replicas", "5"]) == 0
     row = capsys.readouterr().out.splitlines()[-1].split()
@@ -267,15 +274,46 @@ def test_slowdown_script_runs_with_a_single_n(capsys):
 
 
 def test_portrait_script_refuses_q_below_three(capsys):
-    path = Path(__file__).resolve().parents[1] / "scripts" / "bimodality_portrait.py"
-    spec = importlib.util.spec_from_file_location("bimodality_portrait", path)
-    portrait = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(portrait)
+    portrait = _script("bimodality_portrait")
     assert portrait.main(["--n", "30", "--q", "2", "--burn", "1",
                           "--samples", "2"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: bimodality portrait needs integer q >= 3, got 2\n"
+
+
+def test_portrait_draws_the_scan_chains(capsys):
+    portrait = _script("bimodality_portrait")
+    assert portrait.main(["--n", "300", "--burn", "5", "--samples", "40",
+                          "--seed", "3"]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("-- ")]
+    cells = bimodality_scan(300, LAMBDA_C3, 3, 5, 40, 3).cells
+    assert lines == [f"-- {start} start: mean {cells[i].estimate:.4f}, "
+                     f"valley mass {cells[2 + i].estimate:.4f}"
+                     for i, start in enumerate(("balanced", "ordered"))]
+    assert lines == ["-- balanced start: mean 0.6613, valley mass 0.3000",
+                     "-- ordered start: mean 0.5702, valley mass 0.5500"]
+    # the chains come from the library, not from its private helpers
+    tree = ast.parse(Path(portrait.__file__).read_text())
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module.startswith("mcd")
+             for alias in node.names]
+    assert "bimodality_chains" in names
+    assert not [name for name in names if name.startswith("_")]
+
+
+def test_bimodality_chains_feed_the_scan():
+    a, valley, series = bimodality_chains(120, 2.0, 3, 10, 40, 7)
+    rep = bimodality_scan(120, 2.0, 3, burn=10, samples=40, master_seed=7)
+    assert (a, list(valley)) == (rep.summary["a_ordered"], rep.summary["valley"])
+    assert list(series) == ["balanced", "ordered"]
+    assert [float(v.mean()) for v in series.values()] \
+        == [c.estimate for c in rep.cells[:2]]
+    for bad in (dict(burn=-1), dict(samples=0), dict(q=2)):
+        kwargs = dict(n=50, lam=2.0, q=3, burn=1, samples=5, master_seed=7)
+        with pytest.raises(ValueError):
+            bimodality_chains(**{**kwargs, **bad})
 
 
 @pytest.mark.parametrize("experiment,args", [

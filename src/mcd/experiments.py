@@ -16,17 +16,17 @@ SW workers then draw each replica's cluster colors from its generator
 They reduce sizes and counts and never build a per-vertex coloring. The
 escape_time worker runs per-vertex sw_step, and cluster_tail_bound's
 explores one cluster, each replica's whole draw sequence in turn.
-bimodality_scan runs its two chains in the calling process, through
-bimodality_chains: the chain from start s at n draws per-vertex sw_step
-from replica 0 of the stream "bimodality:{s}:n={n}". Either way every
-stream sees the draws it would see alone, so results are reproducible
-bit-for-bit for a fixed master seed whatever the range sizes. All cells'
-tasks run on one pool per experiment call, and values are reduced in
-replica order after it completes, so they do not depend on the thread
-count either. Intervals are chosen in two places only: _proportion_cell
-gives a proportion its Wilson interval and _mean_cell a mean its
-percentile bootstrap interval (escape_time's censored median is the one
-cell built by hand).
+Each of bimodality_scan's two chains (bimodality_chains) is a one-replica
+cell, "bimodality:{s}:n={n}" for start s, and so one pool task whose
+worker runs per-vertex sw_step; the scan takes no thread count, as its two
+chains always run on two workers. Every stream sees the draws it would see
+alone, so results are reproducible bit-for-bit for a fixed master seed
+whatever the range sizes. All cells' tasks run on one pool per experiment
+call, and values are reduced in replica order after it completes, so they
+do not depend on the thread count either. Intervals are chosen in two
+places only: _proportion_cell gives a proportion its Wilson interval and
+_mean_cell a mean its percentile bootstrap interval (escape_time's
+censored median is the one cell built by hand).
 
 Regime notes. The ordered start needs the ordered drift fixed point, so
 it raises RegimeError below lambda_s. The balanced start is built for any
@@ -54,7 +54,7 @@ from .model import (
     majority_counts,
 )
 from .report import ExperimentReport, ReportCell, bootstrap_ci, wilson_ci
-from .rng import RngStream, replica_seed, replica_seeds
+from .rng import replica_seed, replica_seeds
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +100,8 @@ def _run_replicas(worker, master_seed: int, cells, replicas: int,
                   threads: int) -> list[list]:
     """worker(rngs, *params) over replicas 0..replicas-1 of every cell
     (name, vertices per replica, params), in replica ranges on one pool.
-    Returns each cell's values in replica order."""
+    Returns each cell's values in replica order. A long chain is a
+    one-replica cell, so each chain is one task."""
     if replicas < 1:
         raise ValueError(f"replicas must be at least 1, got {replicas!r}")
     if threads < 1:
@@ -471,33 +472,47 @@ def _majority_series(n: int, q: int, lam: float, start: SpinConfig, burn: int,
     return out
 
 
+def _chain_worker(rngs, n, q, lam, counts, burn, samples) -> list:
+    start = _consecutive_spins(counts)
+    return [_majority_series(n, q, lam, start, burn, samples, rng)
+            for rng in rngs]
+
+
 def bimodality_chains(n: int, lam: float, q: int, burn: int, samples: int,
                       master_seed: int):
     """The bimodality scan's two SW chains, as (a, valley, series): a is the
     ordered drift fixed point (1 - 1/q below lambda_s), valley the open
     interval (1/q + 0.05, a - 0.05), and series maps each start, balanced
     then ordered (majority fraction a), to its post-burn majority fractions,
-    drawn from the stream "bimodality:{start}:n={n}" of master_seed."""
+    drawn from the stream "bimodality:{start}:n={n}" of master_seed.
+
+    Each chain is a one-replica cell of _run_replicas, so the two chains
+    always run as two tasks on two workers; the parameters are checked
+    before any worker starts."""
     q = integer_q(q, 3, "bimodality scan")
     if burn < 0:
         raise ValueError(f"burn must be at least 0, got {burn!r}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples!r}")
+    ModelParams(n=n, q=float(q), lam=lam)
     try:
         a = a_fixed_point(lam, q)
     except RegimeError:
         a = 1.0 - 1.0 / q
-    series = {}
-    for start, spins in (("balanced", balanced_spins(n, q)),
-                         ("ordered", ordered_spins(n, q, a))):
-        rng = RngStream(master_seed, f"bimodality:{start}:n={n}").generator()
-        series[start] = _majority_series(n, q, lam, spins, burn, samples, rng)
-    return a, (1.0 / q + 0.05, a - 0.05), series
+    starts = {"balanced": balanced_counts(n, q),
+              "ordered": majority_counts(n, q, round(a * n))}
+    cells = [(f"bimodality:{start}:n={n}", n,
+              (n, q, lam, counts, burn, samples))
+             for start, counts in starts.items()]
+    values = _run_replicas(_chain_worker, master_seed, cells, 1, len(cells))
+    return (a, (1.0 / q + 0.05, a - 0.05),
+            {start: chain for start, (chain,) in zip(starts, values)})
 
 
 def bimodality_scan(n: int, lam: float, q: int, burn: int, samples: int,
                     master_seed: int) -> ExperimentReport:
     """Largest-color-fraction statistics of the two bimodality_chains.
+    There is no thread count: the two chains always run on two workers.
 
     Cells (all at this n): param 0 and 1 are the balanced/ordered post-burn
     sample means, bootstrapped from seeds named after their chains'

@@ -2,6 +2,7 @@ import ast
 import importlib.util
 import json
 import math
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +12,11 @@ from hypothesis import strategies as st
 
 import mcd.experiments
 from mcd.analytic import RegimeError, cm_drift, sw_drift
+from mcd.cli import main
 from mcd.dynamics import sw_size_step
 from mcd.experiments import (
     _color_counts,
+    _majority_series,
     _sw_drift_worker,
     balanced_spins,
     bimodality_chains,
@@ -37,6 +40,7 @@ from mcd.report import (
     wilson_ci,
     write_report,
 )
+from mcd.rng import RngStream
 
 LAMBDA_C3 = 4 * math.log(2)
 
@@ -316,6 +320,49 @@ def test_bimodality_chains_feed_the_scan():
             bimodality_chains(**{**kwargs, **bad})
 
 
+def _count_pools(monkeypatch) -> list:
+    """The keyword arguments of every pool the experiments start."""
+    made = []
+
+    class CountingPool(mcd.experiments.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(mcd.experiments, "ProcessPoolExecutor", CountingPool)
+    return made
+
+
+def test_bimodality_chains_run_the_scan_streams_on_one_pool(monkeypatch):
+    made = _count_pools(monkeypatch)
+    n, burn, samples, seed = 120, 10, 40, 11
+    a, _, series = bimodality_chains(n, LAMBDA_C3, 3, burn, samples, seed)
+    assert made == [{"max_workers": 2}]  # one task per chain
+    assert not multiprocessing.active_children()
+    starts = {"balanced": balanced_spins(n, 3),
+              "ordered": ordered_spins(n, 3, a)}
+    assert list(series) == list(starts)
+    for start, spins in starts.items():
+        rng = RngStream(seed, f"bimodality:{start}:n={n}").generator()
+        assert np.array_equal(series[start], _majority_series(
+            n, 3, LAMBDA_C3, spins, burn, samples, rng))
+
+
+def test_bimodality_parameters_are_checked_before_any_worker(monkeypatch,
+                                                              capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(mcd.experiments, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(ValueError) as err:
+        bimodality_chains(3, 4.0, 3, 1, 2, 0)
+    assert str(err.value) == "lam must lie in (0, n), got 4.0"
+    assert main(["experiment", "bimodality_scan", "--n", "3", "--q", "3",
+                 "--lambda", "4", "--burn", "1", "--samples", "2"]) == 1
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: lam must lie in (0, n), got 4.0\n")
+
+
 @pytest.mark.parametrize("experiment,args", [
     (one_step_exit, ([200], LAMBDA_C3, 3, 0.08, "balanced", 5, 1)),
     (sm_tail, ([40], 0.5, 5, 0.3, 100, 5))])
@@ -369,14 +416,7 @@ def test_thread_count_does_not_change_results():
 
 
 def test_one_pool_per_experiment(monkeypatch):
-    made = []
-
-    class CountingPool(mcd.experiments.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            made.append(kwargs)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(mcd.experiments, "ProcessPoolExecutor", CountingPool)
+    made = _count_pools(monkeypatch)
     two = one_step_exit([30, 40, 50], LAMBDA_C3, 3, 0.08, "balanced", 40, 7,
                         threads=2)
     assert len(made) == 1

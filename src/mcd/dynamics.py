@@ -60,6 +60,7 @@ from .model import (
     ModelParams,
     SpinConfig,
     _adjacency,
+    _component_labels,
     _edge_config_presorted,
     cluster_decompose,
     integer_q,
@@ -67,10 +68,12 @@ from .model import (
 )
 
 
-def _batch_size(slots: int, p: float) -> int:
+def _batch_size(slots, p: float):
     """How many geometric gaps a walk over `slots` undecided slots draws
-    at once: a quarter more than the expected successes, plus 16."""
-    return max(16, int(slots * p * 1.25) + 16)
+    at once: a quarter more than the expected successes (the float64
+    product, truncated), plus 16. slots is a count or an int64 array of
+    counts."""
+    return np.asarray(slots * p * 1.25).astype(np.int64) + 16
 
 
 def _gnp_indices(count: int, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -124,7 +127,8 @@ def _gnp_walks(counts: list[int], rngs: list,
     geometric call per run of consecutive blocks on one generator and the
     replay through _Drawn where a block needs a second batch (see the
     module docstring)."""
-    batch = [_batch_size(c, p) if c else 0 for c in counts]
+    slots = np.array(counts, dtype=np.int64)
+    batch = np.where(slots > 0, _batch_size(slots, p), 0)
     heads = [0] + [b for b in range(1, len(rngs)) if rngs[b] is not rngs[b - 1]]
     draws = [rngs[b].geometric(p, size=size) for b, size
              in zip(heads, np.add.reduceat(batch, heads).tolist())]
@@ -141,7 +145,7 @@ def _gnp_walks(counts: list[int], rngs: list,
         # its draws before the first with walk[i] reaching base[b] +
         # counts[b], and is short if it keeps its whole batch
         base = walk[starts - 1] * (starts > 0) + 1
-        stop = np.searchsorted(walk, base + np.array(counts, dtype=np.int64))
+        stop = np.searchsorted(walk, base + slots)
         stop = np.minimum(stop, ends)
         kept, lost = stop - starts, ends - stop
         spans = np.array([kept, lost]).T.ravel()  # kept draws, then dropped
@@ -208,11 +212,16 @@ def gnp_component_sizes(blocks, p: float) -> tuple[np.ndarray, np.ndarray]:
     call serves the union of all blocks.
     """
     u, v, offsets = _gnp_union(blocks, p)
+    n = int(offsets[-1])
+    labels, _ = _component_labels(n, u, v)
+    sizes = np.bincount(labels)
     # the union is canonical because every block is and the blocks follow
     # each other, so block b owns the union's clusters from the one holding
     # its first vertex (or past the last cluster, if it has no vertex)
-    part = cluster_decompose(_edge_config_presorted(int(offsets[-1]), u, v))
-    return part.sizes, np.append(part.cluster_of, part.cluster_count)[offsets]
+    bounds = np.full(offsets.size, sizes.size)
+    inside = offsets < n
+    bounds[inside] = labels[offsets[inside]]
+    return sizes, bounds
 
 
 def percolate_within_classes(spins: SpinConfig, p: float,
@@ -290,7 +299,7 @@ def sw_size_step(counts, p: float,
         [(m, rng) for rng in rngs for m in counts], p)
     clusters = np.diff(bounds[::q])
     colors = np.concatenate([rng.integers(1, q + 1, size=c, dtype=np.int64)
-                             for rng, c in zip(rngs, clusters)])
+                             for rng, c in zip(rngs, clusters.tolist())])
     return sizes, colors, clusters
 
 
@@ -348,7 +357,8 @@ def _connected_avoiding(edges: EdgeConfig, x: int, y: int) -> bool:
     # type groups the arcs by first endpoint, which numpy does by radix sort
     arcs = np.concatenate([pairs, pairs[:, ::-1]])
     first = arcs[:, 0].astype(np.min_scalar_type(edges.n))
-    g = _adjacency(edges.n, arcs[np.argsort(first, kind="stable")])
+    arcs = arcs[np.argsort(first, kind="stable")]
+    g = _adjacency(edges.n, arcs[:, 0], arcs[:, 1])
     reached = breadth_first_order(g, x, return_predecessors=False)
     return bool((reached == y).any())
 

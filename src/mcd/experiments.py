@@ -4,15 +4,16 @@ tails, and critical bimodality.
 Replica r of a cell (experiment name plus cell tag) draws from its own
 stream, seeded by replica_seed(master_seed, cell name, r), in a fixed
 order. A task is a range of consecutive replicas of one cell: its worker
-gets one generator per replica and returns one value per replica. The
-single-step workers (one_step_exit, the drift maps, sm_tail,
-giant_concentration) work on cluster sizes: each replica draws its graphs
-from its own generator (one G(m, p) per color class for SW, one graph
-otherwise), reading the stream the per-graph draws would (see the
-dynamics module docstring). One components call gives the whole range's
-component sizes in one flat array (dynamics.gnp_component_sizes), and the
-SW workers then draw each replica's cluster colors from its generator
-(dynamics.sw_size_step).
+gets one generator per replica, all seeded in one vectorized pass
+(rng.replica_generators, which gives each the state PCG64(seed) would),
+and returns one value per replica. The single-step workers
+(one_step_exit, the drift maps, sm_tail, giant_concentration) work on
+cluster sizes: each replica draws its graphs from its own generator (one
+G(m, p) per color class for SW, one graph otherwise), reading the stream
+the per-graph draws would (see the dynamics module docstring). One
+components call gives the whole range's component sizes in one flat array
+(dynamics.gnp_component_sizes), and the SW workers then draw each
+replica's cluster colors from its generator (dynamics.sw_size_step).
 They reduce sizes and counts and never build a per-vertex coloring. The
 escape_time worker runs per-vertex sw_step, and cluster_tail_bound's
 explores one cluster, each replica's whole draw sequence in turn.
@@ -54,7 +55,7 @@ from .model import (
     majority_counts,
 )
 from .report import ExperimentReport, ReportCell, bootstrap_ci, wilson_ci
-from .rng import replica_seed, replica_seeds
+from .rng import replica_generators, replica_seed
 
 
 # ---------------------------------------------------------------------------
@@ -91,9 +92,7 @@ _BATCH_VERTICES = 200_000
 
 def _task(args) -> list:
     worker, master, name, r0, r1, params = args
-    rngs = [np.random.Generator(np.random.PCG64(seed))
-            for seed in replica_seeds(master, name, r0, r1)]
-    return worker(rngs, *params)
+    return worker(replica_generators(master, name, r0, r1), *params)
 
 
 def _run_replicas(worker, master_seed: int, cells, replicas: int,

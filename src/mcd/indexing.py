@@ -58,26 +58,56 @@ def pairs_from_indices(ks, n) -> tuple[np.ndarray, np.ndarray]:
     an index outside [0, n*(n-1)/2).
     """
     ks = np.asarray(ks, dtype=np.int64)
-    if np.ndim(n) == 0:  # a Python int is faster than a numpy scalar
+    scalar = np.ndim(n) == 0
+    if scalar:  # a Python int is faster than a numpy scalar
         n = lo = hi = int(n)
     else:
         n = np.asarray(n, dtype=np.int64)
-        lo, hi = (n.min(), n.max()) if n.size else (0, 0)
+        lo, hi = (int(n.min()), int(n.max())) if n.size else (0, 0)
     if lo < 0 or hi >= 2 ** 31:
         raise ValueError(f"need 0 <= n < 2**31, got n from {lo} to {hi}")
     if not ks.size:
         return ks.copy(), ks.copy()
-    if ks.min() < 0 or (ks >= n * (n - 1) // 2).any():
-        raise ValueError(f"pair index outside [0, n*(n-1)/2): indices from "
-                         f"{ks.min()} to {ks.max()}, n from {lo} to {hi}")
+
+    def outside():
+        return ValueError(f"pair index outside [0, n*(n-1)/2): indices from "
+                          f"{ks.min()} to {ks.max()}, n from {lo} to {hi}")
+
+    # exact for one n; with one n per index it keeps 8k below 2**64
+    if ks.min() < 0 or ks.max() >= num_pairs(hi):
+        raise outside()
+    # the work is in place in the two outputs: every fresh array of this
+    # size costs more in page faults than a pass over a warm one
     a = 2 * n - 1
-    disc = np.asarray(a, dtype=np.uint64) ** 2 - 8 * ks.astype(np.uint64)
+    i, j = np.empty_like(ks), np.empty_like(ks)
+    disc = i.view(np.uint64)  # a*a - 8k, in unsigned arithmetic
+    if scalar:
+        disc.fill(a * a)
+    else:
+        np.square(a.view(np.uint64), out=disc)
+    disc -= np.left_shift(ks.view(np.uint64), 3, out=j.view(np.uint64))
     # 1 <= disc < 2**64, so the float root errs by under 1e-6; adding
     # 2**-10 puts its floor on row i or i + 1, and one exact comparison
     # with the row offset o(i) = i*(a-i)/2 settles which
-    i = ((a + 2.0 ** -9 - np.sqrt(disc)) / 2).astype(np.int64)
-    i -= (i * (a - i) >> 1) > ks
-    return i, ks - (i * (a - i) >> 1) + i + 1
+    root = np.sqrt(disc, out=j.view(np.float64))
+    np.subtract(a, root, out=root)
+    root += 2.0 ** -9
+    root *= 0.5
+    np.copyto(i, root, casting="unsafe")  # truncation, which is floor here
+    o = np.subtract(a, i, out=j)
+    o *= i
+    o >>= 1
+    i -= o > ks
+    np.subtract(a, i, out=o)
+    o *= i
+    o >>= 1
+    np.subtract(ks, o, out=j)
+    j += i
+    j += 1
+    # an index at or past its n's last pair decodes to j >= n
+    if not scalar and (j >= n).any():
+        raise outside()
+    return i, j
 
 
 def pair_indices_of(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:

@@ -181,38 +181,52 @@ class ClusterPartition:
         return int(self.sizes.max())
 
 
-def _adjacency(n: int, pairs: np.ndarray) -> csr_matrix | None:
-    """The CSR graph with an arc a -> b for each row (a, b) of pairs, which
-    must be grouped by a (canonical pairs are); None if there are no rows.
-    Its int32 indices need n and the row count below 2**31."""
-    if max(n, pairs.shape[0]) >= 2 ** 31:
+def _adjacency(n: int, u: np.ndarray, v: np.ndarray) -> csr_matrix | None:
+    """The CSR graph with an arc u[e] -> v[e] for each e, which must be
+    grouped by u (canonical pairs are); None if there are no arcs. Its
+    int32 indices need n and the arc count below 2**31."""
+    if max(n, u.size) >= 2 ** 31:
         raise ValueError(f"need n and the arc count below 2**31, got n={n} "
-                         f"with {pairs.shape[0]} arcs")
-    if not pairs.shape[0]:
+                         f"with {u.size} arcs")
+    if not u.size:
         return None
     indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(pairs[:, 0], minlength=n), out=indptr[1:])
-    return csr_matrix((np.ones(pairs.shape[0]), pairs[:, 1].astype(np.int32),
-                       indptr), shape=(n, n))
+    np.cumsum(np.bincount(u, minlength=n), out=indptr[1:])
+    return csr_matrix((np.ones(u.size), v.astype(np.int32), indptr),
+                      shape=(n, n))
+
+
+def _component_labels(n: int, u: np.ndarray,
+                      v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The components of the graph on 0..n-1 with the edges (u[e], v[e]),
+    grouped by u, as (labels, first): labels[x] numbers x's component in
+    the canonical order, and first[x] says whether x is its smallest member.
+
+    scipy numbers undirected components in order of first appearance along
+    0..n-1, which is ascending smallest member; checked, not assumed. A
+    component's smallest member is where the labels' running maximum steps
+    up, and the order is canonical exactly when there are as many steps as
+    components, each step then being 1.
+    """
+    g = _adjacency(n, u, v)
+    if g is None:
+        return np.arange(n), np.ones(n, dtype=bool)
+    count, labels = connected_components(g, directed=False)
+    run = np.maximum.accumulate(labels)
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.not_equal(run[1:], run[:-1], out=first[1:])
+    if np.count_nonzero(first) != count:
+        raise AssertionError("components are not numbered by smallest member")
+    return labels, first
 
 
 def cluster_decompose(edges: EdgeConfig) -> ClusterPartition:
     """Connected components with canonical (smallest-member) cluster ids."""
-    n = edges.n
-    g = _adjacency(n, edges.pairs)
-    if g is None:
-        count, raw = n, np.arange(n)
-    else:
-        count, raw = connected_components(g, directed=False)
-    # scipy numbers undirected components in order of first appearance
-    # along 0..n-1, which is the canonical order; checked, not assumed
-    first = np.full(count, n, dtype=np.int64)
-    np.minimum.at(first, raw, np.arange(n))  # smallest member per component
-    if (first[1:] <= first[:-1]).any():
-        raise AssertionError("components are not numbered by smallest member")
-    return ClusterPartition(n=n, ids=first,
-                            sizes=np.bincount(raw, minlength=count),
-                            cluster_of=raw)
+    n, pairs = edges.n, edges.pairs
+    labels, first = _component_labels(n, pairs[:, 0], pairs[:, 1])
+    return ClusterPartition(n=n, ids=np.flatnonzero(first),
+                            sizes=np.bincount(labels), cluster_of=labels)
 
 
 def s_m_vertices(partition: ClusterPartition, m_threshold: int) -> int:

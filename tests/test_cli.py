@@ -4,6 +4,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mcd.cli import EXPERIMENTS, ORACLE_CHECKS, _parse_grid, main
@@ -328,8 +329,7 @@ def test_every_subcommand_reads_its_options_by_one_set_of_rules(
         code, out, _ = run(capsys, command, *argv[:i], *argv[i + 2:],
                            "--config", str(cfg))
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest()[:16] \
-            == SIMULATE_SHA256[argv]
+        assert_pinned(out.encode(), SIMULATE_SHA256[argv])
     elif command == "oracle":
         argv = ["gap", "--kind", "glauber", "--q", "2", "--lambda", "1"]
         code, expected, _ = run(capsys, command, *argv, "--n", "3")
@@ -443,6 +443,14 @@ TINY = {
 }
 
 
+def assert_pinned(data: bytes, pin: str):
+    """The sha256 prefix of data is pin. The bytes come from numpy's
+    generators, so the message names the numpy that made them."""
+    digest = hashlib.sha256(data).hexdigest()[:16]
+    assert digest == pin, \
+        f"sha256 prefix {digest}, pinned {pin}, under numpy {np.__version__}"
+
+
 # sha256 prefixes of the TINY CSVs at --seed 5; a change to any stream's
 # draw order changes them, whatever the thread count
 TINY_SHA256 = {
@@ -473,8 +481,7 @@ SIMULATE_SHA256 = {
 def test_simulate_bytes_are_pinned(argv, capsys):
     code, out, _ = run(capsys, "simulate", *argv, "--seed", "5")
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest()[:16] \
-        == SIMULATE_SHA256[argv]
+    assert_pinned(out.encode(), SIMULATE_SHA256[argv])
 
 
 def test_simulate_config_file_gives_the_pinned_bytes(tmp_path, capsys):
@@ -486,8 +493,7 @@ def test_simulate_config_file_gives_the_pinned_bytes(tmp_path, capsys):
     cfg.write_text(json.dumps({**options, "seed": 5}))
     code, out, _ = run(capsys, "simulate", "--config", str(cfg))
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest()[:16] \
-        == SIMULATE_SHA256[argv]
+    assert_pinned(out.encode(), SIMULATE_SHA256[argv])
 
 
 def test_simulate_seed_defaults_to_mcd_seed(monkeypatch, capsys):
@@ -495,8 +501,7 @@ def test_simulate_seed_defaults_to_mcd_seed(monkeypatch, capsys):
     monkeypatch.setenv("MCD_SEED", "5")
     code, out, _ = run(capsys, "simulate", *argv)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest()[:16] \
-        == SIMULATE_SHA256[argv]
+    assert_pinned(out.encode(), SIMULATE_SHA256[argv])
     monkeypatch.setenv("MCD_SEED", "5.0")
     code, out, err = run(capsys, "simulate", *argv)
     assert (code, out) == (1, "") and err.startswith("error: --seed: ")
@@ -578,8 +583,7 @@ def test_experiment_bytes_hold_across_threads_and_sidecar_rerun(
         code, _, err = run(capsys, *argv, "--threads", "2")
         assert code == 1 and "--threads" in err
         assert run(capsys, *argv, "--out", str(first))[0] == 0
-    assert hashlib.sha256(first.read_bytes()).hexdigest()[:16] \
-        == TINY_SHA256[name]
+    assert_pinned(first.read_bytes(), TINY_SHA256[name])
 
     side = json.loads((tmp_path / "t1.json").read_text())["config"]
     assert set(side) == {"command", "experiment", "n", "lambda", "out",

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -33,7 +34,15 @@ from mcd.model import (
     s_m_vertices,
 )
 from mcd.oracle import build_kernel, enumerate_potts_measure, es_coupling_check
-from mcd.rng import RngStream, fnv1a64, replica_seed, replica_seeds, splitmix64
+from mcd.rng import (
+    RngStream,
+    _generators,
+    fnv1a64,
+    replica_generators,
+    replica_seed,
+    replica_seeds,
+    splitmix64,
+)
 
 
 def random_edges(n, density, rng):
@@ -159,6 +168,8 @@ def test_pairs_from_indices_exact_at_the_largest_n(row):
     assert list(zip(i.tolist(), j.tolist())) == [
         (0, 1), (n - 2, n - 1), (row - 1, n - 1), (row, row + 1),
         (row, row + 2)]
+    per_index = pairs_from_indices(ks, np.full(ks.size, n))
+    assert np.array_equal(per_index[0], i) and np.array_equal(per_index[1], j)
     for k, a, b in zip(ks.tolist(), i.tolist(), j.tolist()):
         assert pair_index(a, b, n) == k
         assert pair_from_index(k, n) == (a, b)
@@ -458,3 +469,49 @@ def test_stream_reproducibility():
     z = RngStream(9, "chain", 4).generator().random(5)
     assert np.array_equal(x, y)
     assert not np.array_equal(x, z)
+
+
+# the range path rebuilds numpy's SeedSequence hashing, so a failure names
+# the numpy it was checked against
+NUMPY = f"numpy {np.__version__}"
+
+
+def _states(generators):
+    return [g.bit_generator.state for g in generators]
+
+
+def test_range_seeding_matches_pcg64_at_the_edge_seeds():
+    # one entropy word and two, either side of 2**32, and the largest seed
+    seeds = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]
+    got = _generators(np.array(seeds, dtype=np.uint64))
+    want = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
+    for seed, g, w in zip(seeds, got, want):
+        assert g.bit_generator.state == w.bit_generator.state, (seed, NUMPY)
+
+
+@given(st.integers(-2 ** 70, 2 ** 70), st.text(max_size=16),
+       st.integers(0, 2 ** 40), st.integers(0, 12))
+@example(-1, "", 0, 1)
+@example(-2 ** 63, "one_step_exit:balanced:n=800", 1995, 5)
+@example(2 ** 64 + 7, "taille \u00e9tendue", 3, 4)
+@settings(max_examples=200, deadline=None)
+def test_replica_generators_match_their_streams(master, name, r0, count):
+    got = replica_generators(master, name, r0, r0 + count)
+    want = [RngStream(master, name, r).generator()
+            for r in range(r0, r0 + count)]
+    assert _states(got) == _states(want), NUMPY
+
+
+def test_range_generator_survives_pickling():
+    g = replica_generators(11, "pickle", 4, 7)[1]
+    g.random(3)
+    clone = pickle.loads(pickle.dumps(g))
+    assert np.array_equal(clone.random(8), g.random(8)), NUMPY
+    assert clone.bit_generator.state == g.bit_generator.state, NUMPY
+
+
+def test_one_replica_range_is_the_stream():
+    (g,) = replica_generators(9, "chain", 3, 4)
+    want = RngStream(9, "chain", 3).generator()
+    assert g.bit_generator.state == want.bit_generator.state, NUMPY
+    assert np.array_equal(g.random(5), want.random(5)), NUMPY

@@ -233,16 +233,27 @@ def one_step_law(counts, lam: float, q: int,
     if laws is None:
         laws = _class_color_laws(set(counts), lam / sum(counts), q)
     shape, axes = (sum(counts) + 1,) * (q - 1), list(range(q - 1))
-    spectrum = np.prod([np.fft.rfftn(laws[c], shape, axes) for c in counts],
-                       axis=0)
+    spectrum = np.fft.rfftn(laws[counts[0]], shape, axes)
+    for c in counts[1:]:  # in class order, one spectrum at a time
+        spectrum *= np.fft.rfftn(laws[c], shape, axes)
     return np.maximum(np.fft.irfftn(spectrum, shape, axes), 0.0)
 
 
 def exit_probability(counts, lam: float, q: int, rho: float) -> float:
-    """P(one SW step from the given counts leaves the balanced set)."""
+    """P(one SW step from the given counts leaves the balanced set).
+
+    A count vector is balanced when every count passes is_balanced's test
+    on its own, so the set is built from one 1-D test per axis and one on
+    the last count, with no grid of count vectors."""
+    q = integer_q(q, 2, "exit_probability")
     row = one_step_law(counts, lam, q)
-    grid, valid = count_grid(sum(counts), q)
-    return float(row[valid & ~is_balanced(grid, rho)].sum())
+    total = sum(counts)
+    k = np.arange(total + 1)
+    ok = np.abs(k - total / q) < rho * total
+    last = total - reduce(np.add.outer, [k] * (q - 1))
+    inside = (reduce(np.logical_and.outer, [ok] * (q - 1))
+              & ok.take(last, mode="clip"))
+    return float(row[(last >= 0) & ~inside].sum())
 
 
 @dataclass(frozen=True)

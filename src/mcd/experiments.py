@@ -333,8 +333,8 @@ def cm_drift_map(n: int, lam: float, q: float, theta_grid, replicas: int,
     """Mean largest-cluster fraction after one activation-resample step
     from a planted cluster of fraction theta (forced active, per the
     drift's conditioning), against the analytic drift."""
-    if not q >= 1:
-        raise ValueError(f"cm_drift_map needs q >= 1, got q={q!r}")
+    if not 1 <= q < math.inf:
+        raise ValueError(f"cm_drift_map needs finite q >= 1, got q={q!r}")
     report = ExperimentReport("cm_drift_map", q, lam, master_seed)
     for theta in theta_grid:
         if not (0.0 < theta <= 1.0):

@@ -11,30 +11,14 @@ which thread or process happened to execute a replica:
 Replica results are always merged in replica-index order, which makes every
 report byte-reproducible from (master seed, experiment name, grid) alone.
 
-A replica's generator is np.random.Generator(np.random.PCG64(seed)). Most
-of that constructor's cost is numpy's SeedSequence(seed), which hashes the
-seed into the four 64-bit words PCG64 is set from (generate_state(4,
-uint64)). replica_generators computes those words for a whole replica
-range in one pass of array arithmetic and hands each PCG64 its row through
-numpy's public ISeedSequence interface, so every generator starts in the
-state PCG64(seed) gives. The pass follows SeedSequence's fixed schedule
-(numpy/random/bit_generator.pyx) for an entropy of two 32-bit words, the
-seed's low then high half, and a pool of four:
-
-* fill: pool[i] = hashmix(entropy[i]), with 0 as entropy beyond two words;
-* mix: for each source word in order, each other word in ascending order
-  becomes mix(word, hashmix(source));
-* output: word i of eight is hashmix'(pool[i % 4]), and 64-bit word k is
-  word 2k as its low half and word 2k + 1 as its high half.
-
-hashmix xors a running constant into its input, advances the constant by
-one multiplication and multiplies by it, then xors the result with itself
-shifted right by 16; hashmix' does the same from a second constant, and
-mix(x, y) is z ^ z >> 16 for z = L*x - R*y. All arithmetic is mod 2**32.
-The running constants do not depend on the seed, so they are computed
-once. numpy turns a seed
-below 2**32 into one entropy word and fills the second from 0, which is
-what a zero high half gives, so no seed needs a case of its own.
+A replica's generator is np.random.Generator(np.random.PCG64(seed)), and
+most of its cost is numpy's SeedSequence(seed), which hashes the seed into
+the four 64-bit words PCG64 starts from. replica_generators computes those
+words for a whole replica range at once, running SeedSequence's own loops
+(numpy/random/bit_generator.pyx) on uint32 arrays, one element per
+replica, from an entropy of the seed's low and high halves (numpy fills
+the pool beyond a seed below 2**32 from 0, as a zero high half does), and
+hands each PCG64 its words through numpy's ISeedSequence interface.
 RngStream.generator() keeps numpy's own PCG64(seed), the reference the
 tests hold the range path to.
 """
@@ -47,15 +31,15 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 _MASK64 = (1 << 64) - 1
-_MASK32 = (1 << 32) - 1
+_GAMMA, _MUL1, _MUL2 = np.array([0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9,
+                                  0x94D049BB133111EB], dtype=np.uint64)
 
 
-def splitmix64(x):
-    """One splitmix64 output step: on a Python int in [0, 2**64), or
-    elementwise on a uint64 array, whose arithmetic wraps by itself."""
-    z = (x + 0x9E3779B97F4A7C15) & _MASK64
-    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
-    z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK64
+def splitmix64(x: np.ndarray) -> np.ndarray:
+    """One splitmix64 output step, elementwise on a uint64 array."""
+    z = x + _GAMMA
+    z = (z ^ z >> 30) * _MUL1
+    z = (z ^ z >> 27) * _MUL2
     return z ^ z >> 31
 
 
@@ -67,95 +51,71 @@ def fnv1a64(text: str) -> int:
     return h
 
 
-def _mix(master_seed: int, name: str, replicas):
-    """The documented seed mix of replicas, a Python int or a uint64 array
-    of replica indices."""
-    return splitmix64(splitmix64((master_seed & _MASK64) ^ fnv1a64(name))
-                      ^ replicas)
-
-
-def replica_seeds(master_seed: int, name: str, r0: int, r1: int) -> list[int]:
-    """The seeds of replicas r0..r1-1, 0 <= r0, as Python ints."""
-    return _mix(master_seed, name, np.arange(r0, r1, dtype=np.uint64)).tolist()
+def _mix(master_seed: int, name: str, replicas: np.ndarray) -> np.ndarray:
+    """The documented seed mix of a uint64 array of replica indices."""
+    key = np.array([(master_seed & _MASK64) ^ fnv1a64(name)], dtype=np.uint64)
+    return splitmix64(splitmix64(key) ^ replicas)
 
 
 def replica_seed(master_seed: int, name: str, replica: int) -> int:
-    """The seed of one replica, in Python integers."""
-    return _mix(master_seed, name, replica & _MASK64)
+    """The seed of one replica, as a Python int."""
+    return int(_mix(master_seed, name,
+                    np.array([replica & _MASK64], dtype=np.uint64))[0])
 
 
-def _hashmix_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """hashmix's xor and multiply constants for its first count calls, as
-    two (count, 1) columns."""
-    xors, mults, h = [], [], init
-    for _ in range(count):
-        xors.append(h)
-        h = h * mult & _MASK32
-        mults.append(h)
-    return np.array([xors, mults], dtype=np.uint32)[..., None]
+def _hash_consts(init: int, mult: int, calls: int) -> list:
+    """hashmix's (xor, multiplier) pair in each of its first calls: its
+    hash_const before and after the call updates it."""
+    h = np.array([init * pow(mult, k, 1 << 32) & 0xFFFFFFFF
+                  for k in range(calls + 1)], dtype=np.uint32)
+    return list(zip(h[:-1], h[1:]))
 
 
-# SeedSequence's constants (numpy/random/bit_generator.pyx). The columns
-# broadcast over the replica axis, as do the 0-d shifts.
-_FILL_X, _FILL_M = _hashmix_constants(0x43B0D7E5, 0x931E8875, 16)
-_OUT_X, _OUT_M = _hashmix_constants(0x8B51F9DD, 0x58F38DED, 8).reshape(
-    2, 2, 4, 1)
-_MIX_L = np.uint32(0xCA01F9DD)
-_MIX_R = np.uint32(0x4973F715)
-_SHIFT16 = np.array(16, dtype=np.uint32)
-_SHIFT32 = np.array(32, dtype=np.uint64)
-# The pool lives in a ring of eight rows, row k holding word k % 4, so
-# that the three words source s mixes into are the slice s+1 .. s+3, in
-# ring order; each gets the constants numpy gives it in ascending word
-# order. Before source s >= 2, the ring row the slice ends on is refreshed
-# from the row where its word was written last, and one more refresh after
-# the last source leaves words 0..3 in rows 4..7.
+# SeedSequence's constants (numpy/random/bit_generator.pyx): INIT_A and
+# MULT_A for the 4 + 12 hashmix calls of mix_entropy on a pool of four,
+# INIT_B and MULT_B for the 8 of generate_state(4, uint64).
+_HASH_A = _hash_consts(0x43B0D7E5, 0x931E8875, 16)
+_HASH_B = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_MULT_L, _MIX_MULT_R, _XSHIFT = np.array([0xCA01F9DD, 0x4973F715, 16],
+                                             dtype=np.uint32)
 
 
-def _round_constants(s: int) -> tuple[np.ndarray, np.ndarray]:
-    ring = [(s + k) % 4 for k in (1, 2, 3)]
-    calls = [4 + 3 * s + sorted(ring).index(d) for d in ring]
-    return _FILL_X[calls], _FILL_M[calls]
+def _hashmix(value: np.ndarray, hash_const) -> np.ndarray:
+    """numpy's hashmix, hash_const an iterator over its constants."""
+    x, m = next(hash_const)
+    value = (value ^ x) * m
+    value ^= value >> _XSHIFT
+    return value
 
 
-_ROUNDS = [_round_constants(s) for s in range(4)]
+def _mix32(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """numpy's mix(x, y)."""
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    result ^= result >> _XSHIFT
+    return result
 
 
 def _pcg64_words(seeds: np.ndarray) -> np.ndarray:
-    """SeedSequence(seed).generate_state(4, np.uint64) for each uint64
-    seed, as the rows of an (R, 4) uint64 array (see the module docstring)."""
-    ring = np.zeros((8, seeds.size), dtype=np.uint32)
-    ring[0] = seeds  # the cast keeps the low half
-    ring[1] = seeds >> _SHIFT32
-    pool = ring[:4]
-    pool ^= _FILL_X[:4]
-    pool *= _FILL_M[:4]
-    pool ^= pool >> _SHIFT16
-    ring[4:7] = ring[:3]
-    for s, (x, m) in enumerate(_ROUNDS):
-        if s >= 2:
-            ring[s + 3] = ring[s - 1]
-        h = ring[s] ^ x
-        h *= m
-        h ^= h >> _SHIFT16
-        h *= _MIX_R
-        dst = ring[s + 1:s + 4]
-        dst *= _MIX_L
-        dst -= h
-        dst ^= dst >> _SHIFT16
-    ring[7] = ring[3]
-    out = ring[4:] ^ _OUT_X  # (2, 4, R): output word 4j + k
-    out *= _OUT_M
-    out ^= out >> _SHIFT16
-    # word 2t is the low half of 64-bit word t, whatever the byte order
-    words = out[:, 1::2].astype(np.uint64) << _SHIFT32
-    words |= out[:, 0::2]
-    return words.reshape(4, -1).T.copy()
+    """SeedSequence(seed).generate_state(4, np.uint64) for each seed."""
+    entropy = np.zeros((4, seeds.size), dtype=np.uint32)
+    entropy[0], entropy[1] = seeds, seeds >> np.uint64(32)  # low halves
+    hash_const = iter(_HASH_A)
+    mixer = [_hashmix(word, hash_const) for word in entropy]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                mixer[i_dst] = _mix32(mixer[i_dst],
+                                      _hashmix(mixer[i_src], hash_const))
+    hash_const = iter(_HASH_B)
+    state = [_hashmix(mixer[i % 4], hash_const) for i in range(8)]
+    # word k is state words 2k (low half) and 2k + 1, in any byte order
+    words = np.array(state[1::2], dtype=np.uint64) << np.uint64(32)
+    words |= np.array(state[0::2])
+    return words.T.copy()
 
 
 class _StateWords(ISeedSequence):
-    """A seed sequence that hands PCG64 its precomputed state words (and
-    nothing else: it does not spawn)."""
+    """Hands PCG64 its precomputed state words (and does not spawn)."""
 
     def __init__(self, words: np.ndarray):
         self.words = words
@@ -166,8 +126,7 @@ class _StateWords(ISeedSequence):
 
 
 def _generators(seeds: np.ndarray) -> list[np.random.Generator]:
-    """np.random.Generator(np.random.PCG64(seed)) for each uint64 seed,
-    seeded in one pass."""
+    """np.random.Generator(np.random.PCG64(seed)) for each uint64 seed."""
     return [np.random.Generator(np.random.PCG64(_StateWords(w)))
             for w in _pcg64_words(seeds)]
 

@@ -88,7 +88,7 @@ def test_beta_conversion_matches_formula(capsys, tmp_path):
     assert side["config"]["lambda"] == pytest.approx(lam, rel=1e-12)
 
 
-@pytest.mark.parametrize("q", ["0.5", "0", "-1"])
+@pytest.mark.parametrize("q", ["0.5", "0", "-1", "inf"])
 def test_cm_drift_map_rejects_q_below_one(q, capsys, tmp_path):
     out = tmp_path / "drift.csv"
     code, _, err = run(capsys, "experiment", "cm_drift_map", "--n", "100",

@@ -41,6 +41,7 @@ from mcd.model import (
     _edge_config_presorted,
     cluster_decompose,
     in_balanced_set,
+    is_balanced,
 )
 from mcd.oracle import (
     _digit_matrix,
@@ -211,6 +212,24 @@ def test_escape_law_matches_spin_level_absorbing_chain(lam):
     assert abs(law.mean - mean[start[inside] == 1.0][0]) < 1e-12
     assert law.survival[1] == pytest.approx(
         1 - exit_probability(balanced_spins(n, q).counts, lam, q, rho), abs=1e-15)
+
+
+@pytest.mark.parametrize("counts, lam, rho", [
+    ([7, 6], 1.5, 0.1), ([3, 0, 9], 2.5, 0.2), ([5, 5, 5, 4], 3.0, 0.07),
+    ([40, 41, 39], 4 * math.log(2), 0.08), ([12, 0, 0], 0.7, 0.5)])
+def test_exit_probability_matches_the_count_grid_formula(counts, lam, rho):
+    q = len(counts)
+    row = one_step_law(counts, lam, q)
+    grid, valid = count_grid(sum(counts), q)
+    want = float(row[valid & ~is_balanced(grid, rho)].sum())
+    assert exit_probability(counts, lam, q, rho) == want
+
+
+def test_exit_probability_at_n_1600_is_bit_identical():
+    # taken from the full count grid and is_balanced
+    counts = balanced_spins(1600, 3).counts
+    got = exit_probability(counts, 4 * math.log(2), 3, 0.08)
+    assert got == 0.05195908544800473
 
 
 def test_expected_largest_matches_sampled_percolation():

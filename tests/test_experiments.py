@@ -148,7 +148,7 @@ def test_cm_drift_map_tracks_prediction_loosely():
     assert "empirical_drift" in cell.extra
 
 
-@pytest.mark.parametrize("q", [0.5, 0.0, -1.0])
+@pytest.mark.parametrize("q", [0.5, 0.0, -1.0, math.inf])
 def test_cm_drift_map_rejects_q_below_one(q, monkeypatch):
     def no_replicas(*args, **kwargs):
         raise AssertionError("a replica ran")

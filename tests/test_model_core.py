@@ -1,6 +1,9 @@
+import ast
 import dataclasses
+import importlib
 import math
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,15 +37,7 @@ from mcd.model import (
     s_m_vertices,
 )
 from mcd.oracle import build_kernel, enumerate_potts_measure, es_coupling_check
-from mcd.rng import (
-    RngStream,
-    _generators,
-    fnv1a64,
-    replica_generators,
-    replica_seed,
-    replica_seeds,
-    splitmix64,
-)
+from mcd.rng import RngStream, _generators, replica_generators, replica_seed
 
 
 def random_edges(n, density, rng):
@@ -440,6 +435,29 @@ def test_ordered_set_checks_majority_and_remainder():
 # ---------------------------------------------------------------------------
 # seeding
 
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64_ref(z):
+    z = (z + 0x9E3779B97F4A7C15) & _MASK64
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK64
+    return z ^ z >> 31
+
+
+def _fnv1a64_ref(text):
+    h = 0xCBF29CE484222325
+    for b in text.encode("utf-8"):
+        h = (h ^ b) * 0x100000001B3 & _MASK64
+    return h
+
+
+def _seed_ref(master, name, replica):
+    """The documented seed mix, in Python integers."""
+    s0 = _splitmix64_ref((master & _MASK64) ^ _fnv1a64_ref(name))
+    return _splitmix64_ref(s0 ^ (replica & _MASK64))
+
+
 def test_replica_seeds_are_deterministic_and_distinct():
     a = replica_seed(123, "exp", 0)
     assert a == replica_seed(123, "exp", 0)
@@ -447,8 +465,8 @@ def test_replica_seeds_are_deterministic_and_distinct():
              for name in ("exp", "exp2", "") for r in range(50)}
     assert len(seeds) == 150
     # the documented mix, written out
-    s0 = splitmix64(123 ^ fnv1a64("exp"))
-    assert a == splitmix64(s0 ^ 0)
+    s0 = _splitmix64_ref(123 ^ _fnv1a64_ref("exp"))
+    assert a == _splitmix64_ref(s0 ^ 0)
 
 
 @given(st.integers(-2 ** 70, 2 ** 70), st.text(max_size=16),
@@ -458,9 +476,15 @@ def test_replica_seeds_are_deterministic_and_distinct():
 @example(2 ** 64 + 7, "taille \u00e9tendue \u6587\u5b57 \U0001f600", 3, 4)
 @example(-2 ** 63, "\u00e9", 0, 0)
 @settings(max_examples=200, deadline=None)
-def test_replica_seeds_match_replica_seed(master, name, r0, count):
-    assert replica_seeds(master, name, r0, r0 + count) == [
-        replica_seed(master, name, r) for r in range(r0, r0 + count)]
+def test_replica_seed_is_the_documented_mix(master, name, r0, count):
+    replicas = range(r0, r0 + count)
+    assert [replica_seed(master, name, r) for r in replicas] == [
+        _seed_ref(master, name, r) for r in replicas]
+
+
+def test_replica_seed_pins():
+    assert replica_seed(123, "exp", 0) == 8973591013674446874
+    assert replica_seed(-1, "", 2 ** 64 + 5) == 11991256177952080034
 
 
 def test_stream_reproducibility():
@@ -515,3 +539,22 @@ def test_one_replica_range_is_the_stream():
     want = RngStream(9, "chain", 3).generator()
     assert g.bit_generator.state == want.bit_generator.state, NUMPY
     assert np.array_equal(g.random(5), want.random(5)), NUMPY
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's imports
+
+def test_benchmark_imports_exist():
+    # perfbench imports from the package without running here; a name it
+    # imports that the package lost would only fail the benchmark
+    scripts = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
+    imported = [(node.module, alias.name)
+                for script in scripts
+                for node in ast.walk(ast.parse(script.read_text()))
+                if isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[0] == "mcd"
+                for alias in node.names]
+    assert imported
+    missing = [(module, name) for module, name in imported
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []

@@ -17,6 +17,11 @@ Quantities, for cluster weight q and mean degree lambda:
   Swendsen-Wang; fixed points 1/q and (for lambda > lambda_s) a_lambda.
 * cm_drift f(theta) and g = f - theta: one-step map of the giant fraction
   under Chayes-Machta; roots Theta_star < Theta_r above lambda_s.
+
+The ordered phase has one equation, exp(-lam*theta) = 1 - q*theta/(1 +
+(q-1)*theta) (Bollobas-Grimmett-Janson 1996). Under a = 1/q + (1-1/q)theta
+it is the Potts fixed point of sw_drift (Edwards-Sokal), so one solver gives
+a_lambda and Theta_r; Theta_star exists only inside (lambda_s, lambda_S).
 """
 
 from __future__ import annotations
@@ -108,26 +113,42 @@ def critical_points(q: float) -> CriticalPoints:
     return CriticalPoints(q=q, lambda_s=lam_s, lambda_c=lam_c, lambda_S=float(q))
 
 
-def theta_r(lam: float, q: float) -> float:
-    """Largest root in (0, 1] of exp(-lam*x) = 1 - q*x/(1 + (q-1)*x).
+def _ordered_root(lam: float, q: float) -> float | None:
+    """The largest root a in (1/q, 1] of log((q-1)a/(1-a)) = lam*theta,
+    theta = (qa - 1)/(q - 1), for real q > 2; None where there is none.
 
-    Returns 0.0 in the degenerate regime (q <= 2 or lam <= lambda_s) where
-    no ordered-phase root exists.
+    psi -> +inf as a -> 1-, so a scan down from just below 1 brackets the
+    largest root at the first sign change (1.0 if it rounds to 1). Just
+    above lambda_s, psi < 0 on a stretch narrower than the step; then the
+    root is bisected from psi's minimum on (1/2, 1), a(1-a) = (q-1)/(lam*q).
     """
-    if q <= 2 or lam <= critical_points(q).lambda_s:
-        return 0.0
+    if lam <= critical_points(q).lambda_s:
+        return None
 
-    def psi(x: float) -> float:
-        return math.expm1(-lam * x) + q * x / (1.0 + (q - 1.0) * x)
+    def psi(a: float) -> float:
+        return math.log((q - 1.0) * a / (1.0 - a)) - lam * (a - (1.0 - a) / (q - 1.0))
 
-    # psi(1) = exp(-lam) > 0; scan down for the first sign change
+    hi = 1.0 - 1e-12
+    while psi(hi) < 0.0:  # extremely large lam pushes the root toward 1
+        hi = 1.0 - (1.0 - hi) / 16.0
+        if hi == 1.0:
+            return 1.0
     step = 1e-3
-    x = 1.0
-    while x - step > 0.0:
+    x = hi
+    while x - step > 1.0 / q:
         if psi(x - step) <= 0.0:
             return _bisect(psi, x - step, x)
         x -= step
-    return 0.0
+    a_min = 0.5 + math.sqrt(max(0.25 - (q - 1.0) / (lam * q), 0.0))
+    return _bisect(psi, a_min, hi) if psi(a_min) <= 0.0 else None
+
+
+def theta_r(lam: float, q: float) -> float:
+    """Largest root in (0, 1] of exp(-lam*x) = 1 - q*x/(1 + (q-1)*x), which
+    is (q*a - 1)/(q - 1) for the ordered root a; 0.0 where none exists
+    (q <= 2 or lam <= lambda_s)."""
+    a = _ordered_root(lam, q) if q > 2 else None
+    return 0.0 if a is None else (q * a - 1.0) / (q - 1.0)
 
 
 def theta_min(lam: float, q: float) -> float:
@@ -163,29 +184,15 @@ def _g(theta: float, lam: float, q: float) -> float:
 
 def a_fixed_point(lam: float, q: int) -> float:
     """The ordered fixed point a_lambda of the SW drift: the largest root in
-    (1/q, 1) of log((q-1)a/(1-a)) = lam*(a - (1-a)/(q-1)).
+    (1/q, 1] of log((q-1)a/(1-a)) = lam*(a - (1-a)/(q-1)).
 
     Requires integer q >= 3 and lam > lambda_s(q).
     """
     q = integer_q(q, 3, "a_fixed_point")
-    if lam <= critical_points(q).lambda_s:
-        raise RegimeError(f"no ordered fixed point at lam={lam!r} <= lambda_s({q})")
-
-    def psi(a: float) -> float:
-        return math.log((q - 1.0) * a / (1.0 - a)) - lam * (a - (1.0 - a) / (q - 1.0))
-
-    # psi -> +inf as a -> 1-, so scan down from just below 1 for the first
-    # sign change; that brackets the largest root
-    hi = 1.0 - 1e-12
-    while psi(hi) < 0.0:  # extremely large lam pushes the root toward 1
-        hi = 1.0 - (1.0 - hi) / 16.0
-    step = 1e-3
-    x = hi
-    while x - step > 1.0 / q:
-        if psi(x - step) <= 0.0:
-            return _bisect(psi, x - step, x)
-        x -= step
-    raise RegimeError(f"no ordered fixed point found for lam={lam!r}, q={q}")
+    a = _ordered_root(lam, q)
+    if a is None:
+        raise RegimeError(f"no ordered fixed point at lam={lam!r}, q={q}")
+    return a
 
 
 def theta_star(lam: float, q: float) -> float:
@@ -200,21 +207,13 @@ def theta_star(lam: float, q: float) -> float:
     if not (cp.lambda_s < lam < cp.lambda_S):
         raise RegimeError(f"lam={lam!r} outside (lambda_s, lambda_S) = "
                           f"({cp.lambda_s!r}, {cp.lambda_S!r})")
-    t_r = theta_r(lam, q)
-    t_min = theta_min(lam, q)
-    lo = t_min
-    grid = 2000
-    h = (t_r - t_min) / grid
-    star = None
-    for i in range(1, grid):
-        x = t_min + i * h
-        if _g(x, lam, q) > 0.0:
-            star = _bisect(lambda t: _g(t, lam, q), lo, x)
-            break
-        lo = x
-    if star is None:
-        raise RegimeError(f"drift never positive on (Theta_min, Theta_r) at "
-                          f"lam={lam!r}, q={q!r}")
+    t_r, t_min = theta_r(lam, q), theta_min(lam, q)
+    if t_r <= t_min:
+        raise RegimeError(f"no ordered root at lam={lam!r}, q={q!r}")
+    # g > 0 exactly where expm1(-lam*x) + q*x/(1 + (q-1)*x) < 0, and that
+    # is > 0 at Theta_min, where lam*a = 1
+    star = _bisect(lambda x: math.expm1(-lam * x) + q * x / (1.0 + (q - 1.0) * x),
+                   t_min, t_r)
     # positivity between the roots, sampled away from the endpoints
     inner = [star + (t_r - star) * k / 200.0 for k in range(2, 199)]
     for x in inner:

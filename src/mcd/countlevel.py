@@ -18,12 +18,14 @@ sampling:
 * the color counts k of a class of m vertices after one step, in product
   form by the Edwards-Sokal coupling: multinomial(m; k) (1-p)^(sum_{i<j}
   k_i k_j) prod_i Z_{k_i}(1/q), as no edge joins two color sets and each
-  set's components all take its color;
+  set's components all take its color; class_color_laws(sizes, p, q)
+  maps each class size m to that law;
 * the one-step law of the count vector (a convolution over the classes),
   the exit probability of the balanced set, and the escape-time law of the
   absorbing chain inside it;
 * the stationary count law pi(c) ~ multinomial(n; c) (1-p)^(-sum C(c_i,2));
-* the largest-component law of a disjoint union of G(m_i, p), and E[L1].
+* log_largest_cdf(sizes, p, kmax), the log CDF of the largest component
+  of a disjoint union of G(m_i, p), and E[L1].
 
 The edge probability is p = lam/n throughout, n being the total number of
 vertices, as in ModelParams. A law over count vectors with total N is a
@@ -105,7 +107,7 @@ def log_cluster_weight(mmax: int, p: float, w: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # largest component of a disjoint union of G(m_i, p)
 
-def _log_largest_cdf(sizes, p: float, kmax: int) -> np.ndarray:
+def log_largest_cdf(sizes, p: float, kmax: int) -> np.ndarray:
     """log P(L1 <= k), k = 0..kmax, for the disjoint union of G(m, p) over
     m in sizes.
 
@@ -140,12 +142,6 @@ def _log_largest_cdf(sizes, p: float, kmax: int) -> np.ndarray:
     return out
 
 
-def largest_component_cdf(sizes, p: float, kmax: int) -> np.ndarray:
-    """P(L1 <= k) for k = 0..kmax, L1 the largest component of the
-    disjoint union of G(m, p) over m in sizes."""
-    return np.exp(_log_largest_cdf(sizes, p, kmax))
-
-
 def expected_largest(sizes, p: float) -> tuple[float, float]:
     """(E[L1], bound) for the disjoint union of G(m, p) over m in sizes.
 
@@ -162,7 +158,7 @@ def expected_largest(sizes, p: float) -> tuple[float, float]:
     tail = np.cumsum(counts[::-1])[::-1]               # sum_{s' >= s} E[N_s']
     bound = np.append(np.cumsum(tail[:0:-1])[::-1], 0.0)  # sum_{j > K} tail[j]
     kmax = int(np.argmax(bound < _TAIL_TOL))
-    log_cdf = _log_largest_cdf(sizes, p, kmax)
+    log_cdf = log_largest_cdf(sizes, p, kmax)
     return float(np.sum(-np.expm1(log_cdf[:kmax]))), float(bound[kmax])
 
 
@@ -182,20 +178,28 @@ def sw_drift_mean(n: int, lam: float, q: int, z: float) -> float:
 # ---------------------------------------------------------------------------
 # the count-vector chain
 
+def _grid_shape(total: int, q: int) -> tuple[int, ...]:
+    """The layout (total+1,)*(q-1) of a law over count vectors with the
+    given total, refused above _STATES_MAX cells before any is allocated."""
+    if (total + 1) ** (q - 1) > _STATES_MAX:
+        raise ValueError(f"count grid {(total + 1) ** (q - 1)} exceeds {_STATES_MAX}")
+    return (total + 1,) * (q - 1)
+
+
 def count_grid(total: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Full count vectors for the (q-1)-dimensional layout with the given
     total: (counts of shape (total+1,)*(q-1) + (q,), mask of valid ones)."""
-    d = integer_q(q, 2, "count_grid") - 1
-    if (total + 1) ** d > _STATES_MAX:
-        raise ValueError(f"count grid {(total + 1) ** d} exceeds {_STATES_MAX}")
-    head = np.stack(np.indices((total + 1,) * d), axis=-1)
+    shape = _grid_shape(total, integer_q(q, 2, "count_grid"))
+    head = np.stack(np.indices(shape), axis=-1)
     last = total - head.sum(axis=-1, keepdims=True)
     return np.concatenate([head, last], axis=-1), last[..., 0] >= 0
 
 
-def _class_color_laws(sizes, p: float, q: int) -> dict[int, np.ndarray]:
-    """{m: class_color_laws' law at m} for m in sizes, normalised by the
-    identity; sum_{i<j} k_i k_j = (m^2 - sum_i k_i^2)/2 is exact in ints."""
+def class_color_laws(sizes, p: float, q: int) -> dict[int, np.ndarray]:
+    """{m: the color-count law of a class of m vertices after one SW step}
+    for m in sizes: the product form above, in the layout with total m and
+    normalised by the identity; sum_{i<j} k_i k_j = (m^2 - sum_i k_i^2)/2
+    is exact in ints."""
     q = integer_q(q, 2, "class_color_laws")
     lf = _log_factorials(max(sizes))
     b = log_cluster_weight(max(sizes), p, 1.0 / q) - lf  # log Z_k(1/q) - log k!
@@ -210,29 +214,24 @@ def _class_color_laws(sizes, p: float, q: int) -> dict[int, np.ndarray]:
     return laws
 
 
-def class_color_laws(mmax: int, p: float, q: int) -> list[np.ndarray]:
-    """For m = 0..mmax, the color-count law of a class of m vertices after
-    one SW step (the product form above), in the layout with total m."""
-    return list(_class_color_laws(range(mmax + 1), p, q).values())
-
-
 def one_step_law(counts, lam: float, q: int,
-                 laws: list[np.ndarray] | None = None) -> np.ndarray:
+                 laws: dict[int, np.ndarray] | None = None) -> np.ndarray:
     """Exact law of the next count vector of SW from the given counts.
 
     The classes percolate and recolor independently: the law is the FFT
     convolution of their class_color_laws on the full grid (no wrap-around),
     with absolute rounding errors of order 1e-16; sub-rounding negatives
-    are set to 0. laws, if given, is class_color_laws(mmax, lam/n, q) for
-    some mmax >= max(counts); if not, only the sizes in counts are built.
+    are set to 0. laws, if given, is class_color_laws(sizes, lam/n, q) for
+    sizes holding every count; if not, only the sizes in counts are built.
+    The size of the (N+1)^(q-1) grid is checked before any law is built.
     """
     q = integer_q(q, 2, "one_step_law")
     counts = [int(c) for c in counts]
     if len(counts) != q:
         raise ValueError(f"need {q} counts, got {len(counts)}")
+    shape, axes = _grid_shape(sum(counts), q), list(range(q - 1))
     if laws is None:
-        laws = _class_color_laws(set(counts), lam / sum(counts), q)
-    shape, axes = (sum(counts) + 1,) * (q - 1), list(range(q - 1))
+        laws = class_color_laws(set(counts), lam / sum(counts), q)
     spectrum = np.fft.rfftn(laws[counts[0]], shape, axes)
     for c in counts[1:]:  # in class order, one spectrum at a time
         spectrum *= np.fft.rfftn(laws[c], shape, axes)
@@ -284,7 +283,7 @@ def escape_time_law(n: int, lam: float, q: int, rho: float,
     grid, valid = count_grid(n, q)
     inside = valid & is_balanced(grid, rho)
     states = grid[inside]
-    laws = class_color_laws(int(states.max()), lam / n, q)
+    laws = class_color_laws(np.unique(states).tolist(), lam / n, q)
     mat = np.array([one_step_law(c, lam, q, laws)[inside] for c in states])
     start = balanced_counts(n, int(q))  # q checked by count_grid
     hits = np.flatnonzero((states == start).all(axis=1))

@@ -147,18 +147,12 @@ def _digit_matrix(count: int, base: int, width: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MeasureTable:
-    """Fully enumerated probability vector over the indexed state space."""
+    """Fully enumerated probability vector over the indexed states of n
+    vertices."""
 
-    kind: str  # "fk" or "potts"
     n: int
-    q: float
-    lam: float
     probs: np.ndarray
     log_norm: float
-
-    @property
-    def size(self) -> int:
-        return self.probs.shape[0]
 
 
 def _normalize_log_weights(logw: np.ndarray) -> tuple[np.ndarray, float]:
@@ -179,7 +173,7 @@ def enumerate_fk_measure(n: int, lam: float, q: float) -> MeasureTable:
     if not (0 <= n <= _FK_N_MAX):
         raise ValueError(f"exact enumeration limited to 0 <= n <= {_FK_N_MAX}, got {n}")
     if n == 0:
-        return MeasureTable("fk", 0, q, lam, np.array([1.0]), 0.0)
+        return MeasureTable(0, np.array([1.0]), 0.0)
     if not 0 < q < math.inf:
         raise ValueError(f"cluster weight must be positive and finite, got {q!r}")
     if not (0.0 <= lam < n):
@@ -190,12 +184,12 @@ def enumerate_fk_measure(n: int, lam: float, q: float) -> MeasureTable:
     if p == 0.0:
         probs = np.zeros(1 << c)
         probs[0] = 1.0
-        return MeasureTable("fk", n, q, lam, probs, n * math.log(q))
+        return MeasureTable(n, probs, n * math.log(q))
     logw = (ecnt * math.log(p) + (c - ecnt) * math.log1p(-p)
             + kcnt * math.log(q)).astype(np.float64)
     probs, log_norm = _normalize_log_weights(logw)
     probs.flags.writeable = False
-    return MeasureTable("fk", n, q, lam, probs, log_norm)
+    return MeasureTable(n, probs, log_norm)
 
 
 def enumerate_potts_measure(n: int, q: int, lam: float) -> MeasureTable:
@@ -214,7 +208,7 @@ def enumerate_potts_measure(n: int, q: int, lam: float) -> MeasureTable:
         h += cnt * (cnt - 1) // 2
     probs, log_norm = _normalize_log_weights((beta / n) * h)
     probs.flags.writeable = False
-    return MeasureTable("potts", n, q, lam, probs, log_norm)
+    return MeasureTable(n, probs, log_norm)
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,31 @@ def test_a_fixed_point_is_attracting(q, margin):
     assert abs(deriv) < 1.0
 
 
+def test_a_fixed_point_is_one_where_the_root_rounds_to_one():
+    # 1 - a is about 2 exp(-lam) at q = 3, below the spacing of floats
+    # near 1 from about lam = 37 on
+    for lam in (37.0, 40.0, 100.0):
+        assert a_fixed_point(lam, 3) == 1.0
+        assert theta_r(lam, 3.0) == 1.0
+
+
+# Theta_r at lam = lambda_s(q) + 1e-7: the root of the 50-digit mpmath
+# findroot of exp(-lam*x) - 1 + q*x/(1 + (q-1)*x) next to theta_r's value,
+# with the left side positive on a grid of 1000 points above it
+THETA_R_NEAR_LAMBDA_S = {3: 0.37744352769221767686, 4: 0.50731956036951111137,
+                         10: 0.69944868304747762644}
+
+
+@pytest.mark.parametrize("q", sorted(THETA_R_NEAR_LAMBDA_S))
+def test_ordered_root_just_above_lambda_s(q):
+    # the stretch where the equation is < 0 is narrower than the scan step
+    # here, so the root is bisected from the closed-form minimum
+    lam = critical_points(float(q)).lambda_s + 1e-7
+    a, tr = a_fixed_point(lam, q), theta_r(lam, float(q))
+    assert tr == (q * a - 1.0) / (q - 1.0)
+    assert abs(tr - THETA_R_NEAR_LAMBDA_S[q]) < 1e-10
+
+
 def test_theta_r_closed_form_at_critical():
     for q in (3.0, 4.0, 10.0):
         lam_c = critical_points(q).lambda_c

@@ -59,6 +59,11 @@ def test_drift_table_and_fixed_points(capsys):
                        "--lambda", str(4 * math.log(2)), "--fixed-points")
     assert code == 0
     assert json.loads(out)["a_lambda"] == pytest.approx(2 / 3, abs=1e-8)
+    for lam in ("40", "100"):  # 1 - a is below the float spacing near 1
+        code, out, _ = run(capsys, "drift", "--q", "3", "--lambda", lam,
+                           "--fixed-points")
+        assert code == 0
+        assert json.loads(out)["a_lambda"] == json.loads(out)["theta_r"] == 1.0
 
 
 def test_lambda_beta_exclusivity(capsys):

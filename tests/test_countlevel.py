@@ -18,16 +18,17 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
+from mcd import countlevel
 from mcd.countlevel import (
     class_color_laws,
     count_grid,
     escape_time_law,
     exit_probability,
     expected_largest,
-    largest_component_cdf,
     log_cluster_weight,
     log_component_law,
     log_connectivity,
+    log_largest_cdf,
     majority_law,
     one_step_law,
     stationary_count_law,
@@ -80,14 +81,15 @@ def test_gnp_laws_match_enumeration(n, lam):
     conn, comp0, cdf = _gnp_laws(n, p)
     assert abs(math.exp(log_connectivity(n, p)[n]) - conn) < 1e-12
     assert np.max(np.abs(np.exp(log_component_law(n, p)) - comp0)) < 1e-12
-    assert np.max(np.abs(largest_component_cdf([n], p, n + 2)[:n + 1] - cdf)) < 1e-12
-    assert largest_component_cdf([n], p, n + 2)[-1] == pytest.approx(1.0, abs=1e-12)
+    got = np.exp(log_largest_cdf([n], p, n + 2))
+    assert np.max(np.abs(got[:n + 1] - cdf)) < 1e-12
+    assert got[-1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_largest_cdf_of_a_union_is_the_product():
     p = 0.4
     cdf2, cdf4 = _gnp_laws(2, p)[2], _gnp_laws(4, p)[2]
-    union = largest_component_cdf([2, 4], p, 4)
+    union = np.exp(log_largest_cdf([2, 4], p, 4))
     want = np.append(cdf2, [1.0, 1.0]) * cdf4
     assert np.max(np.abs(union - want)) < 1e-12
 
@@ -125,17 +127,31 @@ def test_component_and_class_laws_are_normalised():
     for m in (1, 50, 134):
         assert np.exp(log_component_law(m, p, log_conn)).sum() == pytest.approx(1.0, abs=1e-12)
     for q in (2, 3):
-        laws = class_color_laws(134, p, q)
-        for m, law in enumerate(laws):
+        laws = class_color_laws(range(135), p, q)
+        for m, law in laws.items():
             assert law.shape == (m + 1,) * (q - 1)
             assert law.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_grids_above_the_state_bound_are_refused_before_any_law(monkeypatch):
+    # five classes of 40: a 201^4 box, whose spectra alone would need tens
+    # of GB; no class law may be built before the refusal
+    def unbuilt(*args):
+        raise AssertionError("class law built before the size check")
+
+    monkeypatch.setattr(countlevel, "class_color_laws", unbuilt)
+    for path in (lambda: one_step_law([40] * 5, 1.5, 5),
+                 lambda: exit_probability([40] * 5, 1.5, 5, 0.1),
+                 lambda: count_grid(200, 5)):
+        with pytest.raises(ValueError, match="count grid 1632240801 exceeds 4000000"):
+            path()
 
 
 def test_integral_float_q_is_an_int_and_others_raise():
     counts = [2, 1, 2]
     same = [
         lambda q: count_grid(5, q)[0],
-        lambda q: class_color_laws(5, 0.3, q)[5],
+        lambda q: class_color_laws([5], 0.3, q)[5],
         lambda q: one_step_law(counts, 1.5, q),
         lambda q: exit_probability(counts, 1.5, q, 0.2),
         lambda q: escape_time_law(5, 1.5, q, 0.2, 3).survival,

@@ -11,7 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mcd.experiments
-from mcd.analytic import RegimeError, cm_drift, sw_drift
+from scipy.stats import binom
+
+from mcd.analytic import RegimeError, a_fixed_point, cm_drift, sw_drift
 from mcd.cli import main
 from mcd.dynamics import sw_size_step
 from mcd.experiments import (
@@ -31,7 +33,8 @@ from mcd.experiments import (
     spins_with_majority,
     sw_drift_map,
 )
-from mcd.model import majority_counts
+from mcd.countlevel import count_grid, one_step_law
+from mcd.model import is_ordered, majority_counts
 from mcd.report import (
     ExperimentReport,
     ReportCell,
@@ -112,6 +115,35 @@ def test_one_step_exit_ordered_needs_fixed_point():
         one_step_exit([30], 2.0, 3, 0.05, "ordered", 10, 7)
     with pytest.raises(ValueError):
         one_step_exit([30], 2.0, 3, 0.05, "sideways", 10, 7)
+
+
+def test_ordered_start_exits_at_the_exact_one_step_rate():
+    # the exact exit is one_step_law from majority_counts(n, 3, round(a*n))
+    # summed over the count vectors outside is_ordered; each sampled count
+    # of exits must lie in the Binomial central range of mass 1 - 1e-6
+    a, rho, seed = a_fixed_point(LAMBDA_C3, 3), 0.08, 3203
+
+    def exact_exit(n):
+        row = one_step_law(majority_counts(n, 3, round(a * n)), LAMBDA_C3, 3)
+        grid, valid = count_grid(n, 3)
+        return float(row[valid & ~is_ordered(grid, rho, a)].sum())
+
+    def in_range(hits, replicas, p):
+        lo, hi = binom.interval(1 - 1e-6, replicas, p)
+        return lo <= hits <= hi
+
+    grid, replicas = [60, 120, 240], 2000
+    exact = [exact_exit(n) for n in grid]
+    assert [round(p, 4) for p in exact] == [0.4265, 0.2027, 0.0599]
+    rep = one_step_exit(grid, LAMBDA_C3, 3, rho, "ordered", replicas, seed)
+    for cell, p in zip(rep.cells, exact):
+        assert cell.extra["start"] == "ordered"
+        assert in_range(cell.extra["exits"], replicas, p), (cell.n, cell.extra, p)
+    # a cap of 1 censors exactly the replicas still ordered after one step
+    replicas = 400
+    rep = escape_time([30], LAMBDA_C3, 3, rho, "ordered", replicas, seed, cap=1)
+    stayed = round(rep.cells[0].extra["censored_frac"] * replicas)
+    assert in_range(stayed, replicas, 1.0 - exact_exit(30))
 
 
 def test_escape_time_censoring():

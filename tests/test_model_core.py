@@ -3,6 +3,7 @@ import dataclasses
 import importlib
 import math
 import pickle
+import runpy
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from mcd.analytic import a_fixed_point
-from mcd.countlevel import class_color_laws, one_step_law
+from mcd.countlevel import class_color_laws, exit_probability, one_step_law
 from mcd.dynamics import sample_gnp, sw_step
 from mcd.experiments import bimodality_scan, escape_time, one_step_exit, sw_drift_map
 from mcd.indexing import (
@@ -32,6 +33,7 @@ from mcd.model import (
     _edge_config_presorted,
     cluster_decompose,
     in_balanced_set,
+    balanced_counts,
     in_ordered_set,
     is_ordered,
     s_m_vertices,
@@ -237,7 +239,7 @@ def _sw_step(q):
 INTEGER_Q_PATHS = {  # name: (least q, the path run at q)
     "SpinConfig": (1, lambda q: SpinConfig(colors=np.array([1, 3, 3]), q=q)),
     "sw_step": (2, _sw_step),
-    "class_color_laws": (2, lambda q: class_color_laws(4, 0.3, q)),
+    "class_color_laws": (2, lambda q: class_color_laws(range(5), 0.3, q)),
     "one_step_law": (2, lambda q: one_step_law([2, 1, 2], 1.5, q)),
     "build_kernel_sw": (2, lambda q: build_kernel("sw", 3, q, 1.0)),
     "enumerate_potts_measure": (1, lambda q: enumerate_potts_measure(3, q, 1.0)),
@@ -542,7 +544,7 @@ def test_one_replica_range_is_the_stream():
 
 
 # ---------------------------------------------------------------------------
-# the benchmark's imports
+# the benchmark's imports and exact references
 
 def test_benchmark_imports_exist():
     # perfbench imports from the package without running here; a name it
@@ -558,3 +560,14 @@ def test_benchmark_imports_exist():
     missing = [(module, name) for module, name in imported
                if not hasattr(importlib.import_module(module), name)]
     assert missing == []
+
+
+def test_benchmark_references_are_the_exact_values():
+    # the workload checks compare samples with these hard-coded numbers;
+    # the module is read, never edited
+    refs = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "workloads.py"))
+    lam, q = refs["LAMBDA_C3"], refs["EXIT_Q"]
+    assert refs["EXIT_EXACT"] == {
+        n: round(exit_probability(balanced_counts(n, q), lam, q, refs["EXIT_RHO"]), 4)
+        for n in refs["EXIT_N"]}
+    assert abs(refs["CHAIN_A"] - a_fixed_point(lam, refs["CHAIN_Q"])) < 1e-12

@@ -648,7 +648,7 @@ def test_cuts_are_taken_on_the_support_of_pi():
     # support {0, 1} has Q = 1/4 and pi(S) pi(S^c) = 1/4
     K = sp.csr_matrix(np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0],
                                 [0.5, 0.0, 0.5]]))
-    measure = MeasureTable("toy", 3, 1.0, 0.0, np.array([0.5, 0.5, 0.0]), 0.0)
+    measure = MeasureTable(3, np.array([0.5, 0.5, 0.0]), 0.0)
     kernel = KernelTable(K, "toy", np.arange(3), measure)
     cuts = sweep_cuts(kernel)
     assert len(cuts) == 1 and not cuts[0][2]
@@ -663,8 +663,7 @@ def test_cut_masses_keep_a_side_below_the_rounding_of_one():
     # own mass gives Q/(pi(S) pi(S^c)) = (0.5 * 1e-18)/1e-18 = 0.5 for the
     # cut {0} | {1, 2}, and the other two cuts have ratio 1
     K = np.array([[0.5, 0.5, 0.0], [1e-18, 0.5, 0.5], [0.0, 0.5, 0.5]])
-    measure = MeasureTable("toy", 3, 1.0, 0.0,
-                           np.array([1e-18, 0.5, 0.5]), 0.0)
+    measure = MeasureTable(3, np.array([1e-18, 0.5, 0.5]), 0.0)
     kernel = KernelTable(sp.csr_matrix(K), "toy", np.arange(3), measure)
     assert measure.probs[1:].sum() == 1.0
     light = np.array([True, False, False])

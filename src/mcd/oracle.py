@@ -34,6 +34,15 @@ pair plus the diagonal, so CSR. Dumps use the per-state CSR
 of pi; P depends only on classes, so every cut, one that splits an sw
 class included, is scored exactly on the class form.
 
+The structure of a glauber or sw kernel, which no weight enters, is
+computed once and held read-only, as the partition table is: per n, the
+glauber CSR pattern with one code per entry (pair set, endpoints connected
+without it), 3.4 MB at n = 6; per (n, q), the sw mask classes, the
+percolation pattern over one mask per class and the Potts pair counts,
+0.4 MB at n = 6, q = 4. A build computes only the weights of its q and
+lam, so builds at one n after the first skip the structure, and a single
+build (one `mcd oracle` call) does no more work than it did without it.
+
 The cluster-coloring checks loop over the class colorings of the
 vertices: given one, the conditional law is a tensor with one axis per
 class, over the edge sets inside that class, so the class marginals are
@@ -66,6 +75,12 @@ _POTTS_STATES_MAX = 10 ** 6
 _partition_tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
+def _read_only(*arrays: np.ndarray) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def mask_partition_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For every C(n,2)-bit edge mask: per-vertex component labels
     (smallest member), component count, and edge count.
@@ -95,10 +110,7 @@ def mask_partition_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         labels[lo:hi] = np.where(rows == drop, keep, rows)
         kcnt[lo:hi] = kcnt[:lo] - (la != lb)
         ecnt[lo:hi] = ecnt[:lo] + 1
-    labels.flags.writeable = False
-    kcnt.flags.writeable = False
-    ecnt.flags.writeable = False
-    _partition_tables[n] = (labels, kcnt, ecnt)
+    _partition_tables[n] = _read_only(labels, kcnt, ecnt)
     return _partition_tables[n]
 
 
@@ -192,6 +204,24 @@ def enumerate_fk_measure(n: int, lam: float, q: float) -> MeasureTable:
     return MeasureTable(n, probs, log_norm)
 
 
+def _pair_counts(n: int, q: int) -> np.ndarray:
+    """Per coloring, in codec order, its number of monochromatic pairs."""
+    digits = _digit_matrix(q ** n, q, n)
+    h = np.zeros(q ** n, dtype=np.int64)
+    for color in range(q):
+        cnt = (digits == color).sum(axis=1)
+        h += cnt * (cnt - 1) // 2
+    return h
+
+
+def _potts_measure(h: np.ndarray, n: int, lam: float) -> MeasureTable:
+    """The mean-field Potts measure on the colorings with pair counts h."""
+    beta = -n * math.log1p(-lam / n)
+    probs, log_norm = _normalize_log_weights((beta / n) * h)
+    probs.flags.writeable = False
+    return MeasureTable(n, probs, log_norm)
+
+
 def enumerate_potts_measure(n: int, q: int, lam: float) -> MeasureTable:
     """The mean-field Potts measure over all q^n colorings: weight
     exp((beta/n) * #{monochromatic pairs}) with beta = -n*log(1 - lam/n)."""
@@ -200,15 +230,7 @@ def enumerate_potts_measure(n: int, q: int, lam: float) -> MeasureTable:
         raise ValueError(f"q^n = {q ** n} exceeds {_POTTS_STATES_MAX}")
     if not (0.0 <= lam < n):
         raise ValueError(f"need 0 <= lam < n, got lam={lam!r}")
-    beta = -n * math.log1p(-lam / n)
-    digits = _digit_matrix(q ** n, q, n)
-    h = np.zeros(q ** n, dtype=np.int64)
-    for color in range(q):
-        cnt = (digits == color).sum(axis=1)
-        h += cnt * (cnt - 1) // 2
-    probs, log_norm = _normalize_log_weights((beta / n) * h)
-    probs.flags.writeable = False
-    return MeasureTable(n, probs, log_norm)
+    return _potts_measure(_pair_counts(n, q), n, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +254,19 @@ class Chain:
 
     @functools.cached_property
     def balance_violation(self) -> float:
-        """max over classes of |pi_a K_ab - pi_b K_ba|; only the scalar is kept."""
-        d = _values(_with_transpose(_scaled(self.K, self.pi), np.subtract))
-        return float(np.abs(d, out=d).max(initial=0.0))
+        """max over classes of |pi_a K_ab - pi_b K_ba|; only the scalar is
+        kept. A dense K is read one pair of square tiles at a time, as
+        _with_transpose reads it, so no full-size array is made."""
+        K, pi = self.K, self.pi
+        if sp.issparse(K):
+            d = _with_transpose(_scaled(K, pi), np.subtract).data
+            return float(np.abs(d, out=d).max(initial=0.0))
+        worst = [0.0]  # np.max of the tiles' maxima keeps a NaN
+        for rows, cols in _tile_pairs(pi.size):
+            d = K[rows, cols] * pi[rows, None]
+            d -= (K[cols, rows] * pi[cols, None]).T
+            worst.append(np.abs(d, out=d).max(initial=0.0))
+        return float(np.max(worst))
 
 
 @dataclass(frozen=True)
@@ -291,13 +323,15 @@ def _scaled(K: np.ndarray | sp.csr_matrix, row: np.ndarray,
     return type(K)((data, K.indices, K.indptr), shape=K.shape)
 
 
-def _values(m: np.ndarray | sp.csr_matrix) -> np.ndarray:
-    """The stored values of m, to work on in place: a CSR's data, or a
-    dense array itself."""
-    return m.data if sp.issparse(m) else m
-
-
 _TILE = 128
+
+
+def _tile_pairs(count: int):
+    """The square tiles (rows, cols) of a count x count array on and above
+    the diagonal, as slices."""
+    for lo in range(0, count, _TILE):
+        for lo2 in range(lo, count, _TILE):
+            yield slice(lo, lo + _TILE), slice(lo2, lo2 + _TILE)
 
 
 def _with_transpose(m: np.ndarray | sp.csr_matrix, op) -> np.ndarray | sp.csr_matrix:
@@ -312,17 +346,14 @@ def _with_transpose(m: np.ndarray | sp.csr_matrix, op) -> np.ndarray | sp.csr_ma
     full-size copy of m.T is made, and each entry still gets one op on the
     same two operands."""
     if not sp.issparse(m):
-        count = m.shape[0]
-        for lo in range(0, count, _TILE):
-            rows = slice(lo, lo + _TILE)
-            a = m[rows, rows]
-            op(a, a.T.copy(), out=a)
-            for lo2 in range(lo + _TILE, count, _TILE):
-                cols = slice(lo2, lo2 + _TILE)
-                a, b = m[rows, cols], m[cols, rows]
-                at = a.T.copy()
-                op(a, b.T.copy(), out=a)
-                op(b, at, out=b)
+        for rows, cols in _tile_pairs(m.shape[0]):
+            a, b = m[rows, cols], m[cols, rows]
+            if rows == cols:
+                op(a, a.T.copy(), out=a)
+                continue
+            at = a.T.copy()
+            op(a, b.T.copy(), out=a)
+            op(b, at, out=b)
         return m
     t = m.T.tocsr()
     if not (np.array_equal(t.indptr, m.indptr)
@@ -332,16 +363,27 @@ def _with_transpose(m: np.ndarray | sp.csr_matrix, op) -> np.ndarray | sp.csr_ma
     return m
 
 
-def _bernoulli_submasks(positions: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+def _submasks(positions: np.ndarray) -> np.ndarray:
     """All submasks over the bit positions in the last axis of `positions`
-    (distinct within a row), with their Bernoulli(p) product weights: masks
-    of shape positions.shape[:-1] + (2^t,), and the 2^t weights."""
-    t = positions.shape[-1]
-    bits = ((np.arange(1 << t, dtype=np.int64)[:, None]
-             >> np.arange(t, dtype=np.int64)) & 1)
-    masks = (np.int64(1) << positions) @ bits.T
-    e = bits.sum(axis=1)
-    return masks, p ** e * (1.0 - p) ** (t - e)
+    (distinct within a row), of shape positions.shape[:-1] + (2^t,):
+    submask j holds the positions of the set bits of j. Built by doubling:
+    the submasks below 2^(i+1) are those below 2^i, then those with
+    position i added."""
+    masks = np.zeros(positions.shape[:-1] + (1,), dtype=np.int64)
+    for i in range(positions.shape[-1]):
+        added = masks | (np.int64(1) << positions[..., i, None])
+        masks = np.concatenate((masks, added), axis=-1)
+    return masks
+
+
+def _bernoulli_weights(t: int, p: float) -> np.ndarray:
+    """The Bernoulli(p) product weights p^e (1-p)^(t-e) of the 2^t
+    submasks of a t-bit mask, in the order of _submasks (e doubles as
+    they do)."""
+    e = np.zeros(1, dtype=np.int64)
+    for _ in range(t):
+        e = np.concatenate((e, e + 1))
+    return p ** e * (1.0 - p) ** (t - e)
 
 
 def _mono_masks(n: int, q: int) -> np.ndarray:
@@ -352,23 +394,41 @@ def _mono_masks(n: int, q: int) -> np.ndarray:
         np.int64(1) << np.arange(num_pairs(n), dtype=np.int64))
 
 
+def _percolation_pattern(mono: np.ndarray, n: int) -> tuple:
+    """The percolation push's structure, which p does not enter: the
+    canonical CSR indptr and indices (int32, rows as in mono, each row's
+    submasks of its mask in the order of _submasks), per entry its index
+    into _percolation_weights, and the mask sizes those weights list."""
+    bits = (mono[:, None] >> np.arange(num_pairs(n), dtype=np.int64)) & 1
+    t = bits.sum(axis=1)
+    indptr = np.zeros(mono.size + 1, dtype=np.int32)
+    np.cumsum(np.int64(1) << t, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    weight = np.empty(indptr[-1], dtype=np.int32)
+    sizes = np.unique(t).tolist()
+    offset = 0
+    for k in sizes:
+        sel = np.flatnonzero(t == k)
+        slots = indptr[sel, None] + np.arange(1 << k)
+        indices[slots] = _submasks(np.nonzero(bits[sel])[1].reshape(sel.size, k))
+        weight[slots] = offset + np.arange(1 << k)
+        offset += 1 << k
+    return indptr, indices, weight, tuple(sizes)
+
+
+def _percolation_weights(sizes: tuple, p: float) -> np.ndarray:
+    """The weights _percolation_pattern's entries index: the Bernoulli(p)
+    submask weights of each mask size in turn."""
+    return np.concatenate([_bernoulli_weights(t, p) for t in sizes])
+
+
 def _percolation_factor(mono: np.ndarray, n: int, p: float) -> sp.csr_matrix:
     """Edwards-Sokal percolation push: row i is the law of the open pair
     set when each pair of the mask mono[i] is kept independently with
     probability p (over _mono_masks: row sigma is P(omega | sigma))."""
-    bits = (mono[:, None] >> np.arange(num_pairs(n), dtype=np.int64)) & 1
-    t = bits.sum(axis=1)
-    rows, cols, vals = [], [], []
-    for k in np.unique(t).tolist():
-        sel = np.flatnonzero(t == k)
-        pos = np.nonzero(bits[sel])[1].reshape(sel.size, k)
-        masks, w = _bernoulli_submasks(pos, p)
-        rows.append(np.repeat(sel, w.size))
-        cols.append(masks.ravel())
-        vals.append(np.tile(w, sel.size))
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(mono.size, 1 << num_pairs(n)))
+    indptr, indices, weight, sizes = _percolation_pattern(mono, n)
+    return sp.csr_matrix((_percolation_weights(sizes, p)[weight], indices, indptr),
+                         shape=(mono.size, 1 << num_pairs(n)))
 
 
 def _recolor_factor(n: int, q: int) -> sp.csr_matrix:
@@ -392,6 +452,32 @@ def _recolor_factor(n: int, q: int) -> sp.csr_matrix:
         shape=(1 << num_pairs(n), q ** n))
 
 
+# The structure of the glauber and sw kernels, which lam (and, for glauber,
+# q) does not enter, is computed once per n for glauber and once per (n, q)
+# for sw and held read-only, as the partition table is; a build then
+# computes only its weights. The sw dict keeps its last _SW_PATTERNS_MAX
+# keys, since its guard admits some 10^4 values of q at n = 1
+_glauber_patterns: dict[int, tuple] = {}
+_sw_patterns: dict[tuple[int, int], tuple] = {}
+_SW_PATTERNS_MAX = 16
+
+
+def _sw_pattern(n: int, q: int) -> tuple:
+    """The sw kernel's structure at (n, q): the mask class of each
+    coloring, the percolation pattern over one mask per class and the
+    Potts pair counts."""
+    key = (n, q)
+    if key in _sw_patterns:
+        return _sw_patterns[key]
+    masks, classes = np.unique(_mono_masks(n, q), return_inverse=True)
+    indptr, indices, weight, sizes = _percolation_pattern(masks, n)
+    if len(_sw_patterns) >= _SW_PATTERNS_MAX:
+        del _sw_patterns[next(iter(_sw_patterns))]
+    _sw_patterns[key] = (*_read_only(classes, indptr, indices, weight,
+                                     _pair_counts(n, q)), sizes)
+    return _sw_patterns[key]
+
+
 def _sw_kernel(n: int, q: int, lam: float) -> KernelTable:
     q = integer_q(q, 2, "sw kernel")
     if q ** n > 10 ** 4:
@@ -406,15 +492,15 @@ def _sw_kernel(n: int, q: int, lam: float) -> KernelTable:
     # percolation factor transposed. An entry sums up to 2^C terms;
     # extended precision keeps it within rounding of the exact value
     # (float64 accumulation drifts by ~5e-14 at n = 6)
-    masks, classes = np.unique(_mono_masks(n, q), return_inverse=True)
-    perc = _percolation_factor(masks, n, lam / n)
+    classes, indptr, indices, weight, h, sizes = _sw_pattern(n, q)
     _, kcnt, _ = mask_partition_table(n)
-    recolor = sp.csr_matrix(
-        (1.0 / q ** kcnt[perc.indices].astype(np.int64), perc.indices, perc.indptr),
-        shape=perc.shape).T
-    K = (perc.astype(np.longdouble) @ recolor.astype(np.longdouble)).toarray()
-    K = K.astype(np.float64)
-    return KernelTable(K, "sw", classes, enumerate_potts_measure(n, q, lam))
+    shape = (indptr.size - 1, 1 << num_pairs(n))
+    perc = _percolation_weights(sizes, lam / n).astype(np.longdouble)[weight]
+    recolor = (1.0 / q ** np.arange(n + 1, dtype=np.int64)).astype(np.longdouble)
+    K = (sp.csr_matrix((perc, indices, indptr), shape=shape)
+         @ sp.csr_matrix((recolor[kcnt[indices]], indices, indptr), shape=shape).T)
+    return KernelTable(K.toarray().astype(np.float64), "sw", classes,
+                       _potts_measure(h, n, lam))
 
 
 _SCATTER_ENTRIES = 1 << 18
@@ -445,7 +531,8 @@ def _cm_kernel(n: int, q: float, lam: float) -> KernelTable:
         sel = states[(states & cut) == 0]
         a = roots[sel] @ in_v
         w_act = (1.0 / q) ** a * (1.0 - 1.0 / q) ** (kcnt[sel] - a)
-        masks, w_sub = _bernoulli_submasks(np.flatnonzero(inside), p)
+        resampled = np.flatnonzero(inside)
+        masks, w_sub = _submasks(resampled), _bernoulli_weights(resampled.size, p)
         kept = sel & ~(inside @ pair_bits)
         # chunks bound the temporaries to _SCATTER_ENTRIES
         step = max(1, _SCATTER_ENTRIES // masks.size)
@@ -464,6 +551,46 @@ def _cm_kernel(n: int, q: float, lam: float) -> KernelTable:
     return KernelTable(P, "cm", states, enumerate_fk_measure(n, lam, q))
 
 
+def _glauber_pattern(n: int) -> tuple:
+    """The heat-bath kernel's structure at n: the canonical CSR indptr and
+    indices (int32), one code per entry, 2 [pair set] + [endpoints
+    connected without the pair], the codes of each state per pair (one row
+    per pair, in pair order) and the positions of the diagonal.
+
+    Row x holds x ^ 2^b for each pair b and x itself, in column order:
+    first the set bits from the highest down (slot = set bits above b),
+    then x (slot = popcount x), then the clear bits from the lowest up
+    (slot = popcount x + 1 + clear bits below b)."""
+    if n in _glauber_patterns:
+        return _glauber_patterns[n]
+    c = num_pairs(n)
+    size = 1 << c
+    pu, pv = all_pairs(n)
+    labels, _, ones = mask_partition_table(n)
+    states = np.arange(size, dtype=np.int64)
+    width = c + 1
+    base = states * width
+    indices = np.empty(size * width, dtype=np.int32)
+    codes = np.zeros(size * width, dtype=np.uint8)  # the diagonal is summed apart
+    pair_codes = np.empty((c, size), dtype=np.uint8)
+    below = np.zeros(size, dtype=np.int64)  # set bits below b
+    for b in range(c):
+        bit = np.int64(1) << b
+        wo = states & ~bit
+        is_set = (states & bit) != 0
+        pair_codes[b] = 2 * is_set + (labels[wo, pu[b]] == labels[wo, pv[b]])
+        rank = ones - below  # set bits at or above b
+        slot = base + np.where(is_set, rank - 1, rank + 1 + b)
+        indices[slot] = states ^ bit
+        codes[slot] = pair_codes[b]
+        below += is_set
+    diagonal = (base + ones).astype(np.int32)
+    indices[diagonal] = states
+    indptr = np.arange(0, size * width + 1, width, dtype=np.int32)
+    _glauber_patterns[n] = _read_only(indptr, indices, codes, pair_codes, diagonal)
+    return _glauber_patterns[n]
+
+
 def _glauber_kernel(n: int, q: float, lam: float) -> KernelTable:
     if n > 6:
         raise ValueError(f"glauber kernel limited to n <= 6, got {n}")
@@ -472,39 +599,23 @@ def _glauber_kernel(n: int, q: float, lam: float) -> KernelTable:
     p = lam / n
     c = num_pairs(n)
     size = 1 << c
-    pu, pv = all_pairs(n)
-    labels_tbl, _, ones = mask_partition_table(n)
     states = np.arange(size, dtype=np.int64)
     if c == 0:  # one vertex, no pair to update: the chain stays put
         return KernelTable(sp.identity(1, format="csr"), "glauber", states,
                            enumerate_fk_measure(n, lam, q))
-    # row x holds x ^ 2^b for each pair b and x itself, in column order:
-    # first the set bits from the highest down (slot = set bits above b),
-    # then x (slot = popcount x), then the clear bits from the lowest up
-    # (slot = popcount x + 1 + clear bits below b). The diagonal sums the
-    # pairs' stay weights in pair order
-    width = c + 1
-    base = states * width
-    indices = np.empty(size * width, dtype=np.int32)
-    data = np.empty(size * width)
+    indptr, indices, codes, pair_codes, diagonal = _glauber_pattern(n)
+    # a pair is open after the update with probability r, which depends on
+    # whether its endpoints are connected without it; by code, an entry is
+    # r/c (opening) or (1 - r)/c (closing), and the pair's stay weight on
+    # the diagonal is the other of the two
+    r = np.array([p / (p + q * (1.0 - p)), p])
+    values = np.concatenate((r / c, (1.0 - r) / c))
+    data = values[codes]
+    stay = values[[2, 3, 0, 1]]
     diag = np.zeros(size)
-    below = np.zeros(size, dtype=np.int64)  # set bits below b
-    for b in range(c):
-        bit = np.int64(1) << b
-        wo = states & ~bit
-        conn = labels_tbl[wo, pu[b]] == labels_tbl[wo, pv[b]]
-        r = np.where(conn, p, p / (p + q * (1.0 - p)))
-        up, down = r / c, (1.0 - r) / c
-        is_set = (states & bit) != 0
-        rank = ones - below  # set bits at or above b
-        slot = base + np.where(is_set, rank - 1, rank + 1 + b)
-        indices[slot] = states ^ bit
-        data[slot] = np.where(is_set, down, up)
-        diag += np.where(is_set, up, down)
-        below += is_set
-    indices[base + ones] = states
-    data[base + ones] = diag
-    indptr = np.arange(0, size * width + 1, width, dtype=np.int32)
+    for row in pair_codes:  # the diagonal sums the stay weights in pair order
+        diag += stay[row]
+    data[diagonal] = diag
     return KernelTable(sp.csr_matrix((data, indices, indptr), shape=(size, size)),
                        "glauber", states, enumerate_fk_measure(n, lam, q))
 
@@ -532,10 +643,10 @@ def build_kernel(kind: str, n: int, q: float, lam: float) -> KernelTable:
 def stationarity_residual(chain: Chain) -> float:
     """L1 norm of pi P - pi over the states: sum_b c_b |(pi C K)_b - pi_b|
     for the class sizes c. Class b of (pi C K) is sum_a c_a pi_a K[a, b];
-    on a dense K that is a column sum, which adds the rows in order, as the
-    sparse product does, and makes no BLAS call."""
+    on a dense K, einsum adds the scaled rows in order, as the sparse
+    product does, with no full-size temporary and no BLAS call."""
     K, w = chain.K, chain.pi * chain.sizes
-    flow = w @ K if sp.issparse(K) else _scaled(K, w).sum(axis=0)
+    flow = w @ K if sp.issparse(K) else np.einsum("i,ij->j", w, K)
     return float((np.abs(flow - chain.pi) * chain.sizes).sum())
 
 
@@ -553,7 +664,7 @@ def _symmetrized(K: np.ndarray | sp.csr_matrix, sizes: np.ndarray,
     s = np.sqrt(pi)
     r = np.sqrt(sizes)
     m = _with_transpose(_scaled(K, r * s, r / s), np.add)
-    _values(m)[...] *= 0.5
+    (m.data if sp.issparse(m) else m)[...] *= 0.5
     return m
 
 
@@ -870,8 +981,8 @@ def _cluster_coloring_check(n: int, lam: float, q: float,
         # products of edge sets inside the classes: axis i of the joint
         # lists class i's masks in its own local codec, and a state weighs
         # its FK probability times w[i] per cluster (root) in class i
-        axes = [_bernoulli_submasks(np.flatnonzero((c[pu] == i) & (c[pv] == i)),
-                                    lam / n)[0] for i in range(w.size)]
+        axes = [_submasks(np.flatnonzero((c[pu] == i) & (c[pv] == i)))
+                for i in range(w.size)]
         states = functools.reduce(np.add.outer, axes)
         cluster_w = np.where(roots[states], w[c], 1.0).prod(axis=-1)
         joint = measure.probs[states] * cluster_w

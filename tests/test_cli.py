@@ -482,6 +482,23 @@ SIMULATE_SHA256 = {
 }
 
 
+# sha256 prefixes of `mcd oracle dump` CSVs: every stationary probability
+# and kernel entry as its repr, so a change to any bit of a kernel shows
+DUMP_SHA256 = {
+    ("--kind", "glauber", "--n", "4", "--q", "2", "--lambda", "1"): "cb4f734731f6320d",
+    ("--kind", "sw", "--n", "4", "--q", "3", "--lambda", "2.5"): "5e8be37219b5da88",
+    ("--kind", "cm", "--n", "4", "--q", "2.5", "--lambda", "1"): "d25ebe53d7aec632",
+}
+
+
+@pytest.mark.parametrize("argv", list(DUMP_SHA256), ids=lambda a: a[1])
+def test_oracle_dump_bytes_are_pinned(argv, tmp_path, capsys):
+    out = tmp_path / "kernel.csv"
+    code, _, _ = run(capsys, "oracle", "dump", *argv, "--out", str(out))
+    assert code == 0
+    assert_pinned(out.read_bytes(), DUMP_SHA256[argv])
+
+
 @pytest.mark.parametrize("argv", list(SIMULATE_SHA256), ids=lambda a: a[1])
 def test_simulate_bytes_are_pinned(argv, capsys):
     code, out, _ = run(capsys, "simulate", *argv, "--seed", "5")

@@ -597,6 +597,85 @@ def test_checks_leave_a_csr_kernel_unchanged(n, lam):
         assert np.array_equal(a, b)
 
 
+def _kernel_arrays(kernel):
+    K = kernel.K
+    stored = [K.data, K.indices, K.indptr] if sp.issparse(K) else [K]
+    return stored + [kernel.pi, kernel.classes, kernel.measure.probs,
+                     np.array(kernel.measure.log_norm)]
+
+
+def _cached_arrays(value):
+    """Every array held in a pattern cache, through nested tuples."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _cached_arrays(item)
+
+
+def _empty_caches(monkeypatch):
+    monkeypatch.setattr(oracle, "_glauber_patterns", {})
+    monkeypatch.setattr(oracle, "_sw_patterns", {})
+
+
+@pytest.mark.parametrize("kind,n,params", [
+    ("glauber", 5, [(2.0, 1.0), (0.7, 3.5)]),
+    ("sw", 4, [(3, 1.0), (2, 2.5), (3, 2.5)])])
+def test_kernels_built_on_a_cached_pattern_equal_fresh_builds(kind, n, params,
+                                                              monkeypatch):
+    # a build on the pattern an earlier (q, lam) left behind equals a
+    # build from empty caches, bit for bit, in either order
+    refs = {}
+    for qa in params:
+        _empty_caches(monkeypatch)
+        refs[qa] = _kernel_arrays(build_kernel(kind, n, *qa))
+    for order in (params, params[::-1]):
+        _empty_caches(monkeypatch)
+        for qa in order:
+            got = _kernel_arrays(build_kernel(kind, n, *qa))
+            for a, b in zip(got, refs[qa], strict=True):
+                assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                assert a.tobytes() == b.tobytes()
+
+
+def test_cached_patterns_refuse_writes(monkeypatch):
+    _empty_caches(monkeypatch)
+    kernel = build_kernel("glauber", 4, 2.0, 1.0)
+    build_kernel("sw", 4, 3, 1.0)
+    held = list(_cached_arrays([*oracle._glauber_patterns.values(),
+                                *oracle._sw_patterns.values()]))
+    assert held
+    for a in held:
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = a.flat[0]
+    # a glauber kernel holds the cached pattern itself
+    with pytest.raises(ValueError, match="read-only"):
+        kernel.K.indices[0] = 0
+
+
+def test_sw_pattern_cache_keeps_its_last_keys(monkeypatch):
+    _empty_caches(monkeypatch)
+    last = oracle._SW_PATTERNS_MAX + 4
+    for q in range(2, last):
+        build_kernel("sw", 1, q, 0.5)
+    assert list(oracle._sw_patterns) == [(1, q) for q in range(4, last)]
+
+
+def test_cached_patterns_stay_small(monkeypatch):
+    # every kind at every (n, q) the suite builds, up to n = 6
+    _empty_caches(monkeypatch)
+    for n in range(1, 7):
+        build_kernel("glauber", n, 2.0, 0.5)
+        build_kernel("cm", min(n, 5), 2.0, 0.5)
+    for n, q in [(1, 2), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4),
+                 (4, 10), (5, 2), (5, 3), (5, 4), (6, 2), (6, 3), (6, 4)]:
+        build_kernel("sw", n, q, 0.5)
+    assert len(oracle._sw_patterns) == 14
+    held = _cached_arrays([*oracle._glauber_patterns.values(),
+                           *oracle._sw_patterns.values()])
+    assert sum(a.nbytes for a in held) < 6e6
+
+
 # ---------------------------------------------------------------------------
 # conductance machinery
 

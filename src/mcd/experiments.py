@@ -1,33 +1,33 @@
 """Desk-scale experiments: metastable exit statistics, drift maps, cluster
 tails, and critical bimodality.
 
+Each experiment builds its cells' ModelParams(n, q, lam), q = 1 for
+G(n, lam/n), as it lists them, so an n not a positive integer, a lam
+outside (0, n) and an empty grid are refused before any worker starts.
 Replica r of a cell (experiment name plus cell tag) draws from its own
 stream, seeded by replica_seed(master_seed, cell name, r), in a fixed
 order. A task is a range of consecutive replicas of one cell: its worker
 gets one generator per replica, all seeded in one vectorized pass
 (rng.replica_generators, which gives each the state PCG64(seed) would),
-and returns one value per replica. The single-step workers
-(one_step_exit, the drift maps, sm_tail, giant_concentration) work on
-cluster sizes: each replica draws its graphs from its own generator (one
-G(m, p) per color class for SW, one graph otherwise), reading the stream
-the per-graph draws would (see the dynamics module docstring). One
-components call gives the whole range's component sizes in one flat array
+and returns one value per replica. The single-step workers (one_step_exit,
+the drift maps, sm_tail, giant_concentration) work on cluster sizes: each
+replica draws its graphs from its own generator (one G(m, p) per color
+class for SW, one graph otherwise), reading the stream the per-graph draws
+would (see the dynamics module docstring). One components call gives the
+whole range's component sizes in one flat array
 (dynamics.gnp_component_sizes), and the SW workers then draw each
-replica's cluster colors from its generator (dynamics.sw_size_step).
-They reduce sizes and counts and never build a per-vertex coloring. The
-escape_time worker runs per-vertex sw_step, and cluster_tail_bound's
-explores one cluster, each replica's whole draw sequence in turn.
-Each of bimodality_scan's two chains (bimodality_chains) is a one-replica
-cell, "bimodality:{s}:n={n}" for start s, and so one pool task whose
-worker runs per-vertex sw_step; the scan takes no thread count, as its two
-chains always run on two workers. Every stream sees the draws it would see
-alone, so results are reproducible bit-for-bit for a fixed master seed
-whatever the range sizes. All cells' tasks run on one pool per experiment
-call, and values are reduced in replica order after it completes, so they
-do not depend on the thread count either. Intervals are chosen in two
-places only: _proportion_cell gives a proportion its Wilson interval and
-_mean_cell a mean its percentile bootstrap interval (escape_time's
-censored median is the one cell built by hand).
+replica's cluster colors from its generator (dynamics.sw_size_step). They
+reduce sizes and counts and never build a per-vertex coloring. The
+escape_time and bimodality workers run sw_step and cluster_tail_bound's
+explores one cluster, each replica's whole draw sequence in turn; each
+bimodality chain is a one-replica cell. Every stream sees the draws it
+would see alone, so results are reproducible bit-for-bit for a fixed
+master seed whatever the range sizes. All cells' tasks run on one pool per
+experiment call, and values are reduced in replica order after it
+completes, so they do not depend on the thread count either. Intervals are
+chosen in two places only: _proportion_cell gives a proportion its Wilson
+interval and _mean_cell a mean its percentile bootstrap interval
+(escape_time's censored median is the one cell built by hand).
 
 Regime notes. The ordered start needs the ordered drift fixed point, so
 it raises RegimeError below lambda_s. The balanced start is built for any
@@ -91,28 +91,33 @@ _BATCH_VERTICES = 200_000
 
 
 def _task(args) -> list:
-    worker, master, name, r0, r1, params = args
-    return worker(replica_generators(master, name, r0, r1), *params)
+    worker, master, name, r0, r1, params, rest = args
+    return worker(replica_generators(master, name, r0, r1), params, *rest)
+
+
+def _nonempty(grid, what: str) -> list:
+    if len(grid) == 0:
+        raise ValueError(f"{what} grid must not be empty")
+    return grid
 
 
 def _run_replicas(worker, master_seed: int, cells, replicas: int,
                   threads: int) -> list[list]:
-    """worker(rngs, *params) over replicas 0..replicas-1 of every cell
-    (name, vertices per replica, params), in replica ranges on one pool.
-    Returns each cell's values in replica order. A long chain is a
-    one-replica cell, so each chain is one task."""
+    """worker(rngs, params, *args) over replicas 0..replicas-1 of every
+    cell (name, its ModelParams, args), in ranges of at most _BATCH_VERTICES
+    // params.n replicas on one pool; each cell's values in replica order."""
     if replicas < 1:
         raise ValueError(f"replicas must be at least 1, got {replicas!r}")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads!r}")
     tasks, bounds = [], []
-    for name, vertices, params in cells:
-        size = max(1, _BATCH_VERTICES // vertices)
+    for name, params, rest in cells:
+        size = max(1, _BATCH_VERTICES // params.n)
         if threads > 1:  # several ranges per worker, for load balance
             size = min(size, -(-replicas // (4 * threads)))
         bounds.append(len(tasks))
         tasks += [(worker, master_seed, name, r0, min(r0 + size, replicas),
-                   params) for r0 in range(0, replicas, size)]
+                   params, rest) for r0 in range(0, replicas, size)]
     bounds.append(len(tasks))
     if threads == 1 or len(tasks) == 1:
         done = [_task(t) for t in tasks]
@@ -181,7 +186,8 @@ def _exit_start(who: str, lam: float, q, rho: float, start: str):
     return q, a_fixed_point(lam, q) if start == "ordered" else 0.0
 
 
-def _start_counts(n, q, start, a_lam) -> list[int]:
+def _start_counts(params, start, a_lam) -> list[int]:
+    n, q = params.n, params.q_int
     return balanced_counts(n, q) if start == "balanced" \
         else majority_counts(n, q, round(a_lam * n))
 
@@ -195,10 +201,9 @@ def _color_counts(sizes, colors, clusters, q: int) -> np.ndarray:
     return counts.astype(np.int64).reshape(replicas, q + 1)
 
 
-def _exit_worker(rngs, n, q, lam, rho, start, a_lam) -> list:
-    params = ModelParams(n=n, q=float(q), lam=lam)
-    step = sw_size_step(_start_counts(n, q, start, a_lam), params.p, rngs)
-    counts = _color_counts(*step, q)[:, 1:]
+def _exit_worker(rngs, params, rho, start, a_lam) -> list:
+    step = sw_size_step(_start_counts(params, start, a_lam), params.p, rngs)
+    counts = _color_counts(*step, params.q_int)[:, 1:]
     return [int(e) for e in _exited(counts, rho, start, a_lam)]
 
 
@@ -208,8 +213,8 @@ def one_step_exit(n_grid, lam: float, q: int, rho: float, start: str,
     """P(X_1 leaves the start's stability set) for one SW step, per n."""
     q, a_lam = _exit_start("one_step_exit", lam, q, rho, start)
     report = ExperimentReport("one_step_exit", float(q), lam, master_seed)
-    cells = [(f"one_step_exit:{start}:n={n}", n,
-              (n, q, lam, rho, start, a_lam)) for n in n_grid]
+    cells = [(f"one_step_exit:{start}:n={n}", ModelParams(n, float(q), lam),
+              (rho, start, a_lam)) for n in _nonempty(n_grid, "n")]
     exits = _run_replicas(_exit_worker, master_seed, cells, replicas, threads)
     for n, cell_exits in zip(n_grid, exits):
         hits = sum(cell_exits)
@@ -221,9 +226,8 @@ def one_step_exit(n_grid, lam: float, q: int, rho: float, start: str,
     return report
 
 
-def _escape_worker(rngs, n, q, lam, rho, start, a_lam, cap) -> list:
-    params = ModelParams(n=n, q=float(q), lam=lam)
-    start_spins = _consecutive_spins(_start_counts(n, q, start, a_lam))
+def _escape_worker(rngs, params, rho, start, a_lam, cap) -> list:
+    start_spins = _consecutive_spins(_start_counts(params, start, a_lam))
     times = []
     for rng in rngs:
         spins = start_spins
@@ -253,11 +257,10 @@ def escape_time(n_grid, lam: float, q: int, rho: float, start: str,
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap!r}")
     report = ExperimentReport("escape_time", float(q), lam, master_seed)
-    names = [f"escape_time:{start}:n={n}" for n in n_grid]
-    cells = [(name, n, (n, q, lam, rho, start, a_lam, cap))
-             for name, n in zip(names, n_grid)]
+    cells = [(f"escape_time:{start}:n={n}", ModelParams(n, float(q), lam),
+              (rho, start, a_lam, cap)) for n in _nonempty(n_grid, "n")]
     times = _run_replicas(_escape_worker, master_seed, cells, replicas, threads)
-    for n, name, cell_times in zip(n_grid, names, times):
+    for (name, params, _), cell_times in zip(cells, times):
         raw = np.array(cell_times, dtype=float)
         censored = float(np.mean(raw < 0))
         vals = np.where(raw < 0, np.inf, raw)
@@ -268,7 +271,7 @@ def escape_time(n_grid, lam: float, q: int, rho: float, start: str,
             lo, hi = bootstrap_ci(vals, "median",
                                   seed=_boot_seed(master_seed, name))
         report.cells.append(ReportCell(
-            n=n, param=rho, estimate=est, ci_lo=lo, ci_hi=hi,
+            n=params.n, param=rho, estimate=est, ci_lo=lo, ci_hi=hi,
             replicas=replicas,
             extra={"start": start, "censored_frac": censored, "cap": cap}))
     return report
@@ -277,8 +280,9 @@ def escape_time(n_grid, lam: float, q: int, rho: float, start: str,
 # ---------------------------------------------------------------------------
 # drift maps
 
-def _sw_drift_worker(rngs, n, q, lam, z) -> list:
-    step = sw_size_step(majority_counts(n, q, round(z * n)), lam / n, rngs)
+def _sw_drift_worker(rngs, params, z) -> list:
+    n, q = params.n, params.q_int
+    step = sw_size_step(majority_counts(n, q, round(z * n)), params.p, rngs)
     sizes, colors, clusters = step
     # each replica's largest cluster, ties to the smallest member: the
     # first maximum in ascending smallest-member order (lexsort is stable)
@@ -303,28 +307,29 @@ def sw_drift_map(n: int, lam: float, q: int, z_grid, replicas: int,
     """
     q = integer_q(q, 2, "sw_drift_map")
     report = ExperimentReport("sw_drift_map", float(q), lam, master_seed)
-    for z in z_grid:
+    for z in _nonempty(z_grid, "z"):
         if not (1.0 / q <= z <= 1.0):
             raise ValueError(f"z grid must lie in [1/q, 1], got {z!r}")
-    names = [f"sw_drift_map:z={z!r}:n={n}" for z in z_grid]
-    cells = [(name, n, (n, q, lam, z)) for name, z in zip(names, z_grid)]
+    cells = [(f"sw_drift_map:z={z!r}:n={n}", ModelParams(n, float(q), lam),
+              (z,)) for z in z_grid]
     results = _run_replicas(_sw_drift_worker, master_seed, cells, replicas,
                             threads)
-    for z, name, cell_vals in zip(z_grid, names, results):
+    for (name, _, (z,)), cell_vals in zip(cells, results):
         report.cells.append(_drift_cell(
             n, z, cell_vals, _boot_seed(master_seed, name), sw_drift(z, lam, q)))
     return report
 
 
-def _cm_drift_worker(rngs, n, q, lam, theta) -> list:
+def _cm_drift_worker(rngs, params, theta) -> list:
     # the planted cluster (at least one vertex) is forced active and every
     # other cluster is a singleton, active with probability 1/q; the step
     # resamples G(m, lam/n) on the m active vertices and the rest stay
     # isolated, so the drift depends only on sizes
+    n = params.n
     g = max(round(theta * n), 1)
-    blocks = [(g + int((rng.random(n - g) < 1.0 / q).sum()), rng)
+    blocks = [(g + int((rng.random(n - g) < 1.0 / params.q).sum()), rng)
               for rng in rngs]
-    sizes, bounds = gnp_component_sizes(blocks, lam / n)  # no empty block
+    sizes, bounds = gnp_component_sizes(blocks, params.p)  # no empty block
     return (np.maximum.reduceat(sizes, bounds[:-1]) / n).tolist()
 
 
@@ -336,15 +341,14 @@ def cm_drift_map(n: int, lam: float, q: float, theta_grid, replicas: int,
     if not 1 <= q < math.inf:
         raise ValueError(f"cm_drift_map needs finite q >= 1, got q={q!r}")
     report = ExperimentReport("cm_drift_map", q, lam, master_seed)
-    for theta in theta_grid:
+    for theta in _nonempty(theta_grid, "theta"):
         if not (0.0 < theta <= 1.0):
             raise ValueError(f"theta grid must lie in (0, 1], got {theta!r}")
-    names = [f"cm_drift_map:theta={theta!r}:n={n}" for theta in theta_grid]
-    cells = [(name, n, (n, q, lam, theta))
-             for name, theta in zip(names, theta_grid)]
+    cells = [(f"cm_drift_map:theta={theta!r}:n={n}",
+              ModelParams(n, float(q), lam), (theta,)) for theta in theta_grid]
     results = _run_replicas(_cm_drift_worker, master_seed, cells, replicas,
                             threads)
-    for theta, name, cell_vals in zip(theta_grid, names, results):
+    for (name, _, (theta,)), cell_vals in zip(cells, results):
         report.cells.append(_drift_cell(
             n, theta, cell_vals, _boot_seed(master_seed, name),
             cm_drift(theta, lam, q),
@@ -355,12 +359,12 @@ def cm_drift_map(n: int, lam: float, q: float, theta_grid, replicas: int,
 # ---------------------------------------------------------------------------
 # equilibrium cluster statistics of G(n, lam/n)
 
-def _sm_tail_worker(rngs, n, lam, m_thr, rho) -> list:
+def _sm_tail_worker(rngs, params, m_thr, rho) -> list:
     # |S_M|, the vertices in clusters larger than M; no block is empty, so
     # neither is a reduceat segment (which would give a[i])
-    sizes, bounds = gnp_component_sizes([(n, rng) for rng in rngs], lam / n)
+    sizes, bounds = gnp_component_sizes([(params.n, g) for g in rngs], params.p)
     s_m = np.add.reduceat(np.where(sizes > m_thr, sizes, 0), bounds[:-1])
-    return (s_m >= rho * n).astype(int).tolist()
+    return (s_m >= rho * params.n).astype(int).tolist()
 
 
 def sm_tail(n_grid, lam: float, m_threshold: int, rho: float, replicas: int,
@@ -379,7 +383,8 @@ def sm_tail(n_grid, lam: float, m_threshold: int, rho: float, replicas: int,
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho!r}")
     report = ExperimentReport("sm_tail", 1.0, lam, master_seed)
-    cells = [(f"sm_tail:n={n}", n, (n, lam, m_threshold, rho)) for n in n_grid]
+    cells = [(f"sm_tail:n={n}", ModelParams(n, 1.0, lam), (m_threshold, rho))
+             for n in _nonempty(n_grid, "n")]
     hit_lists = _run_replicas(_sm_tail_worker, master_seed, cells, replicas,
                               threads)
     for n, cell_hits in zip(n_grid, hit_lists):
@@ -394,8 +399,8 @@ def sm_tail(n_grid, lam: float, m_threshold: int, rho: float, replicas: int,
     return report
 
 
-def _cluster_tail_worker(rngs, n, lam, kmax) -> list:
-    p = lam / n
+def _cluster_tail_worker(rngs, params, kmax) -> list:
+    n, p = params.n, params.p
     sizes = []
     for rng in rngs:
         # explore the cluster of vertex 0 one vertex at a time; each
@@ -418,8 +423,8 @@ def cluster_tail_bound(n: int, lam: float, k_grid, replicas: int,
     exp(-(1-lam)^2 k / 2), for each k in the grid."""
     if lam >= 1.0:
         raise RegimeError(f"cluster tail bound needs lam < 1, got {lam!r}")
-    kmax = int(max(k_grid))
-    cells = [(f"cluster_tail:n={n}", n, (n, lam, kmax))]
+    kmax = int(max(_nonempty(k_grid, "k")))
+    cells = [(f"cluster_tail:n={n}", ModelParams(n, 1.0, lam), (kmax,))]
     sizes = np.array(_run_replicas(_cluster_tail_worker, master_seed, cells,
                                    replicas, threads)[0])
     report = ExperimentReport("cluster_tail_bound", 1.0, lam, master_seed)
@@ -432,9 +437,9 @@ def cluster_tail_bound(n: int, lam: float, k_grid, replicas: int,
     return report
 
 
-def _giant_worker(rngs, n, lam) -> list:
-    sizes, bounds = gnp_component_sizes([(n, rng) for rng in rngs], lam / n)
-    return (np.maximum.reduceat(sizes, bounds[:-1]) / n).tolist()
+def _giant_worker(rngs, params) -> list:
+    sizes, bounds = gnp_component_sizes([(params.n, g) for g in rngs], params.p)
+    return (np.maximum.reduceat(sizes, bounds[:-1]) / params.n).tolist()
 
 
 def giant_concentration(n: int, lam: float, epsilon: float, replicas: int,
@@ -444,7 +449,7 @@ def giant_concentration(n: int, lam: float, epsilon: float, replicas: int,
         raise RegimeError(f"giant concentration needs lam > 1, got {lam!r}")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    cells = [(f"giant_concentration:n={n}", n, (n, lam))]
+    cells = [(f"giant_concentration:n={n}", ModelParams(n, 1.0, lam), ())]
     fracs = np.array(_run_replicas(_giant_worker, master_seed, cells,
                                    replicas, threads)[0])
     theta = theta_giant(lam)
@@ -471,10 +476,10 @@ def _majority_series(n: int, q: int, lam: float, start: SpinConfig, burn: int,
     return out
 
 
-def _chain_worker(rngs, n, q, lam, counts, burn, samples) -> list:
+def _chain_worker(rngs, params, counts, burn, samples) -> list:
     start = _consecutive_spins(counts)
-    return [_majority_series(n, q, lam, start, burn, samples, rng)
-            for rng in rngs]
+    return [_majority_series(params.n, params.q_int, params.lam, start, burn,
+                             samples, rng) for rng in rngs]
 
 
 def bimodality_chains(n: int, lam: float, q: int, burn: int, samples: int,
@@ -483,25 +488,20 @@ def bimodality_chains(n: int, lam: float, q: int, burn: int, samples: int,
     ordered drift fixed point (1 - 1/q below lambda_s), valley the open
     interval (1/q + 0.05, a - 0.05), and series maps each start, balanced
     then ordered (majority fraction a), to its post-burn majority fractions,
-    drawn from the stream "bimodality:{start}:n={n}" of master_seed.
-
-    Each chain is a one-replica cell of _run_replicas, so the two chains
-    always run as two tasks on two workers; the parameters are checked
-    before any worker starts."""
+    drawn from the stream "bimodality:{start}:n={n}" of master_seed."""
     q = integer_q(q, 3, "bimodality scan")
     if burn < 0:
         raise ValueError(f"burn must be at least 0, got {burn!r}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples!r}")
-    ModelParams(n=n, q=float(q), lam=lam)
+    params = ModelParams(n, float(q), lam)
     try:
         a = a_fixed_point(lam, q)
     except RegimeError:
         a = 1.0 - 1.0 / q
     starts = {"balanced": balanced_counts(n, q),
               "ordered": majority_counts(n, q, round(a * n))}
-    cells = [(f"bimodality:{start}:n={n}", n,
-              (n, q, lam, counts, burn, samples))
+    cells = [(f"bimodality:{start}:n={n}", params, (counts, burn, samples))
              for start, counts in starts.items()]
     values = _run_replicas(_chain_worker, master_seed, cells, 1, len(cells))
     return (a, (1.0 / q + 0.05, a - 0.05),

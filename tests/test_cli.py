@@ -621,6 +621,47 @@ def test_experiment_bytes_hold_across_threads_and_sidecar_rerun(
     assert rerun.read_bytes() == first.read_bytes()
 
 
+def tiny_argv(name: str, changed: dict) -> list:
+    """The argv of name's TINY run with the flags in changed set to their
+    values there, or left out where the value is None."""
+    opts = TINY[name][1]
+    flags = {**dict(zip(opts[::2], opts[1::2])), **changed}
+    return ["experiment", name, *(token for flag, value in flags.items()
+                                  if value is not None
+                                  for token in (flag, value))]
+
+
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_experiment_refuses_n_and_lambda_outside_the_model(name, tmp_path,
+                                                           capsys):
+    cases = [({"--n": "0"}, "n must be a positive integer, got 0"),
+             ({"--n": "-5"}, "n must be a positive integer, got -5")]
+    if name not in ("sm_tail", "cluster_tail_bound"):  # these need lam < 1
+        cases.append(({"--n": "3", "--lambda": "3"},
+                      "lam must lie in (0, n), got 3.0"))
+    for changed, message in cases:
+        assert run(capsys, *tiny_argv(name, changed),
+                   "--out", str(tmp_path / "x.csv")) \
+            == (1, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name,key,grid", [
+    ("one_step_exit", "n", "n"), ("escape_time", "n", "n"),
+    ("sm_tail", "n", "n"), ("sw_drift_map", "grid", "z"),
+    ("cm_drift_map", "grid", "theta"), ("cluster_tail_bound", "grid", "k")])
+def test_an_empty_grid_is_refused_at_every_thread_count(name, key, grid,
+                                                         tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: []}))
+    for threads in ("1", "2"):
+        assert run(capsys, *tiny_argv(name, {"--" + key: None}),
+                   "--config", str(cfg), "--threads", threads,
+                   "--out", str(tmp_path / "x.csv")) \
+            == (1, "", f"error: {grid} grid must not be empty\n")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_experiment_wall_clock_goes_to_stderr_only(tmp_path, capsys):
     out = tmp_path / "t.csv"
     code, stdout, err = run(capsys, "experiment", "sm_tail", *TINY["sm_tail"][1],

@@ -1,5 +1,6 @@
 import ast
 import importlib.util
+import inspect
 import json
 import math
 import multiprocessing
@@ -14,7 +15,7 @@ import mcd.experiments
 from scipy.stats import binom
 
 from mcd.analytic import RegimeError, a_fixed_point, cm_drift, sw_drift
-from mcd.cli import main
+from mcd.cli import EXPERIMENTS, main
 from mcd.dynamics import sw_size_step
 from mcd.experiments import (
     _color_counts,
@@ -34,7 +35,7 @@ from mcd.experiments import (
     sw_drift_map,
 )
 from mcd.countlevel import count_grid, one_step_law
-from mcd.model import is_ordered, majority_counts
+from mcd.model import ModelParams, is_ordered, majority_counts
 from mcd.report import (
     ExperimentReport,
     ReportCell,
@@ -380,19 +381,55 @@ def test_bimodality_chains_run_the_scan_streams_on_one_pool(monkeypatch):
             n, 3, LAMBDA_C3, spins, burn, samples, rng))
 
 
-def test_bimodality_parameters_are_checked_before_any_worker(monkeypatch,
-                                                              capsys):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
+# per experiment: its arguments besides n, lam, master_seed and threads,
+# a lam its regime takes, and the name of its grid, if any
+CHECKED = {
+    "one_step_exit": (dict(q=3, rho=0.08, start="balanced", replicas=5),
+                      2.0, "n"),
+    "escape_time": (dict(q=3, rho=0.08, start="balanced", replicas=5, cap=5),
+                    2.0, "n"),
+    "sw_drift_map": (dict(q=3, z_grid=[0.5], replicas=5), 2.0, "z"),
+    "cm_drift_map": (dict(q=2.0, theta_grid=[0.5], replicas=5), 2.0, "theta"),
+    "sm_tail": (dict(m_threshold=5, rho=0.3, replicas=5), 0.5, "n"),
+    "cluster_tail_bound": (dict(k_grid=[2, 4], replicas=5), 0.5, "k"),
+    "giant_concentration": (dict(epsilon=0.05, replicas=5), 2.0, None),
+    "bimodality_scan": (dict(q=3, burn=1, samples=2), 2.0, None),
+}
 
-    monkeypatch.setattr(mcd.experiments, "ProcessPoolExecutor", no_pool)
-    with pytest.raises(ValueError) as err:
-        bimodality_chains(3, 4.0, 3, 1, 2, 0)
-    assert str(err.value) == "lam must lie in (0, n), got 4.0"
-    assert main(["experiment", "bimodality_scan", "--n", "3", "--q", "3",
-                 "--lambda", "4", "--burn", "1", "--samples", "2"]) == 1
-    out = capsys.readouterr()
-    assert (out.out, out.err) == ("", "error: lam must lie in (0, n), got 4.0\n")
+
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_parameters_are_checked_before_any_worker(name, monkeypatch):
+    # every experiment refuses what ModelParams refuses, and an empty
+    # grid, with two threads and before any task runs
+    def no_task(*args, **kwargs):
+        raise AssertionError("a task ran or a worker pool was started")
+
+    monkeypatch.setattr(mcd.experiments, "_task", no_task)
+    monkeypatch.setattr(mcd.experiments, "ProcessPoolExecutor", no_task)
+    experiment = EXPERIMENTS[name][0]
+    takes = inspect.signature(experiment).parameters
+    kwargs, lam, grid = CHECKED[name]
+    kwargs = {**kwargs, "master_seed": 1,
+              **({"threads": 2} if "threads" in takes else {})}
+
+    def refusal(n, lam, **changed) -> str:
+        n_arg = {"n_grid": [n]} if "n_grid" in takes else {"n": n}
+        with pytest.raises(ValueError) as err:
+            experiment(**{**n_arg, "lam": lam, **kwargs, **changed})
+        return str(err.value)
+
+    for n in (0, -5, 200.0):
+        assert refusal(n, lam) == f"n must be a positive integer, got {n!r}"
+    # sm_tail and cluster_tail_bound take lam < 1 only, so never lam >= n,
+    # and giant_concentration takes lam > 1 only, so never lam <= 0
+    bad = [] if lam < 1 else [(3, 3.0), (3, 4.0)]
+    if name != "giant_concentration":
+        bad += [(10, 0.0), (10, -1.0)]
+    for n, bad_lam in bad:
+        assert refusal(n, bad_lam) == f"lam must lie in (0, n), got {bad_lam!r}"
+    if grid is not None:
+        empty = {"n_grid": []} if grid == "n" else {f"{grid}_grid": []}
+        assert refusal(10, lam, **empty) == f"{grid} grid must not be empty"
 
 
 @pytest.mark.parametrize("experiment,args", [
@@ -430,7 +467,7 @@ def test_sw_drift_worker_matches_per_replica_loop(n, q, lam, z):
     # the per-replica loop it replaced; small n makes tied largest clusters
     # common, and ties go to the smallest member
     got = _sw_drift_worker([np.random.default_rng([n, r]) for r in range(50)],
-                           n, q, lam, z)
+                           ModelParams(n, float(q), lam), z)
     sizes, colors, clusters = sw_size_step(
         majority_counts(n, q, round(z * n)), lam / n,
         [np.random.default_rng([n, r]) for r in range(50)])

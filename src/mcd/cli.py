@@ -13,9 +13,10 @@ order and their defaults from its function's signature, by one set of
 rules; an option without a default is required. Conventions shared by all
 subcommands: exactly one of --lambda/--beta fixes the edge intensity (beta
 is converted through lam = n(1 - exp(-beta/n)) and therefore needs a
-single n); grids are written start:stop:step, a comma list, or a single
-number; --n is a grid only where the function takes n_grid, else one value
-(a one-element list counts as one); --config names a flat JSON object
+single n, which the model's n rule checks first, as it checks every --n);
+grids are written start:stop:step, a comma list, or a single number; --n
+is a grid only where the function takes n_grid, else one value (a
+one-element list counts as one); --config names a flat JSON object
 whose keys are the long flag names, or the JSON sidecar of an experiment
 result, with explicit flags taking precedence; a number option's value is
 a JSON number, never a bool or a string, and an integer option's is
@@ -62,7 +63,7 @@ from .experiments import (
     sm_tail,
     sw_drift_map,
 )
-from .model import EdgeConfig, ModelParams, SpinConfig, integer_q
+from .model import EdgeConfig, ModelParams, SpinConfig, integer_q, positive_n
 from .oracle import (
     bgj_coloring_check,
     build_kernel,
@@ -225,16 +226,21 @@ def _dests(func: Callable) -> list[str]:
 def _arguments(func: Callable, ns: argparse.Namespace,
                defaults: dict | None = None, extra=()) -> dict:
     """func's keyword arguments from the options of ns, read by _options:
-    an option not given takes its default or is required; --n is an
-    integer grid for n_grid and a single integer for any other parameter;
+    an option not given takes its default or is required; --n is a grid
+    of positive integers for n_grid and a single one for any other;
     lam comes from --lambda or --beta; seed falls back to MCD_SEED. The
     options in extra are allowed and converted too, with no default. A
     value that does not convert is a usage error naming its option."""
     who = getattr(ns, "name", getattr(ns, "check", ns.command))
     opts = _merged_options(ns, [*_dests(func), *extra], who)
-    args, dest = {}, "n"
     try:
         n = None if opts.get("n") is None else _parse_grid(opts["n"], "int")
+    except (TypeError, ValueError, OverflowError) as err:
+        raise CliError(1, f"--n: {err}") from None
+    for value in n or ():  # the model's n rule, before --beta converts
+        positive_n(value)
+    args = {}
+    try:
         for name, (dest, default) in [*_options(func, defaults).items(),
                                       *((key, (key, None)) for key in extra)]:
             value = opts.get(dest, default)

@@ -250,8 +250,7 @@ def recolor_clusters(clusters: ClusterPartition, q: int,
 
     One batch of q-sided draws, indexed by ascending cluster id.
     """
-    if q < 1:
-        raise ValueError(f"q must be a positive integer, got {q!r}")
+    q = integer_q(q, 1, "recolor_clusters")
     draws = rng.integers(1, q + 1, size=clusters.cluster_count, dtype=np.int64)
     return SpinConfig(colors=draws[clusters.cluster_of], q=q)
 
@@ -318,8 +317,6 @@ def cm_step(edges: EdgeConfig, params: ModelParams,
 def _cm_step(edges: EdgeConfig, clusters: ClusterPartition,
              params: ModelParams, rng: np.random.Generator) -> EdgeConfig:
     """cm_step from the clusters of the edge configuration."""
-    if params.q < 1:
-        raise ValueError(f"Chayes-Machta needs q >= 1, got {params.q!r}")
     if edges.n != params.n:
         raise ValueError("edge configuration does not match params")
     n, p, q = params.n, params.p, params.q
@@ -373,8 +370,6 @@ def glauber_step(edges: EdgeConfig, params: ModelParams,
     incremental structure is maintained. Always consumes exactly one pair
     index and one uniform.
     """
-    if params.q <= 0:
-        raise ValueError(f"heat bath needs q > 0, got {params.q!r}")
     if edges.n != params.n:
         raise ValueError("edge configuration does not match params")
     n, p, q = params.n, params.p, params.q

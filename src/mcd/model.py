@@ -30,6 +30,13 @@ def integer_q(q, least: int, what: str) -> int:
     return int(q)
 
 
+def positive_n(n):
+    """n if it is a positive integer (int or numpy int), else ValueError."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Parameters (n, q, lambda) with the derived edge probability and
@@ -43,8 +50,7 @@ class ModelParams:
     lam: float
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        positive_n(self.n)
         if not 1 <= self.q < math.inf:
             raise ValueError(f"q must be finite and >= 1, got {self.q!r}")
         if not (0.0 < self.lam < self.n):
@@ -112,8 +118,7 @@ class EdgeConfig:
     pairs: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be positive")
+        positive_n(self.n)
         pairs = np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2)
         if pairs.size:
             lo = pairs.min(axis=1)

@@ -62,7 +62,7 @@ import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec, csr_scale_columns, csr_scale_rows
 
 from .indexing import all_pairs, num_pairs, pair_indices_of
-from .model import EdgeConfig, _edge_config_presorted, integer_q
+from .model import EdgeConfig, _edge_config_presorted, integer_q, positive_n
 from .report import atomic_write_text
 
 _FK_N_MAX = 7
@@ -174,6 +174,14 @@ def _normalize_log_weights(logw: np.ndarray) -> tuple[np.ndarray, float]:
     return w / z, m + math.log(z)
 
 
+def _edge_probability(n: int, lam: float) -> float:
+    """p = lam/n on the exact layer's domain, positive integer n and
+    0 <= lam < n: unlike ModelParams' (0, n), lam = 0 (no edges) is kept."""
+    if not 0.0 <= lam < positive_n(n):
+        raise ValueError(f"lam must lie in [0, n), got {lam!r} with n = {n}")
+    return lam / n
+
+
 def enumerate_fk_measure(n: int, lam: float, q: float) -> MeasureTable:
     """The random-cluster measure on all 2^C(n,2) edge configurations:
     weight p^|E| (1-p)^(C-|E|) q^k(G) with p = lam/n.
@@ -182,15 +190,13 @@ def enumerate_fk_measure(n: int, lam: float, q: float) -> MeasureTable:
     subsets whose effective weight can be fractional). n = 0 and n = 1
     are single-state spaces.
     """
-    if not (0 <= n <= _FK_N_MAX):
-        raise ValueError(f"exact enumeration limited to 0 <= n <= {_FK_N_MAX}, got {n}")
     if n == 0:
         return MeasureTable(0, np.array([1.0]), 0.0)
+    p = _edge_probability(n, lam)
+    if n > _FK_N_MAX:
+        raise ValueError(f"exact enumeration limited to n <= {_FK_N_MAX}, got {n}")
     if not 0 < q < math.inf:
         raise ValueError(f"cluster weight must be positive and finite, got {q!r}")
-    if not (0.0 <= lam < n):
-        raise ValueError(f"need 0 <= lam < n for p = lam/n in [0,1), got lam={lam!r}")
-    p = lam / n
     _, kcnt, ecnt = mask_partition_table(n)
     c = num_pairs(n)
     if p == 0.0:
@@ -226,10 +232,9 @@ def enumerate_potts_measure(n: int, q: int, lam: float) -> MeasureTable:
     """The mean-field Potts measure over all q^n colorings: weight
     exp((beta/n) * #{monochromatic pairs}) with beta = -n*log(1 - lam/n)."""
     q = integer_q(q, 1, "Potts")
+    _edge_probability(n, lam)
     if q ** n > _POTTS_STATES_MAX:
         raise ValueError(f"q^n = {q ** n} exceeds {_POTTS_STATES_MAX}")
-    if not (0.0 <= lam < n):
-        raise ValueError(f"need 0 <= lam < n, got lam={lam!r}")
     return _potts_measure(_pair_counts(n, q), n, lam)
 
 
@@ -594,15 +599,13 @@ def _glauber_pattern(n: int) -> tuple:
 def _glauber_kernel(n: int, q: float, lam: float) -> KernelTable:
     if n > 6:
         raise ValueError(f"glauber kernel limited to n <= 6, got {n}")
-    if not 0 < q < math.inf:
-        raise ValueError(f"glauber kernel needs finite q > 0, got {q!r}")
+    measure = enumerate_fk_measure(n, lam, q)
     p = lam / n
     c = num_pairs(n)
     size = 1 << c
     states = np.arange(size, dtype=np.int64)
     if c == 0:  # one vertex, no pair to update: the chain stays put
-        return KernelTable(sp.identity(1, format="csr"), "glauber", states,
-                           enumerate_fk_measure(n, lam, q))
+        return KernelTable(sp.identity(1, format="csr"), "glauber", states, measure)
     indptr, indices, codes, pair_codes, diagonal = _glauber_pattern(n)
     # a pair is open after the update with probability r, which depends on
     # whether its endpoints are connected without it; by code, an entry is
@@ -617,17 +620,16 @@ def _glauber_kernel(n: int, q: float, lam: float) -> KernelTable:
         diag += stay[row]
     data[diagonal] = diag
     return KernelTable(sp.csr_matrix((data, indices, indptr), shape=(size, size)),
-                       "glauber", states, enumerate_fk_measure(n, lam, q))
+                       "glauber", states, measure)
 
 
 def build_kernel(kind: str, n: int, q: float, lam: float) -> KernelTable:
     """Exact one-step transition kernel of the named dynamics.
 
     Guards: sw needs integer q with q^n <= 10^4 and C(n,2) <= 15;
-    cm needs n <= 5; glauber needs n <= 6. All need 0 <= lam < n.
+    cm needs n <= 5; glauber needs n <= 6; (n, lam) as _edge_probability.
     """
-    if not (0.0 <= lam < n):
-        raise ValueError(f"need 0 <= lam < n, got lam={lam!r}, n={n}")
+    _edge_probability(n, lam)
     if kind == "sw":
         return _sw_kernel(n, q, lam)
     if kind == "cm":
@@ -970,6 +972,7 @@ def _cluster_coloring_check(n: int, lam: float, q: float,
     edge density, independently across classes. Returns the maximum
     total-variation deviation over every class marginal and the product
     test, over all class colorings of the vertices."""
+    _edge_probability(n, lam)  # the measure alone would take n = 0
     measure = enumerate_fk_measure(n, lam, q)
     labels, _, _ = mask_partition_table(n)
     roots = labels == np.arange(n)

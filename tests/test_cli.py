@@ -231,6 +231,27 @@ PLAIN_TINY = {
 }
 
 
+@pytest.mark.parametrize("intensity", ["--lambda", "--beta"])
+@pytest.mark.parametrize("command", [*(f"oracle {check}" for check in ORACLE_CHECKS),
+                                     "simulate", "drift"])
+def test_n_zero_is_refused_by_the_n_rule(command, intensity, tmp_path,
+                                         capsys):
+    # with --beta, n is refused before it converts: -n*expm1(-beta/n) at
+    # n = 0 divides by zero; drift takes n only for that conversion
+    words = command.split()
+    tiny = (ORACLE_TINY[words[1]][0] if words[0] == "oracle"
+            else PLAIN_TINY[command][0])
+    flags = {**dict(zip(tiny[::2], tiny[1::2])), "--lambda": None,
+             "--n": "0", intensity: "1"}
+    if command in ("oracle dump", "simulate", "drift"):
+        flags["--out"] = str(tmp_path / "x.csv")
+    argv = [*words, *(token for flag, value in flags.items() if value
+                      for token in (flag, value))]
+    assert run(capsys, *argv) \
+        == (1, "", "error: n must be a positive integer, got 0\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", list(PLAIN_TINY))
 def test_plain_subcommand_requires_its_options_and_rejects_others(
         command, tmp_path, capsys):
@@ -635,7 +656,9 @@ def tiny_argv(name: str, changed: dict) -> list:
 def test_experiment_refuses_n_and_lambda_outside_the_model(name, tmp_path,
                                                            capsys):
     cases = [({"--n": "0"}, "n must be a positive integer, got 0"),
-             ({"--n": "-5"}, "n must be a positive integer, got -5")]
+             ({"--n": "-5"}, "n must be a positive integer, got -5"),
+             ({"--n": "0", "--lambda": None, "--beta": "1"},
+              "n must be a positive integer, got 0")]
     if name not in ("sm_tail", "cluster_tail_bound"):  # these need lam < 1
         cases.append(({"--n": "3", "--lambda": "3"},
                       "lam must lie in (0, n), got 3.0"))

@@ -16,7 +16,7 @@ from scipy.sparse.csgraph import connected_components
 
 from mcd.analytic import a_fixed_point
 from mcd.countlevel import class_color_laws, exit_probability, one_step_law
-from mcd.dynamics import sample_gnp, sw_step
+from mcd.dynamics import recolor_clusters, sample_gnp, sw_step
 from mcd.experiments import bimodality_scan, escape_time, one_step_exit, sw_drift_map
 from mcd.indexing import (
     all_pairs,
@@ -184,6 +184,9 @@ def test_edge_config_canonicalizes_and_validates():
         EdgeConfig(n=4, pairs=np.array([[2, 2]]))  # self-loop
     with pytest.raises(ValueError):
         EdgeConfig(n=4, pairs=np.array([[0, 4]]))  # out of range
+    for n in (0, 2.5):
+        with pytest.raises(ValueError, match=f"positive integer, got {n!r}"):
+            EdgeConfig(n=n, pairs=np.array([[0, 1]]))
     assert EdgeConfig(n=4, pairs=np.array([[0, 1], [1, 2]])).edge_count == 2
 
 
@@ -238,6 +241,9 @@ def _sw_step(q):
 
 INTEGER_Q_PATHS = {  # name: (least q, the path run at q)
     "SpinConfig": (1, lambda q: SpinConfig(colors=np.array([1, 3, 3]), q=q)),
+    "recolor_clusters": (1, lambda q: recolor_clusters(
+        cluster_decompose(EdgeConfig(n=4, pairs=np.array([[0, 1]]))), q,
+        np.random.Generator(np.random.PCG64(7)))),
     "sw_step": (2, _sw_step),
     "class_color_laws": (2, lambda q: class_color_laws(range(5), 0.3, q)),
     "one_step_law": (2, lambda q: one_step_law([2, 1, 2], 1.5, q)),

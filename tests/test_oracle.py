@@ -305,6 +305,19 @@ def test_class_map_needs_a_constant_measure_on_each_class():
         Chain(kernel.K, kernel.pi, np.zeros_like(kernel.sizes))
 
 
+# every exact-layer entry point, run at (n, lam)
+EXACT_PATHS = {
+    "enumerate_fk_measure": lambda n, lam: enumerate_fk_measure(n, lam, 2.0),
+    "enumerate_potts_measure": lambda n, lam: enumerate_potts_measure(n, 2, lam),
+    **{f"build_kernel_{kind}":
+       lambda n, lam, kind=kind: build_kernel(kind, n, 2, lam)
+       for kind in ("sw", "cm", "glauber")},
+    "bgj_coloring_check": lambda n, lam: bgj_coloring_check(n, lam, 3.0, 0.3),
+    "iterated_coloring_check": lambda n, lam: iterated_coloring_check(n, lam, 3.5),
+    "es_coupling_check": lambda n, lam: es_coupling_check(n, lam, 3),
+}
+
+
 def test_kernel_guards():
     with pytest.raises(ValueError):
         build_kernel("sw", 3, 2.5, 1.0)  # non-integer q
@@ -312,6 +325,19 @@ def test_kernel_guards():
         build_kernel("glauber", 12, 2.0, 1.0)  # state space too large
     with pytest.raises(ValueError):
         build_kernel("nope", 3, 2.0, 1.0)
+    # one n rule (model.positive_n) and one lam rule, 0 <= lam < n, for
+    # every exact path; the fk measure alone takes n = 0, the empty graph
+    # that a class of no vertices restricts to
+    assert enumerate_fk_measure(0, 1.0, 2.0).probs.tolist() == [1.0]
+    for name, path in EXACT_PATHS.items():
+        bad_n = (-1, 2.5) if name == "enumerate_fk_measure" else (0, -1, 2.5)
+        for n in bad_n:
+            with pytest.raises(ValueError, match=f"positive integer, got {n!r}"):
+                path(n, 1.0)
+        for lam in (-0.5, 3.0, math.nan):
+            with pytest.raises(ValueError, match=r"lam must lie in \[0, n\)"):
+                path(3, lam)
+        path(3, 0.0)
 
 
 @pytest.mark.parametrize("q", [math.nan, math.inf])
